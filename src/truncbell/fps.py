@@ -1,13 +1,20 @@
 """Dense exact polynomials and truncated formal power series.
 
-Poly stores coefficients ascending by power over Fraction with trailing
-zeros trimmed; the zero polynomial is the empty coefficient tuple (its
-degree reports -1). Instances are treated as immutable.
+Poly stores its coefficients, ascending by power, as a tuple of integer
+numerators over one positive integer denominator, in canonical form:
+trailing zeros trimmed and gcd(den, *num) == 1. The zero polynomial is the
+empty tuple over 1 (its degree reports -1). Instances are treated as
+immutable. Arithmetic works on the integers and reduces each result by one
+gcd; the Fraction view `coeffs` is built only when asked for.
 
 Fps is a power series in t known exactly through a stated truncation order:
 coeffs has length order + 1 and every entry lives in one coefficient ring,
 either Fraction or Poly (series whose coefficients are polynomials in x).
-Those are the only two rings; nothing here is generic beyond them.
+Those are the only two rings; nothing here is generic beyond them. The
+product, quotient and exp bring each operand once to integer numerators
+over a common denominator, run schoolbook integer recurrences (a 2-D
+convolution on the Poly ring) and build each result coefficient once, so
+Fraction appears only at this API boundary.
 
 Arithmetic keeps the weakest truncation of its operands, so a result's
 order always says how far its coefficients can be trusted. Division
@@ -21,7 +28,8 @@ both well defined on truncations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add, mul
 
 from .exactnum import falling_factorial, parse_rational
 
@@ -29,22 +37,23 @@ _SCALARS = (int, Fraction)
 
 
 class Poly:
-    """Immutable dense univariate polynomial over Fraction."""
+    """Immutable dense univariate polynomial with rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators `num` over one denominator `den`, in
+    canonical form: den > 0, gcd(den, *num) == 1 and no trailing zero
+    numerator. Equal polynomials therefore have equal (num, den).
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _raw(cls, coeffs: tuple) -> "Poly":
-        # internal fast path: caller guarantees Fraction entries, trimmed
-        p = object.__new__(cls)
-        p.coeffs = coeffs
-        return p
+        # over the lcm of reduced denominators no prime divides every numerator
+        den = lcm(*(c.denominator for c in cs))
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -69,39 +78,50 @@ class Poly:
         return cls((0,) * power + (c,))
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients ascending by power, as Fractions, built on each use."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            other = Poly((other,))
+            other = _poly((other.numerator,), other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
+        g = gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        if sa != 1:
+            a = [c * sa for c in a]
+        if sb != 1:
+            b = [c * sb for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        out[: len(b)] = map(add, a, b)
+        return _poly(out, self.den * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
-            other = Poly((other,))
+            other = _poly((other.numerator,), other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
@@ -111,22 +131,12 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            if not other:
-                return _POLY_ZERO
-            f = other if isinstance(other, Fraction) else Fraction(other)
-            return Poly._raw(tuple(c * f for c in self.coeffs))
+            return _poly([c * other.numerator for c in self.num], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _POLY_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly._raw(tuple(out))
+        acc: list = []
+        _mul_into(acc, self.num, other.num)
+        return _poly(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -139,27 +149,31 @@ class Poly:
         return out
 
     def __call__(self, x0) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        # Horner on p/q scaled by q^(degree+1): acc = q * sum num_i p^i q^(deg-i)
+        x0 = Fraction(x0)
+        p, q = x0.numerator, x0.denominator
+        acc, qk = 0, 1
+        for c in reversed(self.num):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, self.den * qk)
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
-            other = Poly((other,))
+            other = _poly((other.numerator,), other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"Poly[{self.to_string()}]"
 
     def to_string(self) -> str:
         """Ascending powers, exact coefficients: "1/2 + -1/3*x + 2*x^2"."""
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -199,9 +213,57 @@ class Poly:
         return cls(out)
 
 
-_POLY_ZERO = Poly._raw(())
-_POLY_ONE = Poly._raw((Fraction(1),))
-_POLY_X = Poly._raw((Fraction(0), Fraction(1)))
+def _poly(num, den: int) -> Poly:
+    """Poly from integer numerators over a positive denominator, brought to
+    canonical form: trailing zeros trimmed, common factor divided out."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    g = gcd(den, *num[:n])
+    p = object.__new__(Poly)
+    p.num = tuple(c // g for c in num[:n]) if g != 1 else tuple(num[:n])
+    p.den = den // g
+    return p
+
+
+def _mul_into(acc: list, a, b) -> None:
+    """acc += a * b for integer coefficient sequences (schoolbook, with the
+    inner loop over the longer operand); acc grows as needed."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return
+    lb = len(b)
+    short = len(a) + lb - 1 - len(acc)
+    if short > 0:
+        acc.extend([0] * short)
+    for i, c in enumerate(a):
+        if c:
+            acc[i : i + lb] = map(add, acc[i : i + lb], map(c.__mul__, b))
+
+
+_POLY_ZERO = _poly((), 1)
+_POLY_ONE = _poly((1,), 1)
+_POLY_X = _poly((0, 1), 1)
+
+
+def _numerators(cs) -> tuple[list, int]:
+    """Coefficients of one ring over their common denominator: integer
+    numerators on the Fraction ring, integer numerator tuples on the Poly ring."""
+    if isinstance(cs[0], Poly):
+        den = lcm(*(c.den for c in cs))
+        return [c.num if c.den == den else [v * (den // c.den) for v in c.num] for c in cs], den
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _poly_ring(a, b) -> bool:
+    """Whether two coefficient sequences are over the Poly ring; they must
+    share their ring."""
+    poly_ring = isinstance(a[0], Poly)
+    if poly_ring != isinstance(b[0], Poly):
+        raise TypeError("operands are over different coefficient rings; lift the Fraction one")
+    return poly_ring
 
 
 def _zero_like(sample):
@@ -320,15 +382,20 @@ class Fps:
     def __mul__(self, other):
         if isinstance(other, Fps):
             n = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            zero = _zero_like(a[0])
-            out = []
-            for m in range(n + 1):
-                acc = zero
-                for j in range(m + 1):
-                    acc = acc + a[j] * b[m - j]
-                out.append(acc)
-            return Fps(tuple(out))
+            a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+            poly_ring = _poly_ring(a, b)
+            (na, da), (nb, db) = _numerators(a), _numerators(b)
+            den = da * db
+            if poly_ring:  # 2-D integer convolution
+                out = []
+                for m in range(n + 1):
+                    acc: list = []
+                    for j in range(m + 1):
+                        _mul_into(acc, na[j], nb[m - j])
+                    out.append(_poly(acc, den))
+                return Fps(out)
+            nb.reverse()
+            return Fps([Fraction(sum(map(mul, na[: m + 1], nb[n - m :])), den) for m in range(n + 1)])
         if isinstance(other, _SCALARS + (Poly,)):
             return self.scale(other)
         return NotImplemented
@@ -338,13 +405,14 @@ class Fps:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative series power; divide instead")
-        out = Fps.constant(_one_like(self.coeffs[0]), self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return Fps.constant(_one_like(self.coeffs[0]), self.order)
+        # left-to-right binary powering from the leading bit
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __truediv__(self, other):
@@ -373,18 +441,33 @@ class Fps:
                 f"denominator valuation {v} exceeds numerator valuation {sv}; "
                 "the quotient would need negative powers"
             )
-        a = self.coeffs[v:]
-        b = other.coeffs[v:]
-        inv = _invert(b[0])
-        zero = _zero_like(b[0])
-        q: list = []
-        for n in range(out_order + 1):
-            acc = a[n] if n < len(a) else zero
-            for j in range(1, n + 1):
-                if j < len(b):
-                    acc = acc - b[j] * q[n - j]
-            q.append(acc * inv)
-        return Fps(tuple(q))
+        k = out_order + 1
+        a, b = self.coeffs[v : v + k], other.coeffs[v : v + k]
+        poly_ring = _poly_ring(a, b)
+        _invert(b[0])  # raises unless the leading coefficient is a unit
+        (na, da), (nb, db) = _numerators(a), _numerators(b)
+        # With a = A/da, b = B/db and B_0 = beta, q_n = Q_n / (da beta^(n+1))
+        # for Q_n = db A_n beta^n - sum_{j=1..n} B_j beta^(j-1) Q_{n-j}.
+        beta = nb[0][0] if poly_ring else nb[0]
+        if beta < 0:  # keep the denominators positive: B/db = (-B)/(-db)
+            beta, db = -beta, -db
+            nb = [[-c for c in bj] for bj in nb] if poly_ring else [-c for c in nb]
+        neg_b, pw = [], -1  # -B_j beta^(j-1), j = 1..k-1
+        for bj in nb[1:]:
+            neg_b.append([c * pw for c in bj] if poly_ring else bj * pw)
+            pw *= beta
+        q, out, pw = [], [], 1
+        for n in range(k):
+            if poly_ring:
+                qn = [c * db * pw for c in na[n]]
+                for j in range(1, n + 1):
+                    _mul_into(qn, neg_b[j - 1], q[n - j])
+            else:
+                qn = na[n] * db * pw + sum(map(mul, neg_b[:n], reversed(q)))
+            q.append(qn)
+            pw *= beta
+            out.append(_poly(qn, da * pw) if poly_ring else Fraction(qn, da * pw))
+        return Fps(out)
 
     def derivative(self) -> "Fps":
         if self.order < 1:
@@ -392,20 +475,35 @@ class Fps:
         return Fps(tuple(self.coeffs[n] * n for n in range(1, self.order + 1)))
 
     def exp(self) -> "Fps":
-        """exp of a series with zero constant term, same order."""
+        """exp of a series with zero constant term, same order.
+
+        With f_j = F_j / d over one denominator, the m-th coefficient is
+        e_m / (m! d^m) for integers (integer polynomials on the Poly ring)
+        e_0 = 1, e_m = sum_{j=1..m} j F_j e_{m-j} (m-1)!/(m-j)! d^(j-1):
+        the recurrence m out_m = sum_j j f_j out_{m-j}, multiplied through.
+        """
         c0 = self.coeffs[0]
-        if (not c0.is_zero) if isinstance(c0, Poly) else bool(c0):
+        poly_ring = isinstance(c0, Poly)
+        if (not c0.is_zero) if poly_ring else bool(c0):
             raise ValueError("exp needs a zero constant term")
-        one = _one_like(c0)
-        zero = _zero_like(c0)
-        f = self.coeffs
-        out = [one]
-        for n in range(1, self.order + 1):
-            acc = zero
-            for j in range(1, n + 1):
-                acc = acc + f[j] * out[n - j] * j
-            out.append(acc * Fraction(1, n))
-        return Fps(tuple(out))
+        f, d = _numerators(self.coeffs)
+        e: list = [(1,) if poly_ring else 1]
+        for m in range(1, len(f)):
+            acc = [] if poly_ring else 0
+            w = 1  # (m-1)!/(m-j)! d^(j-1), from j = 1
+            for j in range(1, m + 1):
+                if poly_ring:
+                    _mul_into(acc, [w * j * c for c in f[j]], e[m - j])
+                else:
+                    acc += w * j * f[j] * e[m - j]
+                w *= (m - j) * d
+            e.append(acc)
+        out, den = [], 1
+        for m, em in enumerate(e):
+            if m:
+                den *= m * d
+            out.append(_poly(em, den) if poly_ring else Fraction(em, den))
+        return Fps(out)
 
     def compose(self, inner: "Fps") -> "Fps":
         """self(inner(t)); inner must have zero constant term and share the

@@ -20,9 +20,10 @@ consequence of anything else in this module, and the test suite validates
 it against brute-force set-partition enumeration before anything builds
 on it.
 
-All functions memoize whole rows keyed by (family parameters, n); repeated
-lookups are cheap and referentially transparent, and concurrent readers at
-worst duplicate a computation of the same value.
+All functions memoize whole rows keyed by (family parameters, n), except
+the degenerate Bernoulli tables, which are keyed by (lambda, r) and grow in
+depth on demand; repeated lookups are cheap and referentially transparent,
+and concurrent readers at worst duplicate a computation of the same value.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
     work = poly
     while not work.is_zero:
         d = work.degree
-        c = work.coeffs[d]
+        c = work.coeff(d)
         out[d] = c
         work = work - _deg_ff_poly(lam, d) * c
     return out
@@ -261,25 +262,40 @@ def _check_np(n: int, p: int) -> None:
 # generating function, so there is no separate basis construction)
 
 
+def _bern_base_pow(lam: Fraction, r: int, depth: int) -> Fps:
+    """(t / (deformed exp - 1))**r through t^depth."""
+    base = Fps.t(depth + 1) / (deg_exp(Fraction(1), lam, depth + 1) - 1)
+    return base**r
+
+
+def _deeper(table: list, n: int) -> int:
+    """Depth to rebuild a coefficient table at so that it reaches n.
+    Coefficient n is the same at every depth >= n, so a table only grows;
+    doubling keeps a run of increasing n to a few rebuilds."""
+    return max(n, 2 * len(table) - 1)
+
+
 @lru_cache(maxsize=None)
-def _bern_num_table(lam: Fraction, r: int, n_max: int) -> tuple[Fraction, ...]:
-    base = Fps.t(n_max + 1) / (deg_exp(Fraction(1), lam, n_max + 1) - 1)
-    s = base**r
-    return tuple(s.egf_coeff(n) for n in range(n_max + 1))
+def _bern_num_table(lam: Fraction, r: int) -> list:
+    # one list per (lam, r), extended in place when a deeper n is asked for
+    return []
+
+
+@lru_cache(maxsize=None)
+def _bern_poly_table(lam: Fraction, r: int) -> list:
+    return []
 
 
 def deg_bernoulli_num(n: int, r: int, lam) -> Fraction:
     """Order-r degenerate Bernoulli number (the polynomial at x = 0)."""
     if n < 0 or r < 0:
         raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
-    return _bern_num_table(Fraction(lam), r, n)[n]
-
-
-@lru_cache(maxsize=None)
-def _bern_poly_table(lam: Fraction, r: int, n_max: int) -> tuple[Poly, ...]:
-    base = Fps.t(n_max + 1) / (deg_exp(Fraction(1), lam, n_max + 1) - 1)
-    gf = lift_to_poly_ring(base**r) * deg_exp(Poly.x(), lam, n_max)
-    return tuple(gf.egf_coeff(n) for n in range(n_max + 1))
+    lam = Fraction(lam)
+    table = _bern_num_table(lam, r)
+    if n >= len(table):
+        s = _bern_base_pow(lam, r, _deeper(table, n))
+        table[:] = [s.egf_coeff(m) for m in range(s.order + 1)]
+    return table[n]
 
 
 def deg_bernoulli(n: int, r: int, lam) -> Poly:
@@ -287,7 +303,13 @@ def deg_bernoulli(n: int, r: int, lam) -> Poly:
     the deformed falling factorial of x."""
     if n < 0 or r < 0:
         raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
-    return _bern_poly_table(Fraction(lam), r, n)[n]
+    lam = Fraction(lam)
+    table = _bern_poly_table(lam, r)
+    if n >= len(table):
+        depth = _deeper(table, n)
+        gf = lift_to_poly_ring(_bern_base_pow(lam, r, depth)) * deg_exp(Poly.x(), lam, depth)
+        table[:] = [gf.egf_coeff(m) for m in range(depth + 1)]
+    return table[n]
 
 
 # --------------------------------------------------------------------------

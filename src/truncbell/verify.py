@@ -660,19 +660,23 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
         x_points = (Fraction(0), Fraction(1), Fraction(1, 2))
     x_points = tuple(Fraction(x) for x in x_points)
 
+    # exact values the loops below reuse, each computed once per call
+    mod_p = [seq.trunc_mod_bell_deg(j, p, lam) for j in range(n_max + 2)]
+    mod_p1 = [seq.trunc_mod_bell_deg(j, p + 1, lam) for j in range(n_max + 1)]
+    const = [seq.trunc_bell_deg(m, p, lam)(Fraction(1)) for m in range(n_max + 1)]
+
     c14 = _ExactCollector()
     literal_bad = 0
     for n in range(n_max + 1):
-        target = seq.trunc_mod_bell_deg(n, p, lam)
+        target = mod_p[n]
         c14.poly(n, target, seq.trunc_mod_bell_deg_egf(n, p, lam, order))
         corrected = Poly.zero()
         literal = Poly.zero()
-        const_n = seq.trunc_bell_deg(n, p, lam)(Fraction(1))
         for m in range(n + 1):
             w = binomial(n, m)
             ff = seq.deg_falling_factorial_poly(n - m, lam)
-            corrected = corrected + ff * (w * seq.trunc_bell_deg(m, p, lam)(Fraction(1)))
-            literal = literal + ff * (w * const_n)
+            corrected = corrected + ff * (w * const[m])
+            literal = literal + ff * (w * const[n])
         c14.poly(n, target, corrected, note="convolution route, raised series index")
         if literal != target:
             literal_bad += 1
@@ -688,8 +692,15 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     m, rowsums = _series_weight_matrix(p, cfg.series_cutoff_k, cfg.series_cutoff_l)
     lamf = float(lam)
     ks = np.arange(cfg.series_cutoff_k + 1, dtype=np.float64)
+    # x-independent inner sums sum_k S2deg(m2, k) / C(p+k, k)
+    inner = [
+        sum((seq.stirling2_deg(m2, k2, lam) / binomial(p + k2, k2) for k2 in range(m2 + 1)),
+            Fraction(0))
+        for m2 in range(n_max + 1)
+    ]
     for x in x_points:
         xf = float(x)
+        ffx = [deg_falling_factorial(x, j, lam) for j in range(n_max + 1)]
         fall = np.ones_like(ks)
         for n in range(n_max + 1):
             if n > 0:
@@ -698,13 +709,10 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
             tail = abs(float(fall[-1] * rowsums[-1])) + abs(float(fall @ m[:, -1]))
             exact = Fraction(0)
             for m2 in range(n + 1):
-                ff = deg_falling_factorial(x, n - m2, lam)
+                ff = ffx[n - m2]
                 if ff == 0:
                     continue
-                inner = Fraction(0)
-                for k2 in range(m2 + 1):
-                    inner += seq.stirling2_deg(m2, k2, lam) / binomial(p + k2, k2)
-                exact += binomial(n, m2) * inner * ff
+                exact += binomial(n, m2) * inner[m2] * ff
             c15.compare(n, approx, float(exact), label=f"x={x}", tail=tail)
     v15 = c15.verdict(
         "T15",
@@ -715,17 +723,15 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     )
 
     c16 = _ExactCollector()
+    ff1 = [deg_falling_factorial(Fraction(1), j, lam) for j in range(n_max + 1)]
     for n in range(n_max + 1):
-        lhs = seq.trunc_mod_bell_deg(n + 1, p, lam)
-        rhs = (Poly.x() - Fraction(n) * lam) * seq.trunc_mod_bell_deg(n, p, lam)
+        lhs = mod_p[n + 1]
+        rhs = (Poly.x() - Fraction(n) * lam) * mod_p[n]
         for j in range(n + 1):
-            w = binomial(n, j) * deg_falling_factorial(Fraction(1), n - j, lam)
+            w = binomial(n, j) * ff1[n - j]
             if w == 0:
                 continue
-            rhs = rhs - (
-                seq.trunc_mod_bell_deg(j, p + 1, lam) * Fraction(p, p + 1)
-                - seq.trunc_mod_bell_deg(j, p, lam)
-            ) * w
+            rhs = rhs - (mod_p1[j] * Fraction(p, p + 1) - mod_p[j]) * w
         c16.poly(n, lhs, rhs)
     v16 = c16.verdict("T16", _params(lam, p=p, n_max=n_max))
     return [v14, v15, v16]

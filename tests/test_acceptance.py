@@ -5,6 +5,8 @@ machinery so the checklist is visible in any pytest run.  Stated runtime
 budgets are asserted, not just reported.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -16,6 +18,10 @@ from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
 F = Fraction
 GRID4 = (F(0), F(1), F(1, 2), F(-1, 3))
 GRID5 = GRID4 + (F(2),)
+# sha256 of the exact-mode verdicts of `suite --default-grid --seed 42`,
+# serialised by verify.verdicts_to_json_text (228 verdicts), as computed by
+# the Fraction schoolbook kernel before the integer-numerator rewrite
+EXACT_VERDICTS_SHA256 = "a479d6eba12fc1d19349db687b4d1282da2b825b24cefba5a69e22d07422da1e"
 
 
 def criterion(capsys, num, label, body, budget=None):
@@ -188,4 +194,12 @@ def test_criterion_13_deterministic_reports(capsys, tmp_path):
             assert code == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
+        # golden digest: exact results must not move under a kernel change.
+        # Numeric rows are left out, as their floats may differ by platform.
+        exact = [verify.Verdict(v["id"], v["mode"], v["params"], v["status"],
+                                v["max_residual"], v["details"])
+                 for v in json.loads(f1.read_text())["verdicts"]
+                 if v["mode"] == "exact"]
+        text = verify.verdicts_to_json_text(exact)
+        assert hashlib.sha256(text.encode()).hexdigest() == EXACT_VERDICTS_SHA256
     criterion(capsys, 13, "byte-identical default suite reports", body)

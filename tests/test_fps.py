@@ -122,6 +122,24 @@ def test_fps_ring_laws(a, b, c):
     assert a + b == b + a
 
 
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
+def test_pow_uses_binary_powering_without_spare_products(k, products, monkeypatch):
+    f = Fps((Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(5)))
+    expected = Fps.constant(Fraction(1), 3)
+    for _ in range(k):
+        expected = expected * f
+    calls = []
+    real = Fps.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Fps, "__mul__", counted)
+    assert f**k == expected
+    assert len(calls) == products
+
+
 @given(series_with_valuation(), series_with_valuation())
 def test_valuation_is_additive_under_product(a, b):
     prod = a * b

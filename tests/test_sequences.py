@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
 from truncbell.exactnum import binomial
-from truncbell.fps import Poly
+from truncbell import sequences
+from truncbell.fps import Poly, deg_exp, lift_to_poly_ring
 from truncbell.sequences import (
     CONSTRUCTION,
     Family,
@@ -212,6 +213,35 @@ def test_deg_bernoulli_lam_one_collapses():
     for r in range(4):
         for n in range(6):
             assert deg_bernoulli_num(n, r, Fraction(1)) == (1 if n == 0 else 0)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_deg_bernoulli_tables_grow_on_demand(r, monkeypatch):
+    # a lambda no other test uses, so both tables start empty
+    lam = Fraction(-5, 11)
+    builds = []
+    real = sequences._bern_base_pow
+
+    def counted(*args):
+        builds.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(sequences, "_bern_base_pow", counted)
+    nums = [deg_bernoulli_num(n, r, lam) for n in range(13)]
+    polys = [deg_bernoulli(n, r, lam) for n in range(13)]
+    # asking again, or for a shallower n, rebuilds nothing
+    assert deg_bernoulli_num(5, r, lam) == nums[5]
+    assert deg_bernoulli(12, r, lam) == polys[12]
+    # depths double: 0, 1, 3, 7, 15 for each table
+    assert builds == [0, 1, 3, 7, 15] * 2
+    # the n-th coefficient is the one a series of depth exactly n gives
+    x = Poly.x()
+    for n in range(13):
+        at_depth_n = real(lam, r, n)
+        assert nums[n] == at_depth_n.egf_coeff(n)
+        gf = (lift_to_poly_ring(at_depth_n) * deg_exp(x, lam, n)).egf_coeff(n)
+        assert polys[n] == gf
+        assert polys[n](Fraction(0)) == nums[n]
 
 
 # ---------------------------------------------------------------- tables
