@@ -17,7 +17,7 @@ import sys
 from . import verify
 from .exactnum import parse_rational
 from .fps import Poly
-from .sequences import TRIANGULAR_FAMILIES, Family, SequenceTable, build_table
+from .sequences import Family, SequenceTable, build_table
 
 OUTPUT_DIR_ENV = "TRUNCBELL_OUTPUT_DIR"
 
@@ -104,7 +104,7 @@ def cmd_eval(args) -> int:
     if args.n < 0:
         raise ValueError(f"n must be >= 0, got {args.n}")
     table = build_table(family, args.n, lam=args.lam, p=args.p, r=args.r)
-    if family in TRIANGULAR_FAMILIES:
+    if table.triangular:
         if args.k is None:
             raise ValueError(f"family {family.value} is triangular; pass --k")
         if not 0 <= args.k <= args.n:

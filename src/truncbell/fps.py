@@ -91,6 +91,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.num):
             return Fraction(self.num[k], self.den)
@@ -337,7 +340,7 @@ class Fps:
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient; None for the zero series."""
         for i, c in enumerate(self.coeffs):
-            if (not c.is_zero) if isinstance(c, Poly) else bool(c):
+            if c:
                 return i
         return None
 
@@ -484,7 +487,7 @@ class Fps:
         """
         c0 = self.coeffs[0]
         poly_ring = isinstance(c0, Poly)
-        if (not c0.is_zero) if poly_ring else bool(c0):
+        if c0:
             raise ValueError("exp needs a zero constant term")
         f, d = _numerators(self.coeffs)
         e: list = [(1,) if poly_ring else 1]
@@ -509,7 +512,7 @@ class Fps:
         """self(inner(t)); inner must have zero constant term and share the
         coefficient ring. Result order is the weaker of the two."""
         c0 = inner.coeffs[0]
-        if (not c0.is_zero) if isinstance(c0, Poly) else bool(c0):
+        if c0:
             raise ValueError("compose needs an inner series with zero constant term")
         n = min(self.order, inner.order)
         a = self.coeffs[: n + 1]
@@ -530,7 +533,7 @@ class Fps:
     def __str__(self):
         parts = []
         for k, c in enumerate(self.coeffs):
-            if (c.is_zero if isinstance(c, Poly) else not c) and not (k == 0 and len(self.coeffs) == 1):
+            if not c and not (k == 0 and len(self.coeffs) == 1):
                 continue
             cs = f"({c.to_string()})" if isinstance(c, Poly) else str(c)
             if k == 0:
@@ -558,7 +561,7 @@ def reversion(f: Fps) -> Fps:
     f(g), so the result is exact through the full order of f.
     """
     c0 = f.coeffs[0]
-    if (not c0.is_zero) if isinstance(c0, Poly) else bool(c0):
+    if c0:
         raise ValueError("reversion needs a zero constant term")
     if f.order < 1:
         raise ValueError("reversion needs order >= 1")

@@ -20,6 +20,10 @@ consequence of anything else in this module, and the test suite validates
 it against brute-force set-partition enumeration before anything builds
 on it.
 
+Each table family is one FAMILIES entry (plus its Family member): the
+entry names the function that fills the table, the parameters it takes,
+and its shape, so adding a family means adding one entry.
+
 All functions memoize whole rows keyed by (family parameters, n), except
 the degenerate Bernoulli tables, which are keyed by (lambda, r) and grow in
 depth on demand; repeated lookups are cheap and referentially transparent,
@@ -470,38 +474,34 @@ class Family(str, Enum):
     BellClassical = "BellClassical"
 
 
-TRIANGULAR_FAMILIES = {Family.S1, Family.S2, Family.S1deg, Family.S2deg, Family.S2degPoly}
-POLY_VALUED_FAMILIES = {
-    Family.S2degPoly,
-    Family.BernoulliDeg,
-    Family.BellDeg,
-    Family.TruncBellDeg,
-    Family.TruncModBellDeg,
-}
-LAMBDA_FAMILIES = {
-    Family.S1deg,
-    Family.S2deg,
-    Family.S2degPoly,
-    Family.BernoulliDeg,
-    Family.BellDeg,
-    Family.TruncBellDeg,
-    Family.TruncModBellDeg,
-}
-P_FAMILIES = {Family.TruncBellDeg, Family.TruncModBellDeg}
-R_FAMILIES = {Family.BernoulliDeg}
+@dataclass(frozen=True)
+class FamilySpec:
+    """How a family's table is filled: `source` names the public function
+    that computes one entry (its CONSTRUCTION key), called as
+    source(n, [k,] *params) with `params` in its positional order."""
 
-_FAMILY_CONSTRUCTION = {
-    Family.S1: CONSTRUCTION["stirling1"],
-    Family.S2: CONSTRUCTION["stirling2"],
-    Family.S1deg: CONSTRUCTION["stirling1_deg"],
-    Family.S2deg: CONSTRUCTION["stirling2_deg"],
-    Family.S2degPoly: CONSTRUCTION["stirling2_deg_poly"],
-    Family.BernoulliDeg: CONSTRUCTION["deg_bernoulli"],
-    Family.BellDeg: CONSTRUCTION["bell_deg"],
-    Family.TruncBellDeg: CONSTRUCTION["trunc_bell_deg"],
-    Family.TruncModBellDeg: CONSTRUCTION["trunc_mod_bell_deg"],
-    Family.BellClassical: CONSTRUCTION["bell_classical"],
+    source: str
+    params: tuple = ()  # drawn from "lam", "p", "r"
+    triangular: bool = False
+    poly_valued: bool = False
+
+
+FAMILIES: dict[Family, FamilySpec] = {
+    Family.S1: FamilySpec("stirling1", triangular=True),
+    Family.S2: FamilySpec("stirling2", triangular=True),
+    Family.S1deg: FamilySpec("stirling1_deg", ("lam",), triangular=True),
+    Family.S2deg: FamilySpec("stirling2_deg", ("lam",), triangular=True),
+    Family.S2degPoly: FamilySpec("stirling2_deg_poly", ("lam",), triangular=True,
+                                 poly_valued=True),
+    Family.BernoulliDeg: FamilySpec("deg_bernoulli", ("r", "lam"), poly_valued=True),
+    Family.BellDeg: FamilySpec("bell_deg", ("lam",), poly_valued=True),
+    Family.TruncBellDeg: FamilySpec("trunc_bell_deg", ("p", "lam"), poly_valued=True),
+    Family.TruncModBellDeg: FamilySpec("trunc_mod_bell_deg", ("p", "lam"), poly_valued=True),
+    Family.BellClassical: FamilySpec("bell_classical"),
 }
+
+# what build_table says a family takes or lacks, per parameter
+_PARAM_NAMES = {"lam": "a lambda parameter", "p": "a truncation index p", "r": "an order r"}
 
 
 @dataclass(frozen=True)
@@ -520,7 +520,7 @@ class SequenceTable:
 
     @property
     def triangular(self) -> bool:
-        return self.family in TRIANGULAR_FAMILIES
+        return FAMILIES[self.family].triangular
 
     def value(self, n: int, k: int | None = None):
         if self.triangular:
@@ -552,9 +552,9 @@ class SequenceTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SequenceTable":
         family = Family(data["family"])
-        poly_valued = family in POLY_VALUED_FAMILIES
-        parse = Poly.from_string if poly_valued else parse_rational
-        if family in TRIANGULAR_FAMILIES:
+        spec = FAMILIES[family]
+        parse = Poly.from_string if spec.poly_valued else parse_rational
+        if spec.triangular:
             values = tuple(tuple(parse(v) for v in row) for row in data["values"])
         else:
             values = tuple(parse(v) for v in data["values"])
@@ -601,15 +601,12 @@ def build_table(
     family = Family(family)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if (lam is not None) != (family in LAMBDA_FAMILIES):
-        need = "requires" if family in LAMBDA_FAMILIES else "does not take"
-        raise ValueError(f"family {family.value} {need} a lambda parameter")
-    if (p is not None) != (family in P_FAMILIES):
-        need = "requires" if family in P_FAMILIES else "does not take"
-        raise ValueError(f"family {family.value} {need} a truncation index p")
-    if (r is not None) != (family in R_FAMILIES):
-        need = "requires" if family in R_FAMILIES else "does not take"
-        raise ValueError(f"family {family.value} {need} an order r")
+    given = {"lam": lam, "p": p, "r": r}
+    for name, what in _PARAM_NAMES.items():
+        takes = name in FAMILIES[family].params
+        if (given[name] is not None) != takes:
+            need = "requires" if takes else "does not take"
+            raise ValueError(f"family {family.value} {need} {what}")
     if lam is not None:
         lam = Fraction(lam)
     if p is not None and p < 0:
@@ -621,28 +618,15 @@ def build_table(
 
 @lru_cache(maxsize=None)
 def _table_cached(family: Family, n_max: int, lam, p, r) -> SequenceTable:
-    rows: list = []
-    for n in range(n_max + 1):
-        if family is Family.S1:
-            rows.append(tuple(stirling1(n, k) for k in range(n + 1)))
-        elif family is Family.S2:
-            rows.append(tuple(stirling2(n, k) for k in range(n + 1)))
-        elif family is Family.S1deg:
-            rows.append(tuple(stirling1_deg(n, k, lam) for k in range(n + 1)))
-        elif family is Family.S2deg:
-            rows.append(tuple(stirling2_deg(n, k, lam) for k in range(n + 1)))
-        elif family is Family.S2degPoly:
-            rows.append(tuple(stirling2_deg_poly(n, k, lam) for k in range(n + 1)))
-        elif family is Family.BernoulliDeg:
-            rows.append(deg_bernoulli(n, r, lam))
-        elif family is Family.BellDeg:
-            rows.append(bell_deg(n, lam))
-        elif family is Family.TruncBellDeg:
-            rows.append(trunc_bell_deg(n, p, lam))
-        elif family is Family.TruncModBellDeg:
-            rows.append(trunc_mod_bell_deg(n, p, lam))
-        else:
-            rows.append(bell_classical(n))
+    spec = FAMILIES[family]
+    # looked up by name on each build, so the table follows the module's
+    # current binding of the function
+    fn = globals()[spec.source]
+    args = [{"lam": lam, "p": p, "r": r}[name] for name in spec.params]
+    if spec.triangular:
+        rows = [tuple(fn(n, k, *args) for k in range(n + 1)) for n in range(n_max + 1)]
+    else:
+        rows = [fn(n, *args) for n in range(n_max + 1)]
     return SequenceTable(
         family=family,
         lam=lam,
@@ -650,5 +634,5 @@ def _table_cached(family: Family, n_max: int, lam, p, r) -> SequenceTable:
         r=r,
         n_max=n_max,
         values=tuple(rows),
-        construction=_FAMILY_CONSTRUCTION[family],
+        construction=CONSTRUCTION[spec.source],
     )

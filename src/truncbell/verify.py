@@ -19,12 +19,19 @@ exit accounting and summarized in the suite's single adjudication record).
 The one-step recurrence check probes both superscript readings of its
 middle term, counts whichever variant holds on the stated range, and
 reports the other one informationally.
+
+Every check is one entry of the CHECKS registry, which states the ids it
+emits, how to run it, its lowest truncation index p, whether it needs
+|lambda| < 1 and whether it is counted; the id lists, the suite loop and
+single-check dispatch are read off it, so adding a check means adding its
+function and one CHECKS entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -35,15 +42,6 @@ import numpy as np
 from . import sequences as seq
 from .exactnum import beta_exact, binomial, deg_falling_factorial
 from .fps import Fps, Poly, apply_Dlambda, deg_exp
-
-# variant ids that report on a statement/derivation conflict; they never
-# decide an exit code
-ADJUDICATION_IDS = frozenset({"T6", "T6k"})
-
-KNOWN_CHECK_IDS = (
-    "T1", "T2", "P3", "T4", "P5a", "P5b", "T6", "T6k", "T7", "T8",
-    "L9", "C10", "T11", "T12", "T13", "T14", "T15", "T16", "S3", "C-SIX",
-)
 
 _BRANCH_FLOOR = 1e-9
 _BRACKET_TERMS = 60  # series depth for the entire-function contour bracket
@@ -117,8 +115,9 @@ def _meta_row(note: str) -> dict:
 
 
 def _params(lam, **rest) -> dict:
+    # optional parameters a caller left at None are not recorded
     out = {"lambda": str(Fraction(lam))}
-    out.update(rest)
+    out.update((key, v) for key, v in rest.items() if v is not None)
     return out
 
 
@@ -126,15 +125,28 @@ def _num_params(lam, cfg: "NumericConfig", **rest) -> dict:
     return _params(lam, tol_rel=float(cfg.tol_rel), tol_abs=float(cfg.tol_abs), **rest)
 
 
-class _ExactCollector:
-    """Accumulates mismatch rows for a tolerance-free comparison.
+def _resid(approx: float, exact: float) -> float:
+    return abs(approx - exact) / max(1.0, abs(exact))
 
-    Rows added with counted=False are informational probes (variant forms,
-    indices outside a stated range) and never move the verdict."""
 
-    def __init__(self):
+class _Collector:
+    """Accumulates the detail rows of one verdict.
+
+    Exact comparisons (scalar, poly) carry no tolerance and record only
+    mismatches; rows added with counted=False are informational probes
+    (variant forms, indices outside a stated range) and never move the
+    verdict. A collector given a NumericConfig makes a numeric verdict:
+    compare() checks a float approximation against an exact target within
+    its tolerances and records every probed row, not only the failures.
+    Any counted mismatch fails the verdict and becomes its max_residual
+    (as a count); otherwise max_residual is the largest numeric residual."""
+
+    def __init__(self, cfg: NumericConfig | None = None):
+        self.cfg = cfg
         self.rows: list[dict] = []
         self.counted = 0
+        self.max_residual = 0.0
+        self.ok = True
 
     def scalar(self, n, lhs, rhs, k=-1, note=None, counted=True):
         if lhs != rhs:
@@ -144,38 +156,12 @@ class _ExactCollector:
 
     def poly(self, n, lhs: Poly, rhs: Poly, note=None, counted=True):
         for power in range(max(lhs.degree, rhs.degree) + 1):
-            a, b = lhs.coeff(power), rhs.coeff(power)
-            if a != b:
-                self.rows.append(_row(n, power, a, b, note))
-                if counted:
-                    self.counted += 1
+            self.scalar(n, lhs.coeff(power), rhs.coeff(power), power, note, counted)
 
     def info(self, n, k, lhs, rhs, note):
         self.rows.append(_row(n, k, lhs, rhs, note))
 
-    def meta(self, note: str):
-        self.rows.append(_meta_row(note))
-
-    def verdict(self, check_id: str, params: dict) -> Verdict:
-        status = "pass" if self.counted == 0 else "fail"
-        return Verdict(check_id, "exact", params, status, float(self.counted), self.rows)
-
-
-def _resid(approx: float, exact: float) -> float:
-    return abs(approx - exact) / max(1.0, abs(exact))
-
-
-class _NumericCollector:
-    """Accumulates per-row comparisons of a float approximation against an
-    exact target; every probed row is recorded, not only the failures."""
-
-    def __init__(self, cfg: NumericConfig):
-        self.cfg = cfg
-        self.rows: list[dict] = []
-        self.max_residual = 0.0
-        self.ok = True
-
-    def compare(self, n, approx, exact, k=-1, label="", tail=None) -> bool:
+    def compare(self, n, approx, exact, k=-1, label="", tail=None):
         approx = float(approx)
         exact = float(exact)
         r = _resid(approx, exact)
@@ -191,14 +177,15 @@ class _NumericCollector:
                 note += "; inconclusive-fail: truncation tail exceeds tolerance, raise cutoffs"
         self.rows.append(_row(n, k, approx, exact, note))
         self.max_residual = max(self.max_residual, r)
-        return passed
 
     def meta(self, note: str):
         self.rows.append(_meta_row(note))
 
-    def verdict(self, check_id: str, params: dict, mode="numeric") -> Verdict:
-        status = "pass" if self.ok else "fail"
-        return Verdict(check_id, mode, params, status, float(self.max_residual), self.rows)
+    def verdict(self, check_id: str, params: dict) -> Verdict:
+        mode = "exact" if self.cfg is None else "numeric"
+        status = "pass" if self.ok and not self.counted else "fail"
+        residual = self.counted if self.counted else self.max_residual
+        return Verdict(check_id, mode, params, status, float(residual), self.rows)
 
 
 # --------------------------------------------------------------------------
@@ -272,6 +259,36 @@ def _series_weight_matrix(p: int, kmax: int, lmax: int):
     return m, rowsums
 
 
+def _double_series(lam: Fraction, p: int, n_max: int, cfg: NumericConfig, x: float = 0.0):
+    """Double-series value of the modified truncated family at x under the
+    configured cutoffs (at x = 0 the truncated numbers), yielding
+    (n, approx, tail) for n = 0..n_max; tail is the size of the last kept
+    row and column, a heuristic for what the cutoffs dropped."""
+    m, rowsums = _series_weight_matrix(p, cfg.series_cutoff_k, cfg.series_cutoff_l)
+    lamf = float(lam)
+    ks = np.arange(cfg.series_cutoff_k + 1, dtype=np.float64)
+    fall = np.ones_like(ks)
+    for n in range(n_max + 1):
+        if n > 0:
+            fall = fall * (x + ks - (n - 1) * lamf)
+        tail = abs(float(fall[-1] * rowsums[-1])) + abs(float(fall @ m[:, -1]))
+        yield n, float(fall @ rowsums), tail
+
+
+def _contour_coeff(theta: np.ndarray, w: np.ndarray, f: np.ndarray, n: int,
+                   scale: int = 1) -> float:
+    """scale * n!/pi times the quadrature of Im f * sin(n theta) over the
+    unit circle: the contour form of the n-th coefficient, n >= 1, of the
+    function whose values on the contour are f."""
+    return factorial(n) * scale / pi * float(w @ (np.imag(f) * np.sin(n * theta)))
+
+
+def _series_params(lam, cfg: NumericConfig, **rest) -> dict:
+    # parameters of a verdict that evaluates _double_series
+    return _num_params(lam, cfg, series_cutoff_k=cfg.series_cutoff_k,
+                       series_cutoff_l=cfg.series_cutoff_l, **rest)
+
+
 def _incgamma_closed(p: int, zv: float) -> float:
     # closed form of the lower incomplete gamma at integer order p >= 1,
     # obtained by repeated integration by parts of the defining integral
@@ -308,7 +325,7 @@ def check_T1(lam, p: int, n_max: int, order: int) -> Verdict:
     series, as polynomial equality for every n up to n_max."""
     lam = Fraction(lam)
     _require(order >= n_max, f"order {order} must be at least n_max {n_max}")
-    col = _ExactCollector()
+    col = _Collector()
     for n in range(n_max + 1):
         col.poly(n, seq.trunc_bell_deg(n, p, lam), seq.trunc_bell_deg_egf(n, p, lam, order))
     return col.verdict("T1", _params(lam, p=p, n_max=n_max, order=order))
@@ -320,7 +337,7 @@ def check_T2(lam, n_max: int, order: int) -> Verdict:
     polynomial identity and again at x = 1."""
     lam = Fraction(lam)
     _require(order >= n_max + 1, f"order {order} must be at least n_max+1 = {n_max + 1}")
-    col = _ExactCollector()
+    col = _Collector()
     x = Poly.x()
     for n in range(n_max + 1):
         lhs = x * seq.trunc_bell_deg(n, 1, lam)
@@ -333,23 +350,40 @@ def check_T2(lam, n_max: int, order: int) -> Verdict:
     return col.verdict("T2", _params(lam, n_max=n_max, order=order))
 
 
+def _beta_route(lam: Fraction, p: int, n: int) -> Fraction:
+    """P3 for p >= 1: p * sum_k S2deg(n, k) B(k+1, p)."""
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += seq.stirling2_deg(n, k, lam) * beta_exact(k + 1, p)
+    return Fraction(p) * total
+
+
 def check_P3(lam, p: int, n_max: int) -> Verdict:
     """Unit-interval integral of the plain polynomial family against the
     weight (1-x)^(p-1), done exactly through beta values."""
     lam = Fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
-    col = _ExactCollector()
+    col = _Collector()
     if p == 0:
         for n in range(n_max + 1):
             col.poly(n, seq.trunc_bell_deg(n, 0, lam), seq.bell_deg(n, lam),
                      note="p = 0 reduces to the plain family")
     else:
         for n in range(n_max + 1):
-            total = Fraction(0)
-            for k in range(n + 1):
-                total += seq.stirling2_deg(n, k, lam) * beta_exact(k + 1, p)
-            col.scalar(n, Fraction(p) * total, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+            col.scalar(n, _beta_route(lam, p, n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
     return col.verdict("P3", _params(lam, p=p, n_max=n_max))
+
+
+def _alternating_route(lam: Fraction, p: int, n: int) -> Fraction:
+    """P5a: sum_k sum_{m<p} (m+1) C(p, m+1) (-1)^m S2deg(n, k) / (k+m+1)."""
+    total = Fraction(0)
+    for k in range(n + 1):
+        s = seq.stirling2_deg(n, k, lam)
+        if s == 0:
+            continue
+        for m in range(p):
+            total += (m + 1) * binomial(p, m + 1) * Fraction((-1) ** m) * s / (k + m + 1)
+    return total
 
 
 def check_P5a(lam, p: int, n_max: int) -> Verdict:
@@ -357,16 +391,9 @@ def check_P5a(lam, p: int, n_max: int) -> Verdict:
     expanding the integral weight binomially."""
     lam = Fraction(lam)
     _require(p >= 1, f"the double-sum form needs p >= 1, got {p}")
-    col = _ExactCollector()
+    col = _Collector()
     for n in range(n_max + 1):
-        total = Fraction(0)
-        for k in range(n + 1):
-            s = seq.stirling2_deg(n, k, lam)
-            if s == 0:
-                continue
-            for m in range(p):
-                total += (m + 1) * binomial(p, m + 1) * Fraction((-1) ** m) * s / (k + m + 1)
-        col.scalar(n, total, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+        col.scalar(n, _alternating_route(lam, p, n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
     return col.verdict("P5a", _params(lam, p=p, n_max=n_max))
 
 
@@ -392,7 +419,7 @@ def check_P5b(lam, p: int, order: int) -> Verdict:
     if v is not None and v < p:
         raise ValueError(f"assembled numerator has valuation {v}, below the required {p}")
     series = num / zpow  # zpow is z**p after the loop
-    col = _ExactCollector()
+    col = _Collector()
     col.meta(f"closed-form incomplete-gamma guard: max quadrature deviation {guard:.3e}")
     for n in range(order + 1):
         col.scalar(n, series.egf_coeff(n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
@@ -410,7 +437,7 @@ def check_T6(lam, p: int, n_max: int, order: int, variant: str = "fixed") -> Ver
     _require(variant in ("fixed", "running"), f"unknown variant {variant!r}")
     _require(p >= 0, f"p must be >= 0, got {p}")
     _require(order >= n_max + p, f"order {order} must be at least n_max+p = {n_max + p}")
-    col = _ExactCollector()
+    col = _Collector()
     x = Poly.x()
     for n in range(n_max + 1):
         lhs = x**p * seq.trunc_bell_deg(n, p, lam)
@@ -452,11 +479,22 @@ def check_T7(lam, p: int, order: int) -> Verdict:
     _require(p >= 1, f"the operator form needs p >= 1, got {p}")
     _require(order >= p, f"order {order} too small for p = {p}")
     series = _operator_route(lam, p, order)
-    col = _ExactCollector()
+    col = _Collector()
     for n in range(series.order + 1):
         col.scalar(n, series.egf_coeff(n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
     col.meta(f"coefficients compared through n = {series.order}")
     return col.verdict("T7", _params(lam, p=p, order=order))
+
+
+def _convolution_route(lam: Fraction, p: int, n: int) -> Fraction:
+    """T8: p * sum_m C(n, m) [sum_l (-1)^l S2deg(m, l) / (p+l)] Bell_{n-m}(1)."""
+    total = Fraction(0)
+    for m in range(n + 1):
+        inner = Fraction(0)
+        for l in range(m + 1):
+            inner += Fraction((-1) ** l, p + l) * seq.stirling2_deg(m, l, lam)
+        total += binomial(n, m) * inner * seq.bell_deg(n - m, lam)(Fraction(1))
+    return Fraction(p) * total
 
 
 def check_T8(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
@@ -464,19 +502,10 @@ def check_T8(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     family values."""
     lam = Fraction(lam)
     _require(p >= 1, f"the double-sum convolution needs p >= 1, got {p}")
-    col = _ExactCollector()
+    col = _Collector()
     for n in range(n_max + 1):
-        total = Fraction(0)
-        for m in range(n + 1):
-            inner = Fraction(0)
-            for l in range(m + 1):
-                inner += Fraction((-1) ** l, p + l) * seq.stirling2_deg(m, l, lam)
-            total += binomial(n, m) * inner * seq.bell_deg(n - m, lam)(Fraction(1))
-        col.scalar(n, Fraction(p) * total, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
-    params = _params(lam, p=p, n_max=n_max)
-    if order is not None:
-        params["order"] = order
-    return col.verdict("T8", params)
+        col.scalar(n, _convolution_route(lam, p, n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+    return col.verdict("T8", _params(lam, p=p, n_max=n_max, order=order))
 
 
 # --------------------------------------------------------------------------
@@ -488,24 +517,10 @@ def check_T4(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     explicit cutoffs, with a per-row tail heuristic."""
     lam = Fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
-    m, rowsums = _series_weight_matrix(p, cfg.series_cutoff_k, cfg.series_cutoff_l)
-    lamf = float(lam)
-    ks = np.arange(cfg.series_cutoff_k + 1, dtype=np.float64)
-    fall = np.ones_like(ks)
-    ncol = _NumericCollector(cfg)
-    for n in range(n_max + 1):
-        if n > 0:
-            fall = fall * (ks - (n - 1) * lamf)
-        approx = float(fall @ rowsums)
-        tail = abs(float(fall[-1] * rowsums[-1])) + abs(float(fall @ m[:, -1]))
-        exact = float(seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
-        ncol.compare(n, approx, exact, tail=tail)
-    return ncol.verdict(
-        "T4",
-        _num_params(lam, cfg, p=p, n_max=n_max,
-                    series_cutoff_k=cfg.series_cutoff_k,
-                    series_cutoff_l=cfg.series_cutoff_l),
-    )
+    ncol = _Collector(cfg)
+    for n, approx, tail in _double_series(lam, p, n_max, cfg):
+        ncol.compare(n, approx, float(seq.trunc_bell_deg(n, p, lam)(Fraction(1))), tail=tail)
+    return ncol.verdict("T4", _series_params(lam, cfg, p=p, n_max=n_max))
 
 
 def check_trig(lam, n_max: int, k_or_p, which: str, cfg: NumericConfig) -> Verdict:
@@ -521,7 +536,7 @@ def check_trig(lam, n_max: int, k_or_p, which: str, cfg: NumericConfig) -> Verdi
     _require(n_max >= 1, "contour representations hold for n >= 1 only")
     theta, z, w, floor = _circle_data(lam, cfg.quad_nodes)
     params = _num_params(lam, cfg, n_max=n_max, quad_nodes=cfg.quad_nodes)
-    ncol = _NumericCollector(cfg)
+    ncol = _Collector(cfg)
     if floor < _BRANCH_FLOOR:
         ncol.ok = False
         ncol.meta(
@@ -534,27 +549,22 @@ def check_trig(lam, n_max: int, k_or_p, which: str, cfg: NumericConfig) -> Verdi
             _require(k_or_p >= 0, f"column index must be >= 0, got {k_or_p}")
             params["k"] = int(k_or_p)
         for n in range(1, n_max + 1):
-            sn = np.sin(n * theta)
             cols = range(n + 1) if k_or_p is None else (k_or_p,)
             for k in cols:
-                f = z**k / float(factorial(k))
-                approx = factorial(n) / pi * float(w @ (np.imag(f) * sn))
+                approx = _contour_coeff(theta, w, z**k / float(factorial(k)), n)
                 ncol.compare(n, approx, float(seq.stirling2_deg(n, k, lam)), k=k)
     elif which == "C10":
         f = np.exp(z)
         for n in range(1, n_max + 1):
-            sn = np.sin(n * theta)
-            approx = factorial(n) / pi * float(w @ (np.imag(f) * sn))
+            approx = _contour_coeff(theta, w, f, n)
             ncol.compare(n, approx, float(seq.bell_deg(n, lam)(Fraction(1))))
     else:
         p = k_or_p
         _require(p is not None and p >= 1, "the truncated contour form needs p >= 1")
         params["p"] = int(p)
         bracket = _contour_bracket(z, p)
-        scale = factorial(p)
         for n in range(1, n_max + 1):
-            sn = np.sin(n * theta)
-            approx = factorial(n) * scale / pi * float(w @ (np.imag(bracket) * sn))
+            approx = _contour_coeff(theta, w, bracket, n, factorial(p))
             ncol.compare(n, approx, float(seq.trunc_bell_deg(n, p, lam)(Fraction(1))))
     return ncol.verdict(which, params)
 
@@ -574,22 +584,24 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     checked as well."""
     lam = Fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
-    col = _ExactCollector()
+    col = _Collector()
 
-    def val(j: int, q: int) -> Fraction:
-        return seq.trunc_bell_deg(j, q, lam)(Fraction(1))
+    # exact values the loops below reuse, each computed once per call
+    val = [seq.trunc_bell_deg(j, p, lam)(Fraction(1)) for j in range(n_max + 2)]
+    val_raised = [seq.trunc_bell_deg(j, p + 1, lam)(Fraction(1)) for j in range(n_max + 1)]
+    ff = [deg_falling_factorial(lam - 1, j, lam) for j in range(n_max + 2)]
 
     results = []
     printed_ok = True
     raised_ok = True
     for n in range(n_max + 1):
-        lhs = val(n + 1, p)
-        base = (Fraction(n + 1) - Fraction(n) * lam) * val(n, p)
+        lhs = val[n + 1]
+        base = (Fraction(n + 1) - Fraction(n) * lam) * val[n]
         tail = Fraction(0)
         for m in range(n - 1):
-            tail += binomial(n, m) * val(m + 1, p) * deg_falling_factorial(lam - 1, n - m, lam)
-        r_printed = base - Fraction(p, p + 1) * val(n, p) - tail
-        r_raised = base - Fraction(p, p + 1) * val(n, p + 1) - tail
+            tail += binomial(n, m) * val[m + 1] * ff[n - m]
+        r_printed = base - Fraction(p, p + 1) * val[n] - tail
+        r_raised = base - Fraction(p, p + 1) * val_raised[n] - tail
         results.append((n, lhs, r_printed, r_raised))
         if n >= 2:
             printed_ok = printed_ok and r_printed == lhs
@@ -614,29 +626,24 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     )
     if p == 0:
         for n in range(n_max + 1):
-            lhs = val(n + 1, 0)
-            rhs = (Fraction(n + 1) - Fraction(n) * lam) * val(n, 0)
+            lhs = val[n + 1]
+            rhs = (Fraction(n + 1) - Fraction(n) * lam) * val[n]
             for m in range(n):
                 # the m = 0 term carries a binomial at lower index -1,
                 # taken as 0 by convention
-                rhs -= binomial(n, m - 1) * val(m, 0) * deg_falling_factorial(
-                    lam - 1, n - m + 1, lam
-                )
+                rhs -= binomial(n, m - 1) * val[m] * ff[n - m + 1]
             note = "rewritten corollary form"
             if n < 2:
                 note += " (informational, below stated range)"
             col.scalar(n, lhs, rhs, note=note, counted=n >= 2)
-    params = _params(lam, p=p, n_max=n_max)
-    if order is not None:
-        params["order"] = order
-    return col.verdict("T12", params)
+    return col.verdict("T12", _params(lam, p=p, n_max=n_max, order=order))
 
 
 def check_T13(lam, n_max: int) -> Verdict:
     """Shifted-argument Stirling polynomials: finite-sum construction
     against the generating-series construction, for every pair l <= n."""
     lam = Fraction(lam)
-    col = _ExactCollector()
+    col = _Collector()
     for n in range(n_max + 1):
         for l in range(n + 1):
             col.poly(
@@ -665,7 +672,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     mod_p1 = [seq.trunc_mod_bell_deg(j, p + 1, lam) for j in range(n_max + 1)]
     const = [seq.trunc_bell_deg(m, p, lam)(Fraction(1)) for m in range(n_max + 1)]
 
-    c14 = _ExactCollector()
+    c14 = _Collector()
     literal_bad = 0
     for n in range(n_max + 1):
         target = mod_p[n]
@@ -688,10 +695,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     )
     v14 = c14.verdict("T14", _params(lam, p=p, n_max=n_max, order=order))
 
-    c15 = _NumericCollector(cfg)
-    m, rowsums = _series_weight_matrix(p, cfg.series_cutoff_k, cfg.series_cutoff_l)
-    lamf = float(lam)
-    ks = np.arange(cfg.series_cutoff_k + 1, dtype=np.float64)
+    c15 = _Collector(cfg)
     # x-independent inner sums sum_k S2deg(m2, k) / C(p+k, k)
     inner = [
         sum((seq.stirling2_deg(m2, k2, lam) / binomial(p + k2, k2) for k2 in range(m2 + 1)),
@@ -699,14 +703,8 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
         for m2 in range(n_max + 1)
     ]
     for x in x_points:
-        xf = float(x)
         ffx = [deg_falling_factorial(x, j, lam) for j in range(n_max + 1)]
-        fall = np.ones_like(ks)
-        for n in range(n_max + 1):
-            if n > 0:
-                fall = fall * (xf + ks - (n - 1) * lamf)
-            approx = float(fall @ rowsums)
-            tail = abs(float(fall[-1] * rowsums[-1])) + abs(float(fall @ m[:, -1]))
+        for n, approx, tail in _double_series(lam, p, n_max, cfg, float(x)):
             exact = Fraction(0)
             for m2 in range(n + 1):
                 ff = ffx[n - m2]
@@ -714,15 +712,10 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
                     continue
                 exact += binomial(n, m2) * inner[m2] * ff
             c15.compare(n, approx, float(exact), label=f"x={x}", tail=tail)
-    v15 = c15.verdict(
-        "T15",
-        _num_params(lam, cfg, p=p, n_max=n_max,
-                    series_cutoff_k=cfg.series_cutoff_k,
-                    series_cutoff_l=cfg.series_cutoff_l,
-                    x_points=[str(x) for x in x_points]),
-    )
+    v15 = c15.verdict("T15", _series_params(lam, cfg, p=p, n_max=n_max,
+                                            x_points=[str(x) for x in x_points]))
 
-    c16 = _ExactCollector()
+    c16 = _Collector()
     ff1 = [deg_falling_factorial(Fraction(1), j, lam) for j in range(n_max + 1)]
     for n in range(n_max + 1):
         lhs = mod_p[n + 1]
@@ -737,22 +730,26 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     return [v14, v15, v16]
 
 
+def _moment_route(lam: Fraction, p: int, n: int) -> Fraction:
+    """Exact half of S3: sum_k S2deg(n, k) E[X^k], E[X^k] = B(k+1, p) / B(1, p)."""
+    b0 = beta_exact(1, p)
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += seq.stirling2_deg(n, k, lam) * (beta_exact(k + 1, p) / b0)
+    return total
+
+
 def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     """Moment identity for the unit-interval distribution with density
     p(1-x)^(p-1): exactly through beta values, then by seeded Monte Carlo
     with inverse-transform sampling and a four-standard-error band."""
     lam = Fraction(lam)
     _require(p >= 1, f"the moment identity needs p >= 1, got {p}")
-    b0 = beta_exact(1, p)
     targets = []
-    col = _ExactCollector()
+    col = _Collector()
     for n in range(n_max + 1):
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += seq.stirling2_deg(n, k, lam) * (beta_exact(k + 1, p) / b0)
-        tgt = seq.trunc_bell_deg(n, p, lam)(Fraction(1))
-        targets.append(tgt)
-        col.scalar(n, total, tgt)
+        targets.append(seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+        col.scalar(n, _moment_route(lam, p, n), targets[n])
     v_exact = col.verdict("S3", _params(lam, p=p, n_max=n_max))
 
     entropy = int.from_bytes(hashlib.sha256(b"S3").digest()[:8], "big")
@@ -805,106 +802,101 @@ _CSIX_ROUTES = {
 
 def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     """All six closing expressions for the truncated numbers against the
-    basis construction: exact routes must match exactly, numeric routes
-    within tolerance. The detail k field carries the route number."""
+    basis construction, each route computed by the function its own check
+    uses: exact routes must match exactly, numeric routes within tolerance.
+    The detail k field carries the route number."""
     lam = Fraction(lam)
     _require(p >= 1, f"the six-expression display needs p >= 1, got {p}")
-    rows: list[dict] = []
-    exact_bad = 0
-    num_ok = True
-    num_max = 0.0
-
-    def compare_exact(n, route, value, ref):
-        nonlocal exact_bad
-        if value != ref:
-            exact_bad += 1
-            rows.append(_row(n, route, value, ref, _CSIX_ROUTES[route]))
-
-    def compare_num(n, route, value, ref, tail=None):
-        nonlocal num_ok, num_max
-        reff = float(ref)
-        r = _resid(value, reff)
-        passed = r <= cfg.tol_rel or abs(value - reff) <= cfg.tol_abs
-        note = f"{_CSIX_ROUTES[route]}; resid={r:.6e}"
-        if tail is not None:
-            note += f"; tail={tail:.3e}"
-        if not passed:
-            num_ok = False
-            if tail is not None and tail > cfg.tol_abs:
-                note += "; inconclusive-fail: truncation tail exceeds tolerance, raise cutoffs"
-        rows.append(_row(n, route, value, reff, note))
-        num_max = max(num_max, r)
-
-    m, rowsums = _series_weight_matrix(p, cfg.series_cutoff_k, cfg.series_cutoff_l)
-    lamf = float(lam)
-    ks = np.arange(cfg.series_cutoff_k + 1, dtype=np.float64)
-    fall = np.ones_like(ks)
-
-    trig = abs(lam) < 1
-    bracket = theta = w = None
-    if trig:
+    ncol = _Collector(cfg)
+    bracket = None
+    if abs(lam) < 1:
         theta, z, w, floor = _circle_data(lam, cfg.quad_nodes)
         if floor < _BRANCH_FLOOR:
-            trig = False
-            rows.append(_meta_row("route 5 skipped: contour approaches the branch point"))
+            ncol.meta("route 5 skipped: contour approaches the branch point")
         else:
             bracket = _contour_bracket(z, p)
-            rows.append(_meta_row("route 5 evaluated for n >= 1 only: "
-                                  "the contour form needs positive n"))
+            ncol.meta("route 5 evaluated for n >= 1 only: the contour form needs positive n")
     else:
-        rows.append(_meta_row("route 5 skipped: |lambda| >= 1 keeps the contour "
-                              "off the principal branch"))
+        ncol.meta("route 5 skipped: |lambda| >= 1 keeps the contour off the principal branch")
 
-    b0 = beta_exact(1, p)
-    for n in range(n_max + 1):
+    for n, series, tail in _double_series(lam, p, n_max, cfg):
         ref = seq.trunc_bell_deg(n, p, lam)(Fraction(1))
+        ncol.scalar(n, _beta_route(lam, p, n), ref, 1, _CSIX_ROUTES[1])
+        ncol.compare(n, series, ref, k=2, label=_CSIX_ROUTES[2], tail=tail)
+        ncol.scalar(n, _alternating_route(lam, p, n), ref, 3, _CSIX_ROUTES[3])
+        ncol.scalar(n, _convolution_route(lam, p, n), ref, 4, _CSIX_ROUTES[4])
+        if bracket is not None and n >= 1:
+            contour = _contour_coeff(theta, w, bracket, n, factorial(p))
+            ncol.compare(n, contour, ref, k=5, label=_CSIX_ROUTES[5])
+        ncol.scalar(n, _moment_route(lam, p, n), ref, 6, _CSIX_ROUTES[6])
 
-        poly = seq.bell_deg(n, lam)
-        r1 = Fraction(0)
-        for j in range(poly.degree + 1):
-            r1 += poly.coeff(j) * beta_exact(j + 1, p)
-        compare_exact(n, 1, Fraction(p) * r1, ref)
+    params = _series_params(lam, cfg, p=p, n_max=n_max, quad_nodes=cfg.quad_nodes)
+    return ncol.verdict("C-SIX", params)
 
-        if n > 0:
-            fall = fall * (ks - (n - 1) * lamf)
-        approx = float(fall @ rowsums)
-        tail = abs(float(fall[-1] * rowsums[-1])) + abs(float(fall @ m[:, -1]))
-        compare_num(n, 2, approx, ref, tail=tail)
 
-        r3 = Fraction(0)
-        for k2 in range(n + 1):
-            s = seq.stirling2_deg(n, k2, lam)
-            if s == 0:
-                continue
-            for m2 in range(p):
-                r3 += (m2 + 1) * binomial(p, m2 + 1) * Fraction((-1) ** m2) * s / (k2 + m2 + 1)
-        compare_exact(n, 3, r3, ref)
+# --------------------------------------------------------------------------
+# the check registry
 
-        r4 = Fraction(0)
-        for m2 in range(n + 1):
-            inner = Fraction(0)
-            for l in range(m2 + 1):
-                inner += Fraction((-1) ** l, p + l) * seq.stirling2_deg(m2, l, lam)
-            r4 += binomial(n, m2) * inner * seq.bell_deg(n - m2, lam)(Fraction(1))
-        compare_exact(n, 4, Fraction(p) * r4, ref)
 
-        if trig and n >= 1:
-            sn = np.sin(n * theta)
-            approx5 = factorial(n) * factorial(p) / pi * float(w @ (np.imag(bracket) * sn))
-            compare_num(n, 5, approx5, ref)
+@dataclass(frozen=True)
+class _Args:
+    """What a registry runner reads besides lambda and p."""
 
-        r6 = Fraction(0)
-        for k2 in range(n + 1):
-            r6 += seq.stirling2_deg(n, k2, lam) * (beta_exact(k2 + 1, p) / b0)
-        compare_exact(n, 6, r6, ref)
+    n_max: int
+    order: int
+    cfg: NumericConfig
+    x_points: tuple | None = None
+    k: int | None = None  # the one fixed column of the L9 triangle check
 
-    status = "pass" if exact_bad == 0 and num_ok else "fail"
-    max_residual = float(exact_bad) if exact_bad else num_max
-    params = _num_params(lam, cfg, p=p, n_max=n_max,
-                         quad_nodes=cfg.quad_nodes,
-                         series_cutoff_k=cfg.series_cutoff_k,
-                         series_cutoff_l=cfg.series_cutoff_l)
-    return Verdict("C-SIX", "numeric", params, status, max_residual, rows)
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One registry entry. run(lam, p, args) returns the verdicts of the
+    ids it emits. The suite runs an entry once per lambda when p_min is
+    None (the check takes no p), else once per grid p >= p_min. Contour
+    entries need |lambda| < 1 and are recorded as skipped outside it.
+    Uncounted entries report on a statement/derivation conflict and never
+    decide an exit code. Runners call checks by their module-level names,
+    so rebinding a check (as a tracer does) reaches every caller."""
+
+    ids: tuple
+    run: Callable
+    p_min: int | None
+    contour: bool = False
+    counted: bool = True
+
+
+CHECKS = (
+    CheckSpec(("T1",), lambda lam, p, a: [check_T1(lam, p, a.n_max, a.order)], 0),
+    CheckSpec(("T2",), lambda lam, p, a: [check_T2(lam, a.n_max, a.order)], None),
+    CheckSpec(("P3",), lambda lam, p, a: [check_P3(lam, p, a.n_max)], 0),
+    CheckSpec(("T4",), lambda lam, p, a: [check_T4(lam, p, a.n_max, a.cfg)], 0),
+    CheckSpec(("P5a",), lambda lam, p, a: [check_P5a(lam, p, a.n_max)], 1),
+    CheckSpec(("P5b",), lambda lam, p, a: [check_P5b(lam, p, a.order)], 1),
+    CheckSpec(("T6", "T6k"),
+              lambda lam, p, a: [check_T6(lam, p, a.n_max, a.order, variant)
+                                 for variant in ("fixed", "running")],
+              0, counted=False),
+    CheckSpec(("T7",), lambda lam, p, a: [check_T7(lam, p, a.order)], 1),
+    CheckSpec(("T8",), lambda lam, p, a: [check_T8(lam, p, a.n_max, a.order)], 1),
+    CheckSpec(("L9",), lambda lam, p, a: [check_trig(lam, a.n_max, a.k, "L9", a.cfg)],
+              None, contour=True),
+    CheckSpec(("C10",), lambda lam, p, a: [check_trig(lam, a.n_max, None, "C10", a.cfg)],
+              None, contour=True),
+    CheckSpec(("T11",), lambda lam, p, a: [check_trig(lam, a.n_max, p, "T11", a.cfg)],
+              1, contour=True),
+    CheckSpec(("T12",), lambda lam, p, a: [check_T12(lam, p, a.n_max, a.order)], 0),
+    CheckSpec(("T13",), lambda lam, p, a: [check_T13(lam, a.n_max)], None),
+    CheckSpec(("T14", "T15", "T16"),
+              lambda lam, p, a: check_T14_T15_T16(lam, p, a.n_max, a.order, a.cfg, a.x_points),
+              0),
+    CheckSpec(("S3",), lambda lam, p, a: check_S3(lam, p, a.n_max, a.cfg), 1),
+    CheckSpec(("C-SIX",), lambda lam, p, a: [check_CSIX(lam, p, a.n_max, a.cfg)], 1),
+)
+
+KNOWN_CHECK_IDS = tuple(i for c in CHECKS for i in c.ids)
+ADJUDICATION_IDS = frozenset(i for c in CHECKS if not c.counted for i in c.ids)
+_CHECK_BY_ID = {i: c for c in CHECKS for i in c.ids}
 
 
 # --------------------------------------------------------------------------
@@ -1011,51 +1003,21 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     errors; ordering of the verdict list is deterministic."""
     grid = grid or SuiteGrid()
     cfg = cfg or NumericConfig()
+    for p in grid.ps:
+        _require(p >= 0, f"truncation index p must be >= 0, got {p}")
+    args = _Args(grid.n_max, grid.order, cfg, grid.x_points)
     verdicts: list[Verdict] = []
     skipped: list[dict] = []
-
-    def skip(check_id, lam, p=None):
-        entry = {
-            "id": check_id,
-            "lambda": str(lam),
-            "reason": "|lambda| >= 1 is outside the contour domain",
-        }
-        if p is not None:
-            entry["p"] = p
-        skipped.append(entry)
-
     for lam in grid.lambdas:
         lam = Fraction(lam)
-        trig_ok = abs(lam) < 1
-        verdicts.append(check_T2(lam, grid.n_max, grid.order))
-        verdicts.append(check_T13(lam, grid.n_max))
-        if trig_ok:
-            verdicts.append(check_trig(lam, grid.n_max, None, "L9", cfg))
-            verdicts.append(check_trig(lam, grid.n_max, None, "C10", cfg))
-        else:
-            skip("L9", lam)
-            skip("C10", lam)
-        for p in grid.ps:
-            verdicts.append(check_T1(lam, p, grid.n_max, grid.order))
-            verdicts.append(check_P3(lam, p, grid.n_max))
-            verdicts.append(check_T4(lam, p, grid.n_max, cfg))
-            verdicts.append(check_T6(lam, p, grid.n_max, grid.order, "fixed"))
-            verdicts.append(check_T6(lam, p, grid.n_max, grid.order, "running"))
-            verdicts.append(check_T12(lam, p, grid.n_max, grid.order))
-            verdicts.extend(
-                check_T14_T15_T16(lam, p, grid.n_max, grid.order, cfg, grid.x_points)
-            )
-            if p >= 1:
-                verdicts.append(check_P5a(lam, p, grid.n_max))
-                verdicts.append(check_P5b(lam, p, grid.order))
-                verdicts.append(check_T7(lam, p, grid.order))
-                verdicts.append(check_T8(lam, p, grid.n_max, grid.order))
-                verdicts.extend(check_S3(lam, p, grid.n_max, cfg))
-                verdicts.append(check_CSIX(lam, p, grid.n_max, cfg))
-                if trig_ok:
-                    verdicts.append(check_trig(lam, grid.n_max, p, "T11", cfg))
+        for check in CHECKS:
+            ps = (None,) if check.p_min is None else [p for p in grid.ps if p >= check.p_min]
+            for p in ps:
+                if check.contour and abs(lam) >= 1:
+                    skipped.append({"id": check.ids[0], **_params(lam, p=p),
+                                    "reason": "|lambda| >= 1 is outside the contour domain"})
                 else:
-                    skip("T11", lam, p)
+                    verdicts.extend(check.run(lam, p, args))
     verdicts.sort(key=_verdict_sort_key)
     return SuiteReport(verdicts=verdicts, summary=_summarize(verdicts, skipped, grid, cfg))
 
@@ -1066,53 +1028,20 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
 
 def run_check(check_id: str, lam, *, p=None, k=None, n_max=10, order=24,
               cfg: NumericConfig | None = None, x_points=None) -> list[Verdict]:
+    """Run the registry entry that emits check_id at one point. The stated
+    id of an uncounted (adjudicated) entry returns every variant it emits;
+    any other id returns only its own verdicts."""
     cfg = cfg or NumericConfig()
     lam = Fraction(lam)
-    needs_p = {"T1", "P3", "P5a", "T4", "P5b", "T6", "T6k", "T7", "T8",
-               "T11", "T12", "T14", "T15", "T16", "S3", "C-SIX"}
-    if check_id in needs_p and p is None:
+    check = _CHECK_BY_ID.get(check_id)
+    if check is None:
+        raise ValueError(f"unknown identity id: {check_id}")
+    if check.p_min is not None and p is None:
         raise ValueError(f"check {check_id} requires p")
-    if check_id == "T1":
-        return [check_T1(lam, p, n_max, order)]
-    if check_id == "T2":
-        return [check_T2(lam, n_max, order)]
-    if check_id == "P3":
-        return [check_P3(lam, p, n_max)]
-    if check_id == "P5a":
-        return [check_P5a(lam, p, n_max)]
-    if check_id == "T4":
-        return [check_T4(lam, p, n_max, cfg)]
-    if check_id == "P5b":
-        return [check_P5b(lam, p, order)]
-    if check_id == "T6":
-        return [
-            check_T6(lam, p, n_max, order, "fixed"),
-            check_T6(lam, p, n_max, order, "running"),
-        ]
-    if check_id == "T6k":
-        return [check_T6(lam, p, n_max, order, "running")]
-    if check_id == "T7":
-        return [check_T7(lam, p, order)]
-    if check_id == "T8":
-        return [check_T8(lam, p, n_max, order)]
-    if check_id == "L9":
-        return [check_trig(lam, n_max, k, "L9", cfg)]
-    if check_id == "C10":
-        return [check_trig(lam, n_max, None, "C10", cfg)]
-    if check_id == "T11":
-        return [check_trig(lam, n_max, p, "T11", cfg)]
-    if check_id == "T12":
-        return [check_T12(lam, p, n_max, order)]
-    if check_id == "T13":
-        return [check_T13(lam, n_max)]
-    if check_id in ("T14", "T15", "T16"):
-        triple = check_T14_T15_T16(lam, p, n_max, order, cfg, x_points)
-        return [v for v in triple if v.check_id == check_id]
-    if check_id == "S3":
-        return [*check_S3(lam, p, n_max, cfg)]
-    if check_id == "C-SIX":
-        return [check_CSIX(lam, p, n_max, cfg)]
-    raise ValueError(f"unknown identity id: {check_id}")
+    verdicts = check.run(lam, p, _Args(n_max, order, cfg, x_points, k))
+    if not check.counted and check_id == check.ids[0]:
+        return verdicts
+    return [v for v in verdicts if v.check_id == check_id]
 
 
 def verdicts_to_json_text(verdicts: list[Verdict]) -> str:

@@ -7,6 +7,7 @@ budgets are asserted, not just reported.
 
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -22,6 +23,26 @@ GRID5 = GRID4 + (F(2),)
 # serialised by verify.verdicts_to_json_text (228 verdicts), as computed by
 # the Fraction schoolbook kernel before the integer-numerator rewrite
 EXACT_VERDICTS_SHA256 = "a479d6eba12fc1d19349db687b4d1282da2b825b24cefba5a69e22d07422da1e"
+# sha256 of the same report's summary plus the shape of every non-exact
+# verdict (see _shape_digest), recorded before the check registry replaced
+# the hand-written suite loop, skip list and six-route composite
+SHAPE_SHA256 = "5c0db64e4bef8c84682ca892ce7cdfceeaa2f367c5b6d2974aafbd786b8f3c61"
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _shape_digest(report: dict) -> str:
+    """sha256 over the summary and, for each numeric or Monte Carlo
+    verdict, its id, mode, params, status and each detail row's n, k and
+    note with every number stripped out: no float digits enter it, so it
+    holds across platforms."""
+    shapes = [
+        {"id": v["id"], "mode": v["mode"], "params": v["params"], "status": v["status"],
+         "rows": [[row["n"], row["k"], _NUMBER.sub("#", row.get("note", ""))]
+                  for row in v["details"]]}
+        for v in report["verdicts"] if v["mode"] != "exact"
+    ]
+    text = json.dumps({"summary": report["summary"], "non_exact": shapes}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def criterion(capsys, num, label, body, budget=None):
@@ -202,4 +223,7 @@ def test_criterion_13_deterministic_reports(capsys, tmp_path):
                  if v["mode"] == "exact"]
         text = verify.verdicts_to_json_text(exact)
         assert hashlib.sha256(text.encode()).hexdigest() == EXACT_VERDICTS_SHA256
+        # second digest: the summary (skip list and counts included) and the
+        # row structure of the numeric verdicts, which the first one leaves out
+        assert _shape_digest(json.loads(f1.read_text())) == SHAPE_SHA256
     criterion(capsys, 13, "byte-identical default suite reports", body)

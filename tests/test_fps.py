@@ -43,6 +43,12 @@ def test_poly_normalizes_trailing_zeros():
     assert Poly((Fraction(0), Fraction(0))) == Poly.zero()
 
 
+def test_poly_truth_value_is_nonzero():
+    assert bool(Poly.zero()) is False
+    assert bool(Poly.x()) is True
+    assert bool(Poly((0, 0, 1))) is True
+
+
 def test_poly_coeff_beyond_degree_is_zero():
     p = Poly((Fraction(1), Fraction(2)))
     assert p.coeff(5) == 0

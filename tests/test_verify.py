@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 import truncbell.sequences as sequences
 import truncbell.verify as verify
+from truncbell import cli
 from truncbell.verify import (
     ADJUDICATION_IDS,
     NumericConfig,
@@ -321,6 +323,57 @@ def test_run_check_dispatch():
         run_check("T1", HALF)  # missing p
     with pytest.raises(ValueError):
         run_check("Z9", HALF, p=1)
+
+
+# ---------------------------------------------------------------- registry
+
+
+@pytest.fixture(scope="module")
+def point_report():
+    grid = SuiteGrid(lambdas=(HALF,), ps=(2,), n_max=4, order=8)
+    return run_suite(grid, FAST_CFG), grid
+
+
+@pytest.mark.parametrize("check_id", verify.KNOWN_CHECK_IDS)
+def test_run_check_agrees_with_suite(check_id, point_report):
+    report, grid = point_report
+    single = run_check(check_id, HALF, p=2, n_max=grid.n_max, order=grid.order,
+                       cfg=FAST_CFG, x_points=grid.x_points)
+    # asking for T6 runs the adjudication, so it also reports the T6k variant
+    ids = {"T6": {"T6", "T6k"}}.get(check_id, {check_id})
+    from_suite = [v for v in report.verdicts if v.check_id in ids]
+    single.sort(key=verify._verdict_sort_key)
+    assert verdicts_to_json_text(single) == verdicts_to_json_text(from_suite)
+
+
+def test_point_suite_emits_every_registry_id(point_report):
+    report, _ = point_report
+    assert {v.check_id for v in report.verdicts} == set(verify.KNOWN_CHECK_IDS)
+    assert report.summary["skipped_checks"] == []
+
+
+def test_suite_skip_records_follow_registry_order():
+    grid = SuiteGrid(lambdas=(Fraction(1),), ps=(0, 1, 2), n_max=2, order=4)
+    skipped = run_suite(grid, FAST_CFG).summary["skipped_checks"]
+    reason = "|lambda| >= 1 is outside the contour domain"
+    assert skipped == [
+        {"id": "L9", "lambda": "1", "reason": reason},
+        {"id": "C10", "lambda": "1", "reason": reason},
+        {"id": "T11", "lambda": "1", "p": 1, "reason": reason},
+        {"id": "T11", "lambda": "1", "p": 2, "reason": reason},
+    ]
+
+
+def test_suite_rejects_negative_p():
+    with pytest.raises(ValueError, match="p must be >= 0"):
+        run_suite(SuiteGrid(lambdas=(HALF,), ps=(1, -1), n_max=2, order=4), FAST_CFG)
+
+
+def test_cli_check_choices_are_registry_ids():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    id_flag = next(a for a in commands.choices["check"]._actions if a.dest == "id")
+    assert tuple(id_flag.choices) == verify.KNOWN_CHECK_IDS
 
 
 # ---------------------------------------------------------------- suite
