@@ -28,6 +28,18 @@ All functions memoize whole rows keyed by (family parameters, n), except
 the degenerate Bernoulli tables, which are keyed by (lambda, r) and grow in
 depth on demand; repeated lookups are cheap and referentially transparent,
 and concurrent readers at worst duplicate a computation of the same value.
+Every memo holds at most MEMO_MAXSIZE entries, evicting the least recently
+used, so memory stays bounded however many parameters a process sees; one
+suite run on the n_max=20, order=34 grid fills the largest to about 1000.
+
+Memos sit below the public functions, never above them: a public function
+validates its arguments and reads a private memoized helper, helpers read
+only other helpers, and callers (the checks in verify) call the public
+function for every entry they need. The negative controls of the test
+suite perturb a public function and expect every check that reads it to
+fail; a memo above it would hand a warm caller the unperturbed values. The
+one exception is build_table's memo of finished tables, which no check
+reads.
 """
 
 from __future__ import annotations
@@ -44,11 +56,14 @@ from math import factorial
 from .exactnum import binomial, format_rational, parse_rational
 from .fps import Fps, Poly, deg_exp, deg_log, lift_to_poly_ring
 
+# the entry bound of every memo in the package (verify reads it too)
+MEMO_MAXSIZE = 4096
+
 # --------------------------------------------------------------------------
 # defining products
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _ff_poly(n: int) -> Poly:
     """(x)_n = x (x-1) ... (x-n+1) as a Poly."""
     if n == 0:
@@ -56,7 +71,7 @@ def _ff_poly(n: int) -> Poly:
     return _ff_poly(n - 1) * Poly((-(n - 1), 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _deg_ff_poly(lam: Fraction, n: int) -> Poly:
     """(x)_{n,lam} = x (x-lam) ... (x-(n-1)lam) as a Poly."""
     if n == 0:
@@ -80,7 +95,7 @@ def deg_falling_factorial_poly(n: int, lam) -> Poly:
 # classical triangles
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2_row(n: int) -> tuple[Fraction, ...]:
     if n == 0:
         return (Fraction(1),)
@@ -157,12 +172,12 @@ def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
 # degenerate triangles (basis route)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
     return tuple(_monomial_to_falling(_padded_coeffs(_deg_ff_poly(lam, n), n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _s1deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
     out = _to_deg_falling_basis(_ff_poly(n), lam)
     return tuple(out + [Fraction(0)] * (n + 1 - len(out)))
@@ -191,11 +206,11 @@ def stirling1_deg(n: int, k: int, lam) -> Fraction:
     return _s1deg_row(Fraction(lam), n)[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2deg_poly(lam: Fraction, n: int, l: int) -> Poly:
     acc = Poly.zero()
     for i in range(l, n + 1):
-        c = binomial(n, i) * stirling2_deg(i, l, lam)
+        c = binomial(n, i) * _s2deg_row(lam, i)[l]
         if c:
             acc = acc + _deg_ff_poly(lam, n - i) * c
     return acc
@@ -216,11 +231,16 @@ def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
 # Bell-type families (basis route)
 
 
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def _bell_deg_poly(lam: Fraction, n: int) -> Poly:
+    return Poly(_s2deg_row(lam, n))
+
+
 def bell_deg(n: int, lam) -> Poly:
     """sum_k stirling2_deg(n,k,lam) x^k."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return Poly(_s2deg_row(Fraction(lam), n))
+    return _bell_deg_poly(Fraction(lam), n)
 
 
 def bell_poly_classical(n: int) -> Poly:
@@ -237,21 +257,29 @@ def bell_classical(n: int) -> Fraction:
     return sum(_s2_row(n), Fraction(0))
 
 
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def _trunc_poly(lam: Fraction, p: int, n: int) -> Poly:
+    return Poly(c / binomial(k + p, k) for k, c in enumerate(_s2deg_row(lam, n)))
+
+
 def trunc_bell_deg(n: int, p: int, lam) -> Poly:
     """sum_k stirling2_deg(n,k,lam) / C(k+p,k) * x^k."""
     _check_np(n, p)
-    row = _s2deg_row(Fraction(lam), n)
-    return Poly(c / binomial(k + p, k) for k, c in enumerate(row))
+    return _trunc_poly(Fraction(lam), p, n)
+
+
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def _trunc_mod_poly(lam: Fraction, p: int, n: int) -> Poly:
+    acc = Poly.zero()
+    for k in range(n + 1):
+        acc = acc + _s2deg_poly(lam, n, k) * (Fraction(1) / binomial(k + p, p))
+    return acc
 
 
 def trunc_mod_bell_deg(n: int, p: int, lam) -> Poly:
     """sum_k stirling2_deg_poly(n,k,lam) / C(k+p,p)."""
     _check_np(n, p)
-    lam = Fraction(lam)
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + _s2deg_poly(lam, n, k) * (Fraction(1) / binomial(k + p, p))
-    return acc
+    return _trunc_mod_poly(Fraction(lam), p, n)
 
 
 def _check_np(n: int, p: int) -> None:
@@ -279,13 +307,13 @@ def _deeper(table: list, n: int) -> int:
     return max(n, 2 * len(table) - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _bern_num_table(lam: Fraction, r: int) -> list:
     # one list per (lam, r), extended in place when a deeper n is asked for
     return []
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _bern_poly_table(lam: Fraction, r: int) -> list:
     return []
 
@@ -320,19 +348,19 @@ def deg_bernoulli(n: int, r: int, lam) -> Poly:
 # series-route cross constructions
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _z_series(lam: Fraction, order: int) -> Fps:
     return deg_exp(Fraction(1), lam, order) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _z_pow(lam: Fraction, k: int, order: int) -> Fps:
     if k == 0:
         return Fps.constant(Fraction(1), order)
     return _z_pow(lam, k - 1, order) * _z_series(lam, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _log_pow(lam: Fraction, k: int, order: int) -> Fps:
     if k == 0:
         return Fps.constant(Fraction(1), order)
@@ -368,7 +396,7 @@ def stirling1_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction
     return _log_pow(Fraction(lam), k, depth).egf_coeff(n) / factorial(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _bell_gf(lam: Fraction, order: int) -> Fps:
     return (lift_to_poly_ring(_z_series(lam, order)) * Poly.x()).exp()
 
@@ -379,7 +407,7 @@ def bell_deg_egf(n: int, lam, order: int | None = None) -> Poly:
     return _bell_gf(Fraction(lam), _series_depth(n, order)).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _trunc_gf(lam: Fraction, p: int, order: int) -> Fps:
     """Generating series of the truncated family over the Poly ring:
     p! * sum_k x^k (deformed exp - 1)^k / (k+p)!; the k-sum is finite at
@@ -398,7 +426,7 @@ def trunc_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
     return _trunc_gf(Fraction(lam), p, _series_depth(n, order)).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _mod_gf(lam: Fraction, p: int, order: int) -> Fps:
     """Generating series of the modified truncated family over the Poly
     ring, built by the division pipeline: p! (exp(z) - partial sum) / z^p
@@ -417,7 +445,7 @@ def trunc_mod_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Pol
     return _mod_gf(Fraction(lam), p, _series_depth(n, order)).egf_coeff(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2degpoly_gf(lam: Fraction, l: int, order: int) -> Fps:
     g = _z_pow(lam, l, order) * Fraction(1, factorial(l))
     return lift_to_poly_ring(g) * deg_exp(Poly.x(), lam, order)
@@ -616,7 +644,7 @@ def build_table(
     return _table_cached(family, n_max, lam, p, r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _table_cached(family: Family, n_max: int, lam, p, r) -> SequenceTable:
     spec = FAMILIES[family]
     # looked up by name on each build, so the table follows the module's

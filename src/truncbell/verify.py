@@ -25,6 +25,16 @@ emits, how to run it, its lowest truncation index p, whether it needs
 |lambda| < 1 and whether it is counted; the id lists, the suite loop and
 single-check dispatch are read off it, so adding a check means adding its
 function and one CHECKS entry.
+
+The exact routes of the six-expression composite C-SIX belong to the checks
+P3, P5a, T8 and S3, and each is a row function: one call returns the
+route's values for n = 0..n_max and computes every factor that depends on
+k or m alone (beta values, alternating weights, T8's inner sums, the plain
+family at x = 1) once. C-SIX calls each row function once and compares its
+rows. Route functions keep no memo of their own and read the sequences
+layer through its public functions, one entry at a time, so a perturbed
+public function reaches every check that reads it however warm the caches
+are (see the sequences docstring).
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from math import factorial, pi
 import numpy as np
 
 from . import sequences as seq
-from .exactnum import beta_exact, binomial, deg_falling_factorial
+from .exactnum import beta_exact, binomial
 from .fps import Fps, Poly, apply_Dlambda, deg_exp
 
 _BRANCH_FLOOR = 1e-9
@@ -155,6 +165,8 @@ class _Collector:
                 self.counted += 1
 
     def poly(self, n, lhs: Poly, rhs: Poly, note=None, counted=True):
+        if lhs == rhs:
+            return
         for power in range(max(lhs.degree, rhs.degree) + 1):
             self.scalar(n, lhs.coeff(power), rhs.coeff(power), power, note, counted)
 
@@ -207,7 +219,7 @@ def _simpson_integral(f, a: float, b: float, panels: int) -> float:
     return float(_simpson_weights(panels, b - a) @ f(x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=seq.MEMO_MAXSIZE)
 def _circle_data(lam: Fraction, panels: int):
     """Deformed exponential minus one on the unit circle, with Simpson
     weights. Principal branch throughout; callers must keep |lam| < 1 so
@@ -239,7 +251,7 @@ def _contour_bracket(z: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=seq.MEMO_MAXSIZE)
 def _series_weight_matrix(p: int, kmax: int, lmax: int):
     """Double-series weights w[k,l] = (-1)^l / (k! l! C(k+l+p,p)) shared by
     the plain and modified double-series checks, plus row sums over l."""
@@ -316,6 +328,21 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _falling_row(x: Fraction, lam: Fraction, length: int) -> list[Fraction]:
+    """x (x-lam) ... (x-(j-1) lam) for j = 0..length-1, as running products."""
+    row = [Fraction(1)]
+    for j in range(1, length):
+        row.append(row[-1] * (x - (j - 1) * lam))
+    return row
+
+
+def _stirling_sums(lam: Fraction, weights: list) -> list[Fraction]:
+    """sum_k S2deg(n, k) weights[k] for n = 0..len(weights)-1, reading the
+    triangle through the public function one entry at a time."""
+    return [sum((seq.stirling2_deg(n, k, lam) * weights[k] for k in range(n + 1)), Fraction(0))
+            for n in range(len(weights))]
+
+
 # --------------------------------------------------------------------------
 # exact checks
 
@@ -350,12 +377,9 @@ def check_T2(lam, n_max: int, order: int) -> Verdict:
     return col.verdict("T2", _params(lam, n_max=n_max, order=order))
 
 
-def _beta_route(lam: Fraction, p: int, n: int) -> Fraction:
-    """P3 for p >= 1: p * sum_k S2deg(n, k) B(k+1, p)."""
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += seq.stirling2_deg(n, k, lam) * beta_exact(k + 1, p)
-    return Fraction(p) * total
+def _beta_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
+    """P3 for p >= 1 and n = 0..n_max: p * sum_k S2deg(n, k) B(k+1, p)."""
+    return _stirling_sums(lam, [p * beta_exact(k + 1, p) for k in range(n_max + 1)])
 
 
 def check_P3(lam, p: int, n_max: int) -> Verdict:
@@ -369,21 +393,19 @@ def check_P3(lam, p: int, n_max: int) -> Verdict:
             col.poly(n, seq.trunc_bell_deg(n, 0, lam), seq.bell_deg(n, lam),
                      note="p = 0 reduces to the plain family")
     else:
-        for n in range(n_max + 1):
-            col.scalar(n, _beta_route(lam, p, n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+        for n, route in enumerate(_beta_route(lam, p, n_max)):
+            col.scalar(n, route, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
     return col.verdict("P3", _params(lam, p=p, n_max=n_max))
 
 
-def _alternating_route(lam: Fraction, p: int, n: int) -> Fraction:
-    """P5a: sum_k sum_{m<p} (m+1) C(p, m+1) (-1)^m S2deg(n, k) / (k+m+1)."""
-    total = Fraction(0)
-    for k in range(n + 1):
-        s = seq.stirling2_deg(n, k, lam)
-        if s == 0:
-            continue
-        for m in range(p):
-            total += (m + 1) * binomial(p, m + 1) * Fraction((-1) ** m) * s / (k + m + 1)
-    return total
+def _alternating_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
+    """P5a for n = 0..n_max: sum_k S2deg(n, k) sum_{m<p} (m+1) C(p, m+1) (-1)^m / (k+m+1)."""
+    weights = [
+        sum(((-1) ** m * (m + 1) * binomial(p, m + 1) / (k + m + 1) for m in range(p)),
+            Fraction(0))
+        for k in range(n_max + 1)
+    ]
+    return _stirling_sums(lam, weights)
 
 
 def check_P5a(lam, p: int, n_max: int) -> Verdict:
@@ -392,8 +414,8 @@ def check_P5a(lam, p: int, n_max: int) -> Verdict:
     lam = Fraction(lam)
     _require(p >= 1, f"the double-sum form needs p >= 1, got {p}")
     col = _Collector()
-    for n in range(n_max + 1):
-        col.scalar(n, _alternating_route(lam, p, n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+    for n, route in enumerate(_alternating_route(lam, p, n_max)):
+        col.scalar(n, route, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
     return col.verdict("P5a", _params(lam, p=p, n_max=n_max))
 
 
@@ -454,10 +476,10 @@ def check_T6(lam, p: int, n_max: int, order: int, variant: str = "fixed") -> Ver
     return col.verdict(check_id, _params(lam, p=p, n_max=n_max, order=order, variant=variant))
 
 
-def _operator_route(lam: Fraction, p: int, order: int) -> Fps:
-    """Right side of the differential-operator representation: the entire
-    series sum_m (-z)^m... built as sum_m (-1)^m z^m/(m+1)!, hit p-1 times
-    with the weighted derivative, then multiplied by exp(z) and signed."""
+@lru_cache(maxsize=seq.MEMO_MAXSIZE)
+def _operator_core(lam: Fraction, order: int) -> tuple[Fps, Fps]:
+    """The p-independent part of the operator route: exp(z) and the entire
+    series sum_m (-1)^m z^m/(m+1)!, z the deformed exponential minus one."""
     z = deg_exp(Fraction(1), lam, order) - 1
     core = Fps.constant(Fraction(0), order)
     zpow = Fps.constant(Fraction(1), order)
@@ -465,10 +487,17 @@ def _operator_route(lam: Fraction, p: int, order: int) -> Fps:
         core = core + zpow.scale(Fraction((-1) ** m, factorial(m + 1)))
         if m < order:
             zpow = zpow * z
-    cur = core
+    return z.exp(), core
+
+
+def _operator_route(lam: Fraction, p: int, order: int) -> Fps:
+    """Right side of the differential-operator representation: the core
+    series hit p-1 times with the weighted derivative, then multiplied by
+    exp(z) and signed."""
+    exp_z, cur = _operator_core(lam, order)
     for _ in range(p - 1):
         cur = apply_Dlambda(cur, lam)
-    return (z.exp() * cur).scale(Fraction((-1) ** (p - 1) * p))
+    return (exp_z * cur).scale(Fraction((-1) ** (p - 1) * p))
 
 
 def check_T7(lam, p: int, order: int) -> Verdict:
@@ -486,15 +515,14 @@ def check_T7(lam, p: int, order: int) -> Verdict:
     return col.verdict("T7", _params(lam, p=p, order=order))
 
 
-def _convolution_route(lam: Fraction, p: int, n: int) -> Fraction:
-    """T8: p * sum_m C(n, m) [sum_l (-1)^l S2deg(m, l) / (p+l)] Bell_{n-m}(1)."""
-    total = Fraction(0)
-    for m in range(n + 1):
-        inner = Fraction(0)
-        for l in range(m + 1):
-            inner += Fraction((-1) ** l, p + l) * seq.stirling2_deg(m, l, lam)
-        total += binomial(n, m) * inner * seq.bell_deg(n - m, lam)(Fraction(1))
-    return Fraction(p) * total
+def _convolution_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
+    """T8 for n = 0..n_max: p * sum_m C(n, m) [sum_l (-1)^l S2deg(m, l) / (p+l)] Bell_{n-m}(1)."""
+    inner = _stirling_sums(lam, [Fraction((-1) ** l, p + l) for l in range(n_max + 1)])
+    bell_at_1 = [seq.bell_deg(j, lam)(Fraction(1)) for j in range(n_max + 1)]
+    return [
+        p * sum((binomial(n, m) * inner[m] * bell_at_1[n - m] for m in range(n + 1)), Fraction(0))
+        for n in range(n_max + 1)
+    ]
 
 
 def check_T8(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
@@ -503,8 +531,8 @@ def check_T8(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     lam = Fraction(lam)
     _require(p >= 1, f"the double-sum convolution needs p >= 1, got {p}")
     col = _Collector()
-    for n in range(n_max + 1):
-        col.scalar(n, _convolution_route(lam, p, n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+    for n, route in enumerate(_convolution_route(lam, p, n_max)):
+        col.scalar(n, route, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
     return col.verdict("T8", _params(lam, p=p, n_max=n_max, order=order))
 
 
@@ -589,7 +617,7 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     # exact values the loops below reuse, each computed once per call
     val = [seq.trunc_bell_deg(j, p, lam)(Fraction(1)) for j in range(n_max + 2)]
     val_raised = [seq.trunc_bell_deg(j, p + 1, lam)(Fraction(1)) for j in range(n_max + 1)]
-    ff = [deg_falling_factorial(lam - 1, j, lam) for j in range(n_max + 2)]
+    ff = _falling_row(lam - 1, lam, n_max + 2)
 
     results = []
     printed_ok = True
@@ -697,13 +725,9 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
 
     c15 = _Collector(cfg)
     # x-independent inner sums sum_k S2deg(m2, k) / C(p+k, k)
-    inner = [
-        sum((seq.stirling2_deg(m2, k2, lam) / binomial(p + k2, k2) for k2 in range(m2 + 1)),
-            Fraction(0))
-        for m2 in range(n_max + 1)
-    ]
+    inner = _stirling_sums(lam, [1 / binomial(p + k, k) for k in range(n_max + 1)])
     for x in x_points:
-        ffx = [deg_falling_factorial(x, j, lam) for j in range(n_max + 1)]
+        ffx = _falling_row(x, lam, n_max + 1)
         for n, approx, tail in _double_series(lam, p, n_max, cfg, float(x)):
             exact = Fraction(0)
             for m2 in range(n + 1):
@@ -716,7 +740,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
                                             x_points=[str(x) for x in x_points]))
 
     c16 = _Collector()
-    ff1 = [deg_falling_factorial(Fraction(1), j, lam) for j in range(n_max + 1)]
+    ff1 = _falling_row(Fraction(1), lam, n_max + 1)
     for n in range(n_max + 1):
         lhs = mod_p[n + 1]
         rhs = (Poly.x() - Fraction(n) * lam) * mod_p[n]
@@ -730,13 +754,11 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     return [v14, v15, v16]
 
 
-def _moment_route(lam: Fraction, p: int, n: int) -> Fraction:
-    """Exact half of S3: sum_k S2deg(n, k) E[X^k], E[X^k] = B(k+1, p) / B(1, p)."""
+def _moment_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
+    """Exact half of S3 for n = 0..n_max: sum_k S2deg(n, k) E[X^k], with
+    E[X^k] = B(k+1, p) / B(1, p)."""
     b0 = beta_exact(1, p)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += seq.stirling2_deg(n, k, lam) * (beta_exact(k + 1, p) / b0)
-    return total
+    return _stirling_sums(lam, [beta_exact(k + 1, p) / b0 for k in range(n_max + 1)])
 
 
 def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
@@ -745,11 +767,10 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     with inverse-transform sampling and a four-standard-error band."""
     lam = Fraction(lam)
     _require(p >= 1, f"the moment identity needs p >= 1, got {p}")
-    targets = []
+    targets = [seq.trunc_bell_deg(n, p, lam)(Fraction(1)) for n in range(n_max + 1)]
     col = _Collector()
-    for n in range(n_max + 1):
-        targets.append(seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
-        col.scalar(n, _moment_route(lam, p, n), targets[n])
+    for n, route in enumerate(_moment_route(lam, p, n_max)):
+        col.scalar(n, route, targets[n])
     v_exact = col.verdict("S3", _params(lam, p=p, n_max=n_max))
 
     entropy = int.from_bytes(hashlib.sha256(b"S3").digest()[:8], "big")
@@ -819,16 +840,20 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     else:
         ncol.meta("route 5 skipped: |lambda| >= 1 keeps the contour off the principal branch")
 
+    beta = _beta_route(lam, p, n_max)
+    alternating = _alternating_route(lam, p, n_max)
+    convolution = _convolution_route(lam, p, n_max)
+    moment = _moment_route(lam, p, n_max)
     for n, series, tail in _double_series(lam, p, n_max, cfg):
         ref = seq.trunc_bell_deg(n, p, lam)(Fraction(1))
-        ncol.scalar(n, _beta_route(lam, p, n), ref, 1, _CSIX_ROUTES[1])
+        ncol.scalar(n, beta[n], ref, 1, _CSIX_ROUTES[1])
         ncol.compare(n, series, ref, k=2, label=_CSIX_ROUTES[2], tail=tail)
-        ncol.scalar(n, _alternating_route(lam, p, n), ref, 3, _CSIX_ROUTES[3])
-        ncol.scalar(n, _convolution_route(lam, p, n), ref, 4, _CSIX_ROUTES[4])
+        ncol.scalar(n, alternating[n], ref, 3, _CSIX_ROUTES[3])
+        ncol.scalar(n, convolution[n], ref, 4, _CSIX_ROUTES[4])
         if bracket is not None and n >= 1:
             contour = _contour_coeff(theta, w, bracket, n, factorial(p))
             ncol.compare(n, contour, ref, k=5, label=_CSIX_ROUTES[5])
-        ncol.scalar(n, _moment_route(lam, p, n), ref, 6, _CSIX_ROUTES[6])
+        ncol.scalar(n, moment[n], ref, 6, _CSIX_ROUTES[6])
 
     params = _series_params(lam, cfg, p=p, n_max=n_max, quad_nodes=cfg.quad_nodes)
     return ncol.verdict("C-SIX", params)

@@ -1,4 +1,6 @@
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
+import truncbell
 from truncbell.exactnum import binomial
 from truncbell import sequences
 from truncbell.fps import Poly, deg_exp, lift_to_poly_ring
@@ -318,3 +321,14 @@ def test_table_value_accessor_shape_checks():
         tri.value(2)
     with pytest.raises(ValueError):
         lin.value(2, 1)
+
+
+def test_every_memo_is_bounded():
+    package_modules = [importlib.import_module(f"truncbell.{info.name}")
+                       for info in pkgutil.iter_modules(truncbell.__path__)
+                       if info.name != "__main__"]  # importing it runs the CLI
+    memos = [(module.__name__, name, v) for module in package_modules
+             for name, v in vars(module).items() if callable(getattr(v, "cache_parameters", None))]
+    assert memos
+    for module_name, name, memo in memos:
+        assert memo.cache_parameters()["maxsize"] == sequences.MEMO_MAXSIZE, (module_name, name)

@@ -155,6 +155,7 @@ NUMERIC_CONTROLS = [
 
 @pytest.mark.parametrize("label,attr,runner", EXACT_CONTROLS, ids=[c[0] for c in EXACT_CONTROLS])
 def test_exact_checkers_fail_on_perturbed_tables(label, attr, runner, monkeypatch):
+    runner()  # warm every memo first: the perturbation must still reach the check
     monkeypatch.setattr(sequences, attr, _bump_at(getattr(sequences, attr)))
     verdict = runner()
     assert verdict.status == "fail"
@@ -164,9 +165,32 @@ def test_exact_checkers_fail_on_perturbed_tables(label, attr, runner, monkeypatc
 
 @pytest.mark.parametrize("label,attr,runner", NUMERIC_CONTROLS, ids=[c[0] for c in NUMERIC_CONTROLS])
 def test_numeric_checkers_fail_on_perturbed_tables(label, attr, runner, monkeypatch):
+    runner()  # warm every memo first: the perturbation must still reach the check
     monkeypatch.setattr(sequences, attr, _bump_at(getattr(sequences, attr)))
     verdict = runner()
     assert verdict.status == "fail"
+
+
+@pytest.mark.parametrize("runner,calls", [
+    (lambda: verify.check_T8(HALF, 2, 10), 66),
+    (lambda: verify.check_P3(HALF, 2, 10), 66),
+    (lambda: verify.check_P5a(HALF, 2, 10), 66),
+    (lambda: verify.check_CSIX(HALF, 2, 10, CFG), 4 * 66),
+], ids=["T8", "P3", "P5a", "C-SIX"])
+def test_exact_routes_read_each_triangle_entry_once(runner, calls, monkeypatch):
+    # a row route reads S2deg(n, k) once for each of the 11*12/2 entries with
+    # n <= 10; C-SIX runs the P3, P5a, T8 and S3 routes once each
+    count = 0
+    original = sequences.stirling2_deg
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return original(*args)
+
+    monkeypatch.setattr(sequences, "stirling2_deg", counting)
+    assert runner().status == "pass"
+    assert count == calls
 
 
 # ---------------------------------------------------------------- diagnostics
