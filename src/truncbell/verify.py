@@ -35,16 +35,23 @@ rows. Route functions keep no memo of their own and read the sequences
 layer through its public functions, one entry at a time, so a perturbed
 public function reaches every check that reads it however warm the caches
 are (see the sequences docstring).
+
+On Linux, run_suite runs its lambda slices in min(#lambdas, usable CPUs)
+forked workers, with a report byte-identical to the serial loop's; the
+memos fill, each within its own bound, inside the workers (see run_suite).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, pi
 
 import numpy as np
@@ -1023,26 +1030,56 @@ def _summarize(verdicts, skipped, grid: SuiteGrid, cfg: NumericConfig) -> dict:
     }
 
 
+def _run_lambda(lam, ps, args: _Args) -> tuple[list[Verdict], list[dict]]:
+    """One lambda slice of the suite: the verdicts and the skip records of
+    every registry entry at lam, in registry order."""
+    lam = Fraction(lam)
+    verdicts: list[Verdict] = []
+    skipped: list[dict] = []
+    for check in CHECKS:
+        check_ps = (None,) if check.p_min is None else [p for p in ps if p >= check.p_min]
+        for p in check_ps:
+            if check.contour and abs(lam) >= 1:
+                skipped.append({"id": check.ids[0], **_params(lam, p=p),
+                                "reason": "|lambda| >= 1 is outside the contour domain"})
+            else:
+                verdicts.extend(check.run(lam, p, args))
+    return verdicts, skipped
+
+
 def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -> SuiteReport:
     """Run every registered check over the grid. Failures are data, not
-    errors; ordering of the verdict list is deterministic."""
+    errors; ordering of the verdict list is deterministic.
+
+    On Linux the lambda slices run side by side in a pool of forked worker
+    processes, one per lambda up to the number of CPUs this process may use;
+    with one lambda, one usable CPU or on another platform they run in a
+    plain loop in this process. The slices share no work (each check seeds
+    its own generator and the memos are keyed by lambda) and are joined in
+    grid order, so the report is byte-identical to the loop's. Memos fill
+    inside the workers: a second call in the same process starts cold, and
+    as each worker bounds its memos by sequences.MEMO_MAXSIZE on its own,
+    memo memory is at most the worker count times that bound. Workers are
+    forked rather than spawned, so they start without re-importing numpy
+    and this package; only Python 3.11.7 was measured, and forking a process
+    that runs threads (which Python 3.12+ warns about) is unverified."""
     grid = grid or SuiteGrid()
     cfg = cfg or NumericConfig()
     for p in grid.ps:
         _require(p >= 0, f"truncation index p must be >= 0, got {p}")
     args = _Args(grid.n_max, grid.order, cfg, grid.x_points)
-    verdicts: list[Verdict] = []
-    skipped: list[dict] = []
-    for lam in grid.lambdas:
-        lam = Fraction(lam)
-        for check in CHECKS:
-            ps = (None,) if check.p_min is None else [p for p in grid.ps if p >= check.p_min]
-            for p in ps:
-                if check.contour and abs(lam) >= 1:
-                    skipped.append({"id": check.ids[0], **_params(lam, p=p),
-                                    "reason": "|lambda| >= 1 is outside the contour domain"})
-                else:
-                    verdicts.extend(check.run(lam, p, args))
+    workers = min(len(grid.lambdas), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
+    if workers > 1:
+        # imported here: importing the package stays free of the pool's imports
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            slices = list(pool.map(_run_lambda, grid.lambdas, repeat(grid.ps), repeat(args)))
+    else:
+        slices = [_run_lambda(lam, grid.ps, args) for lam in grid.lambdas]
+    verdicts = [v for slice_verdicts, _ in slices for v in slice_verdicts]
+    skipped = [s for _, slice_skipped in slices for s in slice_skipped]
     verdicts.sort(key=_verdict_sort_key)
     return SuiteReport(verdicts=verdicts, summary=_summarize(verdicts, skipped, grid, cfg))
 

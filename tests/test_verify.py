@@ -1,6 +1,12 @@
 import argparse
+import concurrent.futures
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -455,3 +461,80 @@ def test_suite_reruns_are_byte_identical():
     assert a == b
     parsed = json.loads(a)
     assert sorted(parsed) == ["summary", "verdicts"]
+
+
+# ---------------------------------------------------------------- lambda pool
+
+POOL_GRID = SuiteGrid(lambdas=(Fraction(0), Fraction(1), HALF), ps=(0, 2), n_max=5, order=8)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the serial path must not start a pool")
+
+
+def test_pool_and_loop_reports_are_identical(monkeypatch):
+    # three CPUs, so the pool runs whatever this machine has
+    _cpus(monkeypatch, 3)
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    pooled = report_to_json_text(run_suite(POOL_GRID, FAST_CFG))
+    assert pools == [(3,)]
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    looped = report_to_json_text(run_suite(POOL_GRID, FAST_CFG))
+    assert pooled == looped
+    assert json.loads(pooled)["summary"]["skipped_checks"]
+
+
+@pytest.mark.parametrize("case", ["one lambda", "one cpu", "darwin"])
+def test_suite_falls_back_to_the_loop(case, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    grid = SuiteGrid(lambdas=(Fraction(0), Fraction(1), HALF), ps=(0, 2), n_max=3, order=6)
+    if case == "one lambda":
+        _cpus(monkeypatch, 3)
+        grid = SuiteGrid(lambdas=(HALF,), ps=(0, 2), n_max=3, order=6)
+    elif case == "one cpu":
+        _cpus(monkeypatch, 1)
+    else:
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(sys, "platform", "darwin")
+    report = run_suite(grid, FAST_CFG)
+    assert report.summary["total"] == len(report.verdicts) > 0
+    assert report.exit_code() == 0
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    _cpus(monkeypatch, 3)
+    real_check = verify.check_T2
+
+    def broken(lam, *args):
+        if lam == HALF:
+            raise ValueError("boom")
+        return real_check(lam, *args)
+
+    monkeypatch.setattr(verify, "check_T2", broken)
+    with pytest.raises(ValueError, match="^boom$") as raised:
+        run_suite(POOL_GRID, FAST_CFG)
+    assert type(raised.value) is ValueError
+    assert multiprocessing.active_children() == []
+
+
+def test_import_loads_no_pool_modules():
+    import truncbell
+
+    code = ("import sys, truncbell; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(truncbell.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
