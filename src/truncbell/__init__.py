@@ -18,7 +18,7 @@ from .exactnum import (
     format_rational,
     parse_rational,
 )
-from .fps import Fps, Poly, apply_Dlambda, deg_exp, deg_log, lift_to_poly_ring, reversion
+from .fps import Fps, Poly, apply_Dlambda, deg_exp, deg_log, lift_to_poly_ring
 from .sequences import (
     CONSTRUCTION,
     Family,

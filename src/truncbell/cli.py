@@ -107,8 +107,6 @@ def cmd_eval(args) -> int:
     if table.triangular:
         if args.k is None:
             raise ValueError(f"family {family.value} is triangular; pass --k")
-        if not 0 <= args.k <= args.n:
-            raise ValueError(f"k must satisfy 0 <= k <= n, got {args.k}")
         value = table.value(args.n, args.k)
     else:
         if args.k is not None:

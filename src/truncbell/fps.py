@@ -14,15 +14,16 @@ Those are the only two rings; nothing here is generic beyond them. The
 product, quotient and exp bring each operand once to integer numerators
 over a common denominator, run schoolbook integer recurrences (a 2-D
 convolution on the Poly ring) and build each result coefficient once, so
-Fraction appears only at this API boundary.
+Fraction appears only at this API boundary. Division works on the Fraction
+ring only, the one ring the package divides in; a Poly-ring operand raises
+TypeError.
 
 Arithmetic keeps the weakest truncation of its operands, so a result's
 order always says how far its coefficients can be trusted. Division
 shortens the order by the denominator's valuation and refuses to produce
 anything with negative powers: there are no Laurent series here, a quotient
-that would need one raises instead. exp() requires a zero constant term and
-compose() a positive-valuation inner series, which is exactly what makes
-both well defined on truncations.
+that would need one raises instead. exp() requires a zero constant term,
+which is exactly what makes it well defined on truncations.
 """
 
 from __future__ import annotations
@@ -260,15 +261,6 @@ def _numerators(cs) -> tuple[list, int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _poly_ring(a, b) -> bool:
-    """Whether two coefficient sequences are over the Poly ring; they must
-    share their ring."""
-    poly_ring = isinstance(a[0], Poly)
-    if poly_ring != isinstance(b[0], Poly):
-        raise TypeError("operands are over different coefficient rings; lift the Fraction one")
-    return poly_ring
-
-
 def _zero_like(sample):
     return _POLY_ZERO if isinstance(sample, Poly) else Fraction(0)
 
@@ -286,19 +278,6 @@ def _coerce(value, sample):
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
-
-
-def _invert(c):
-    """Ring inverse of a coefficient; only units are invertible."""
-    if isinstance(c, Poly):
-        if c.degree != 0:
-            raise ValueError(
-                f"cannot invert {c!r}: only degree-0 polynomials are units in the Poly ring"
-            )
-        return Poly((Fraction(1) / c.coeffs[0],))
-    if not c:
-        raise ZeroDivisionError("cannot invert zero")
-    return Fraction(1) / c
 
 
 class Fps:
@@ -386,7 +365,10 @@ class Fps:
         if isinstance(other, Fps):
             n = min(self.order, other.order)
             a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-            poly_ring = _poly_ring(a, b)
+            poly_ring = isinstance(a[0], Poly)
+            if poly_ring != isinstance(b[0], Poly):
+                raise TypeError(
+                    "operands are over different coefficient rings; lift the Fraction one")
             (na, da), (nb, db) = _numerators(a), _numerators(b)
             den = da * db
             if poly_ring:  # 2-D integer convolution
@@ -419,14 +401,15 @@ class Fps:
         return out
 
     def __truediv__(self, other):
-        """Series division with explicit valuation handling.
+        """Series division on the Fraction ring with explicit valuation handling.
 
         Requires valuation(other) <= valuation(self); the quotient's order is
-        min(order) - valuation(other). A denominator whose first nonzero
-        coefficient is not a unit raises.
+        min(order) - valuation(other). A Poly-ring operand raises TypeError.
         """
         if not isinstance(other, Fps):
             return NotImplemented
+        if isinstance(self.coeffs[0], Poly) or isinstance(other.coeffs[0], Poly):
+            raise TypeError("series division works on the Fraction ring only")
         v = other.valuation()
         if v is None:
             raise ZeroDivisionError("division by the zero series")
@@ -438,38 +421,30 @@ class Fps:
                 f"denominator valuation {v}"
             )
         if sv is None:
-            return Fps.constant(_zero_like(self.coeffs[0]), out_order)
+            return Fps.constant(Fraction(0), out_order)
         if sv < v:
             raise ValueError(
                 f"denominator valuation {v} exceeds numerator valuation {sv}; "
                 "the quotient would need negative powers"
             )
         k = out_order + 1
-        a, b = self.coeffs[v : v + k], other.coeffs[v : v + k]
-        poly_ring = _poly_ring(a, b)
-        _invert(b[0])  # raises unless the leading coefficient is a unit
-        (na, da), (nb, db) = _numerators(a), _numerators(b)
+        na, da = _numerators(self.coeffs[v : v + k])
+        nb, db = _numerators(other.coeffs[v : v + k])
         # With a = A/da, b = B/db and B_0 = beta, q_n = Q_n / (da beta^(n+1))
         # for Q_n = db A_n beta^n - sum_{j=1..n} B_j beta^(j-1) Q_{n-j}.
-        beta = nb[0][0] if poly_ring else nb[0]
+        beta = nb[0]
         if beta < 0:  # keep the denominators positive: B/db = (-B)/(-db)
-            beta, db = -beta, -db
-            nb = [[-c for c in bj] for bj in nb] if poly_ring else [-c for c in nb]
+            beta, db, nb = -beta, -db, [-c for c in nb]
         neg_b, pw = [], -1  # -B_j beta^(j-1), j = 1..k-1
         for bj in nb[1:]:
-            neg_b.append([c * pw for c in bj] if poly_ring else bj * pw)
+            neg_b.append(bj * pw)
             pw *= beta
         q, out, pw = [], [], 1
         for n in range(k):
-            if poly_ring:
-                qn = [c * db * pw for c in na[n]]
-                for j in range(1, n + 1):
-                    _mul_into(qn, neg_b[j - 1], q[n - j])
-            else:
-                qn = na[n] * db * pw + sum(map(mul, neg_b[:n], reversed(q)))
+            qn = na[n] * db * pw + sum(map(mul, neg_b[:n], reversed(q)))
             q.append(qn)
             pw *= beta
-            out.append(_poly(qn, da * pw) if poly_ring else Fraction(qn, da * pw))
+            out.append(Fraction(qn, da * pw))
         return Fps(out)
 
     def derivative(self) -> "Fps":
@@ -508,20 +483,6 @@ class Fps:
             out.append(_poly(em, den) if poly_ring else Fraction(em, den))
         return Fps(out)
 
-    def compose(self, inner: "Fps") -> "Fps":
-        """self(inner(t)); inner must have zero constant term and share the
-        coefficient ring. Result order is the weaker of the two."""
-        c0 = inner.coeffs[0]
-        if c0:
-            raise ValueError("compose needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        a = self.coeffs[: n + 1]
-        b = inner.truncate(n)
-        out = Fps.constant(a[n], n)
-        for m in range(n - 1, -1, -1):
-            out = out * b + a[m]
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Fps):
             return NotImplemented
@@ -553,28 +514,6 @@ def lift_to_poly_ring(f: Fps) -> Fps:
     return f.map_coeffs(lambda c: Poly((c,)))
 
 
-def reversion(f: Fps) -> Fps:
-    """Compositional inverse g with f(g(t)) = t, term by term.
-
-    Needs a zero constant term and a unit linear coefficient. Each step
-    fixes one coefficient of g by cancelling the lowest surviving error of
-    f(g), so the result is exact through the full order of f.
-    """
-    c0 = f.coeffs[0]
-    if c0:
-        raise ValueError("reversion needs a zero constant term")
-    if f.order < 1:
-        raise ValueError("reversion needs order >= 1")
-    inv1 = _invert(f.coeffs[1])
-    zero = _zero_like(c0)
-    n = f.order
-    g = [zero, inv1] + [zero] * (n - 1)
-    for m in range(2, n + 1):
-        err = f.compose(Fps(tuple(g))).coeff(m)
-        g[m] = g[m] - err * inv1
-    return Fps(tuple(g))
-
-
 def deg_exp(x, lam: Fraction, order: int) -> Fps:
     """Degenerate exponential series: coefficient of t^n is
     deg_falling_factorial(x, n, lam) / n!.
@@ -598,8 +537,9 @@ def deg_log(lam: Fraction, order: int) -> Fps:
     """Compositional inverse of deg_exp(1, lam, .) - 1, in closed form.
 
     For lam != 0 this is the binomial series ((1+t)**lam - 1) / lam; at
-    lam = 0 it is log(1+t). An independent construction by series reversion
-    lives in deg_log_by_reversion; the two are cross-checked in tests.
+    lam = 0 it is log(1+t). The tests cross-check it against series
+    reversion and composition in the Fraction reference kernel
+    (tests/fraction_kernel.py), which shares no code with this module.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -611,13 +551,6 @@ def deg_log(lam: Fraction, order: int) -> Fps:
         for n in range(1, order + 1):
             coeffs.append(Fraction((-1) ** (n + 1), n))
     return Fps(tuple(coeffs))
-
-
-def deg_log_by_reversion(lam: Fraction, order: int) -> Fps:
-    """Same series as deg_log, constructed by compositional inversion."""
-    if order < 1:
-        raise ValueError("reversion construction needs order >= 1")
-    return reversion(deg_exp(Fraction(1), lam, order) - 1)
 
 
 def apply_Dlambda(f: Fps, lam: Fraction) -> Fps:

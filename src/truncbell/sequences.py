@@ -551,9 +551,13 @@ class SequenceTable:
         return FAMILIES[self.family].triangular
 
     def value(self, n: int, k: int | None = None):
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"n must satisfy 0 <= n <= n_max = {self.n_max}, got {n}")
         if self.triangular:
             if k is None:
                 raise ValueError(f"family {self.family.value} is triangular; pass k")
+            if not 0 <= k <= n:
+                raise ValueError(f"k must satisfy 0 <= k <= n, got {k}")
             return self.values[n][k]
         if k is not None:
             raise ValueError(f"family {self.family.value} is not triangular")

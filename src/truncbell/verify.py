@@ -13,9 +13,10 @@ Verdicts are plain data with a stable JSON rendering; identical parameters
 (seed included) must reproduce a suite report byte for byte.
 
 Two statement-versus-derivation conflicts are adjudicated at runtime
-rather than assumed. The weighted-convolution identity runs under both
-exponent variants of its correction sum (ids T6 and T6k; excluded from
-exit accounting and summarized in the suite's single adjudication record).
+rather than assumed. One call of the weighted-convolution check builds
+its left side and convolution once and emits a verdict for each exponent
+variant of its correction sum (ids T6 and T6k; excluded from exit
+accounting and summarized in the suite's single adjudication record).
 The one-step recurrence check probes both superscript readings of its
 middle term, counts whichever variant holds on the stated range, and
 reports the other one informationally.
@@ -24,7 +25,8 @@ Every check is one entry of the CHECKS registry, which states the ids it
 emits, how to run it, its lowest truncation index p, whether it needs
 |lambda| < 1 and whether it is counted; the id lists, the suite loop and
 single-check dispatch are read off it, so adding a check means adding its
-function and one CHECKS entry.
+function and one CHECKS entry. Every verdict, the Monte Carlo one
+included, is built by one _Collector.
 
 The exact routes of the six-expression composite C-SIX belong to the checks
 P3, P5a, T8 and S3, and each is a row function: one call returns the
@@ -86,6 +88,8 @@ class NumericConfig:
             raise ValueError("mc_samples must be >= 2 for a standard error")
         if self.quad_nodes < 2 or self.quad_nodes % 2:
             raise ValueError("quad_nodes must be a positive even panel count")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def as_dict(self) -> dict:
         return {
@@ -155,11 +159,14 @@ class _Collector:
     verdict. A collector given a NumericConfig makes a numeric verdict:
     compare() checks a float approximation against an exact target within
     its tolerances and records every probed row, not only the failures.
-    Any counted mismatch fails the verdict and becomes its max_residual
-    (as a count); otherwise max_residual is the largest numeric residual."""
+    band() records a Monte Carlo estimate against its four-standard-error
+    band and makes the verdict a monte_carlo one. Any counted mismatch
+    fails the verdict and becomes its max_residual (as a count); otherwise
+    max_residual is the largest numeric residual."""
 
     def __init__(self, cfg: NumericConfig | None = None):
         self.cfg = cfg
+        self.mode = "exact" if cfg is None else "numeric"
         self.rows: list[dict] = []
         self.counted = 0
         self.max_residual = 0.0
@@ -197,14 +204,21 @@ class _Collector:
         self.rows.append(_row(n, k, approx, exact, note))
         self.max_residual = max(self.max_residual, r)
 
+    def band(self, n, est: float, exact, se: float):
+        exact = float(exact)
+        self.mode = "monte_carlo"
+        if abs(est - exact) > 4.0 * se:
+            self.ok = False
+        self.rows.append(_row(n, -1, est, exact, f"se={se:.6e}; acceptance band=4*se"))
+        self.max_residual = max(self.max_residual, _resid(est, exact))
+
     def meta(self, note: str):
         self.rows.append(_meta_row(note))
 
     def verdict(self, check_id: str, params: dict) -> Verdict:
-        mode = "exact" if self.cfg is None else "numeric"
         status = "pass" if self.ok and not self.counted else "fail"
         residual = self.counted if self.counted else self.max_residual
-        return Verdict(check_id, mode, params, status, float(residual), self.rows)
+        return Verdict(check_id, self.mode, params, status, float(residual), self.rows)
 
 
 # --------------------------------------------------------------------------
@@ -455,32 +469,35 @@ def check_P5b(lam, p: int, order: int) -> Verdict:
     return col.verdict("P5b", _params(lam, p=p, order=order))
 
 
-def check_T6(lam, p: int, n_max: int, order: int, variant: str = "fixed") -> Verdict:
+def check_T6(lam, p: int, n_max: int, order: int) -> list[Verdict]:
     """Weighted convolution with higher-order degenerate Bernoulli numbers.
 
-    The correction sum exists in two superscript readings; both are run and
-    the runtime outcome adjudicates between them. variant='fixed' keeps the
-    exponent at p as stated (id T6), variant='running' lets it follow the
-    summation index (id T6k)."""
+    The correction sum exists in two superscript readings; one call builds
+    the left side and the convolution once per n and subtracts each
+    reading's correction sum, so the runtime outcome adjudicates between
+    them. The first verdict keeps the exponent at p as stated (id T6,
+    variant 'fixed'), the second lets it follow the summation index (id T6k,
+    variant 'running')."""
     lam = Fraction(lam)
-    _require(variant in ("fixed", "running"), f"unknown variant {variant!r}")
     _require(p >= 0, f"p must be >= 0, got {p}")
     _require(order >= n_max + p, f"order {order} must be at least n_max+p = {n_max + p}")
-    col = _Collector()
+    cols = {"fixed": _Collector(), "running": _Collector()}
     x = Poly.x()
     for n in range(n_max + 1):
         lhs = x**p * seq.trunc_bell_deg(n, p, lam)
-        rhs = Poly.zero()
+        conv = Poly.zero()
         for m in range(n + p + 1):
             w = binomial(n + p, m) / binomial(n + p, n) * seq.deg_bernoulli_num(n + p - m, p, lam)
-            rhs = rhs + seq.bell_deg(m, lam) * w
-        for k in range(1, p + 1):
-            r = p if variant == "fixed" else k
-            w = binomial(p, k) / binomial(n + k, n) * seq.deg_bernoulli_num(n + k, r, lam)
-            rhs = rhs - Poly.monomial(p - k, w)
-        col.poly(n, lhs, rhs)
-    check_id = "T6" if variant == "fixed" else "T6k"
-    return col.verdict(check_id, _params(lam, p=p, n_max=n_max, order=order, variant=variant))
+            conv = conv + seq.bell_deg(m, lam) * w
+        for variant, col in cols.items():
+            rhs = conv
+            for k in range(1, p + 1):
+                r = p if variant == "fixed" else k
+                w = binomial(p, k) / binomial(n + k, n) * seq.deg_bernoulli_num(n + k, r, lam)
+                rhs = rhs - Poly.monomial(p - k, w)
+            col.poly(n, lhs, rhs)
+    return [col.verdict(check_id, _params(lam, p=p, n_max=n_max, order=order, variant=variant))
+            for check_id, (variant, col) in zip(("T6", "T6k"), cols.items())]
 
 
 @lru_cache(maxsize=seq.MEMO_MAXSIZE)
@@ -787,31 +804,16 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     pows = [np.ones_like(x)]
     for _ in range(n_max):
         pows.append(pows[-1] * x)
-    rows = []
-    ok = True
-    worst = 0.0
+    mc = _Collector()
     for n in range(n_max + 1):
         y = np.zeros_like(x)
         for k in range(n + 1):
             c = float(seq.stirling2_deg(n, k, lam))
             if c:
                 y = y + c * pows[k]
-        est = float(y.mean())
-        se = float(y.std(ddof=1) / np.sqrt(cfg.mc_samples))
-        tgt = float(targets[n])
-        if abs(est - tgt) > 4.0 * se:
-            ok = False
-        worst = max(worst, _resid(est, tgt))
-        rows.append(_row(n, -1, est, tgt, f"se={se:.6e}; acceptance band=4*se"))
-    v_mc = Verdict(
-        "S3",
-        "monte_carlo",
-        _params(lam, p=p, n_max=n_max, mc_samples=cfg.mc_samples, seed=cfg.seed),
-        "pass" if ok else "fail",
-        worst,
-        rows,
-    )
-    return [v_exact, v_mc]
+        mc.band(n, float(y.mean()), targets[n], float(y.std(ddof=1) / np.sqrt(cfg.mc_samples)))
+    params = _params(lam, p=p, n_max=n_max, mc_samples=cfg.mc_samples, seed=cfg.seed)
+    return [v_exact, mc.verdict("S3", params)]
 
 
 # --------------------------------------------------------------------------
@@ -905,10 +907,8 @@ CHECKS = (
     CheckSpec(("T4",), lambda lam, p, a: [check_T4(lam, p, a.n_max, a.cfg)], 0),
     CheckSpec(("P5a",), lambda lam, p, a: [check_P5a(lam, p, a.n_max)], 1),
     CheckSpec(("P5b",), lambda lam, p, a: [check_P5b(lam, p, a.order)], 1),
-    CheckSpec(("T6", "T6k"),
-              lambda lam, p, a: [check_T6(lam, p, a.n_max, a.order, variant)
-                                 for variant in ("fixed", "running")],
-              0, counted=False),
+    CheckSpec(("T6", "T6k"), lambda lam, p, a: check_T6(lam, p, a.n_max, a.order), 0,
+              counted=False),
     CheckSpec(("T7",), lambda lam, p, a: [check_T7(lam, p, a.order)], 1),
     CheckSpec(("T8",), lambda lam, p, a: [check_T8(lam, p, a.n_max, a.order)], 1),
     CheckSpec(("L9",), lambda lam, p, a: [check_trig(lam, a.n_max, a.k, "L9", a.cfg)],

@@ -6,8 +6,9 @@ This is the per-coefficient `fractions.Fraction` implementation that
 denominator. Both routes of every identity check now run on the library
 kernel, so a kernel bug could make both sides wrong in the same way; the
 property tests in test_kernel.py compare the library against this code
-exactly. It is deliberately plain and slow; keep it independent of
-`truncbell`.
+exactly, and test_fps.py checks `deg_log` against its composition and
+reversion, which the library does not have. It is deliberately plain and
+slow; keep it independent of `truncbell`.
 
 Polynomials are RefPoly values; a series is a tuple of coefficients
 (Fraction or RefPoly, one ring per series) through its truncation order.
@@ -125,21 +126,13 @@ def series_pow(a, k: int) -> tuple:
     return out
 
 
-def _invert(c):
-    if isinstance(c, RefPoly):
-        if len(c.coeffs) != 1:
-            raise ValueError("only degree-0 polynomials are units")
-        return RefPoly((1 / c.coeffs[0],))
-    return 1 / c
-
-
 def series_div(a, b) -> tuple:
-    """Quotient through order min(order) - valuation(b); needs
-    valuation(b) <= valuation(a) and a unit leading coefficient of b."""
+    """Quotient of Fraction series through order min(order) - valuation(b);
+    needs valuation(b) <= valuation(a)."""
     v = valuation(b)
     out_order = min(len(a), len(b)) - 1 - v
     a, b = a[v:], b[v:]
-    inv = _invert(b[0])
+    inv = 1 / b[0]
     q = []
     for n in range(out_order + 1):
         acc = a[n]
@@ -169,3 +162,14 @@ def series_compose(f, g) -> tuple:
         out = series_mul(out, g)
         out = (out[0] + f[m],) + out[1:]
     return out
+
+
+def series_reversion(f) -> tuple:
+    """Compositional inverse g of a Fraction series f with zero constant
+    term and nonzero linear coefficient: f(g(t)) = t through the order of f.
+    Each step fixes g_m by cancelling the t^m coefficient of f(g)."""
+    inv1 = 1 / f[1]
+    g = [Fraction(0), inv1] + [Fraction(0)] * (len(f) - 2)
+    for m in range(2, len(f)):
+        g[m] = -series_compose(f, tuple(g))[m] * inv1
+    return tuple(g)

@@ -167,6 +167,14 @@ def test_check_missing_p_is_usage_error(capsys):
     assert "requires p" in err
 
 
+def test_check_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--id", "S3", "--lambda", "1/2", "--p", "2",
+                         "--seed=-1")
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
 def test_check_contour_domain_error(capsys):
     code, _, err = run(capsys, "check", "--id", "T11", "--lambda", "1", "--p", "2")
     assert code == 2

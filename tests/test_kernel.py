@@ -1,5 +1,6 @@
 """The integer-numerator kernel in truncbell.fps against the Fraction
-schoolbook reference in fraction_kernel.py, exactly, on both rings."""
+schoolbook reference in fraction_kernel.py, exactly, on both rings (the
+quotient on the Fraction ring, the only one that divides)."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from fraction_kernel import (
     RefPoly,
     series_add,
-    series_compose,
     series_div,
     series_exp,
     series_mul,
@@ -59,13 +59,11 @@ def assert_same_series(lib: Fps, reference: tuple) -> None:
 
 
 @st.composite
-def series(draw, ring, order=5, min_val=0, max_val=2, unit_lead=False):
-    """A series on the given ring with valuation in [min_val, max_val].
-    unit_lead makes the first nonzero coefficient a unit of the ring."""
+def series(draw, ring, order=5, min_val=0, max_val=2):
+    """A series on the given ring with valuation in [min_val, max_val]."""
     v = draw(st.integers(min_val, min(max_val, order)))
     if ring == "poly":
-        lead = Poly.constant(draw(nonzero_rationals)) if unit_lead else draw(
-            coeff_polys.filter(lambda p: not p.is_zero))
+        lead = draw(coeff_polys.filter(lambda p: not p.is_zero))
         tail = draw(st.lists(coeff_polys, min_size=order - v, max_size=order - v))
         zero = Poly.zero()
     else:
@@ -165,11 +163,11 @@ def test_series_power_matches_reference(ring, data):
     assert_same_series(a**k, series_pow(ref(a), k))
 
 
-@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("ring", ["fraction"])
 @reference_settings
 @given(data=st.data())
 def test_series_quotient_matches_reference(ring, data):
-    b = data.draw(series(ring, max_val=2, unit_lead=True), label="b")
+    b = data.draw(series(ring, max_val=2), label="b")
     v = b.valuation()
     a = data.draw(series(ring, min_val=v, max_val=v + 1), label="a")
     assert_same_series(a / b, series_div(ref(a), ref(b)))
@@ -183,19 +181,10 @@ def test_series_exp_matches_reference(ring, data):
     assert_same_series(f.exp(), series_exp(ref(f)))
 
 
-@pytest.mark.parametrize("ring", RINGS)
-@reference_settings
-@given(data=st.data())
-def test_series_compose_matches_reference(ring, data):
-    f = data.draw(series(ring, order=5, max_val=1), label="f")
-    g = data.draw(series(ring, order=5, min_val=1, max_val=2), label="g")
-    assert_same_series(f.compose(g), series_compose(ref(f), ref(g)))
-
-
 def test_zero_series_results_stay_canonical():
     z = Fps.constant(Poly.zero(), 4)
     x = Fps((Poly.zero(), Poly.x(), Poly.one(), Poly.zero(), Poly.x()))
-    for out in (z * x, x * z, z / Fps.constant(Poly.constant(3), 4), x - x):
+    for out in (z * x, x * z, x - x):
         assert all((c.num, c.den) == ((), 1) for c in out.coeffs)
     assert z.exp() == Fps.constant(Poly.one(), 4)
 
@@ -207,3 +196,8 @@ def test_mixed_rings_are_rejected():
         frac * poly
     with pytest.raises(TypeError):
         poly / frac
+    # series division works on the Fraction ring only, zero numerator included
+    with pytest.raises(TypeError):
+        poly / poly
+    with pytest.raises(TypeError):
+        Fps.constant(Poly.zero(), 3) / poly

@@ -1,4 +1,5 @@
-"""The README's check catalog must list the CHECKS registry as it is."""
+"""The README's check catalog must list the CHECKS registry as it is, and
+its library example must run against the package as it is."""
 
 from pathlib import Path
 
@@ -28,3 +29,11 @@ def test_readme_catalog_matches_registry():
         spec = spec_of[row["id"].strip("`")]
         assert row["p"] == ("none" if spec.p_min is None else f"≥ {spec.p_min}"), row
         assert row["λ domain"] == ("-1 < λ < 1" if spec.contour else "all"), row
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["10/27*x^2 + 2/5*x^3 + 1/15*x^4", "True 0"]

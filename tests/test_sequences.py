@@ -323,6 +323,21 @@ def test_table_value_accessor_shape_checks():
         lin.value(2, 1)
 
 
+def test_table_value_rejects_indices_outside_the_table():
+    lin = build_table(Family.BellClassical, 4)
+    tri = build_table(Family.S2, 4)
+    assert lin.value(4) == 15
+    assert tri.value(2, 2) == 1
+    for n in (-1, 5):
+        with pytest.raises(ValueError, match="0 <= n <= n_max = 4"):
+            lin.value(n)
+        with pytest.raises(ValueError, match="0 <= n <= n_max = 4"):
+            tri.value(n, 0)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            tri.value(2, k)
+
+
 def test_every_memo_is_bounded():
     package_modules = [importlib.import_module(f"truncbell.{info.name}")
                        for info in pkgutil.iter_modules(truncbell.__path__)

@@ -106,7 +106,7 @@ def test_checks_reject_bad_parameters():
     with pytest.raises(ValueError):
         verify.check_P5a(HALF, 0, 4)
     with pytest.raises(ValueError):
-        verify.check_T6(HALF, 1, 4, 8, "guess")
+        verify.check_T6(HALF, 2, 6, 7)  # order below n_max + p
     with pytest.raises(ValueError):
         verify.check_T7(HALF, 0, 8)
     with pytest.raises(ValueError):
@@ -128,6 +128,8 @@ def test_numeric_config_validation():
         NumericConfig(mc_samples=1)
     with pytest.raises(ValueError):
         NumericConfig(series_cutoff_k=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        NumericConfig(seed=-1)
 
 
 # ---------------------------------------------------------------- negative controls
@@ -138,7 +140,7 @@ EXACT_CONTROLS = [
     ("P3", "stirling2_deg", lambda: verify.check_P3(HALF, 2, 6)),
     ("P5a", "stirling2_deg", lambda: verify.check_P5a(HALF, 2, 6)),
     ("P5b", "trunc_bell_deg", lambda: verify.check_P5b(HALF, 2, 10)),
-    ("T6k", "deg_bernoulli_num", lambda: verify.check_T6(HALF, 2, 6, 8, "running")),
+    ("T6k", "deg_bernoulli_num", lambda: verify.check_T6(HALF, 2, 6, 8)[1]),
     ("T7", "trunc_bell_deg", lambda: verify.check_T7(HALF, 2, 10)),
     ("T8", "bell_deg", lambda: verify.check_T8(HALF, 2, 6)),
     ("T12", "trunc_bell_deg", lambda: verify.check_T12(HALF, 1, 6)),
@@ -199,6 +201,25 @@ def test_exact_routes_read_each_triangle_entry_once(runner, calls, monkeypatch):
     assert count == calls
 
 
+def test_t6_entry_builds_the_shared_sides_once(monkeypatch):
+    # one run of the T6 registry entry emits both variants and reads the
+    # left side's trunc_bell_deg once per n and the convolution's bell_deg
+    # once per (n, m), m <= n + p
+    counts = {"trunc_bell_deg": 0, "bell_deg": 0}
+    for name in counts:
+        original = getattr(sequences, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sequences, name, counting)
+    verdicts = run_check("T6", HALF, p=2, n_max=6, order=8)
+    assert [v.check_id for v in verdicts] == ["T6", "T6k"]
+    assert [v.params["variant"] for v in verdicts] == ["fixed", "running"]
+    assert counts == {"trunc_bell_deg": 7, "bell_deg": sum(n + 3 for n in range(7))}
+
+
 # ---------------------------------------------------------------- diagnostics
 
 
@@ -247,8 +268,7 @@ def test_refinement_does_not_diverge_on_passing_cases():
 
 
 def test_conflicting_variant_is_detected_and_reported():
-    fixed = verify.check_T6(HALF, 3, 6, 10, "fixed")
-    running = verify.check_T6(HALF, 3, 6, 10, "running")
+    fixed, running = verify.check_T6(HALF, 3, 6, 10)
     assert fixed.check_id == "T6" and fixed.status == "fail"
     assert running.check_id == "T6k" and running.status == "pass"
     record = verify._adjudication_record([fixed, running])
@@ -259,16 +279,15 @@ def test_conflicting_variant_is_detected_and_reported():
 def test_variants_coincide_when_correction_sum_is_degenerate():
     # p <= 1 leaves at most one correction term, where both readings agree
     for p in (0, 1):
-        assert verify.check_T6(HALF, p, 6, 8, "fixed").status == "pass"
-        assert verify.check_T6(HALF, p, 6, 8, "running").status == "pass"
-    record = verify._adjudication_record(
-        [verify.check_T6(HALF, 1, 6, 8, v) for v in ("fixed", "running")]
-    )
+        fixed, running = verify.check_T6(HALF, p, 6, 8)
+        assert fixed.status == "pass"
+        assert running.status == "pass"
+    record = verify._adjudication_record(verify.check_T6(HALF, 1, 6, 8))
     assert record["selected"] == "both"
 
 
 def test_adjudication_never_drives_exit_code():
-    failing_variant = verify.check_T6(HALF, 3, 6, 10, "fixed")
+    failing_variant = verify.check_T6(HALF, 3, 6, 10)[0]
     passing = verify.check_T1(HALF, 2, 6, 8)
     assert failing_variant.status == "fail"
     assert exit_code_for([failing_variant, passing]) == 0
