@@ -1,10 +1,10 @@
 """Identity verification engine.
 
 Each registered check compares two independently constructed computations
-of the same quantity. Exact checks demand coefficient-for-coefficient
-equality of rationals or rational-coefficient polynomials and carry no
-tolerance: one unequal coefficient is a fail, and max_residual reports the
-mismatch count. Numeric checks evaluate an analytic representation
+of the same quantity. Exact checks run no float code, guards included: they
+demand equality of rationals or rational-coefficient polynomials, carry no
+tolerance, fail on one unequal coefficient and report the mismatch count as
+max_residual. Numeric checks evaluate an analytic representation
 (truncated double series, contour quadrature, Monte Carlo sampling) in
 double precision and compare against the exact rational value, which is
 converted to float only at comparison time.
@@ -45,7 +45,6 @@ memos fill, each within its own bound, inside the workers (see run_suite).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -54,16 +53,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import factorial, pi
+from math import factorial, isfinite, pi
 
 import numpy as np
 
 from . import sequences as seq
-from .exactnum import beta_exact, binomial
+from .exactnum import beta_exact, binomial, deg_falling_factorial
 from .fps import Fps, Poly, apply_Dlambda, deg_exp
 
 _BRANCH_FLOOR = 1e-9
 _BRACKET_TERMS = 60  # series depth for the entire-function contour bracket
+_S3_ENTROPY = 4960337475862901380  # S3's stream key: sha256(b"S3")[:8], big-endian
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,8 @@ class NumericConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not (isfinite(self.tol_rel) and isfinite(self.tol_abs)):
+            raise ValueError("tolerances must be finite")
         if self.tol_rel <= 0 or self.tol_abs <= 0:
             raise ValueError("tolerances must be positive")
         if self.series_cutoff_k < 1 or self.series_cutoff_l < 1:
@@ -235,11 +237,6 @@ def _simpson_weights(panels: int, length: float) -> np.ndarray:
     return w * (length / panels / 3.0)
 
 
-def _simpson_integral(f, a: float, b: float, panels: int) -> float:
-    x = np.linspace(a, b, panels + 1)
-    return float(_simpson_weights(panels, b - a) @ f(x))
-
-
 @lru_cache(maxsize=seq.MEMO_MAXSIZE)
 def _circle_data(lam: Fraction, panels: int):
     """Deformed exponential minus one on the unit circle, with Simpson
@@ -322,39 +319,9 @@ def _series_params(lam, cfg: NumericConfig, **rest) -> dict:
                        series_cutoff_l=cfg.series_cutoff_l, **rest)
 
 
-def _incgamma_closed(p: int, zv: float) -> float:
-    # closed form of the lower incomplete gamma at integer order p >= 1,
-    # obtained by repeated integration by parts of the defining integral
-    partial = sum(zv**j / factorial(j) for j in range(p))
-    return factorial(p - 1) * (1.0 - float(np.exp(-zv)) * partial)
-
-
-def _validate_incgamma(p: int) -> float:
-    """Guard required before the closed form is trusted: compare it with a
-    direct quadrature of the defining integral at sample points."""
-    worst = 0.0
-    for zv in (0.3, 1.0, 2.7):
-        direct = _simpson_integral(lambda t: np.exp(-t) * t ** (p - 1), 0.0, zv, 512)
-        closed = _incgamma_closed(p, zv)
-        worst = max(worst, abs(direct - closed) / max(1.0, abs(direct)))
-    if worst > 1e-9:
-        raise RuntimeError(
-            f"closed-form lower incomplete gamma failed its quadrature guard: {worst:.3e}"
-        )
-    return worst
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _falling_row(x: Fraction, lam: Fraction, length: int) -> list[Fraction]:
-    """x (x-lam) ... (x-(j-1) lam) for j = 0..length-1, as running products."""
-    row = [Fraction(1)]
-    for j in range(1, length):
-        row.append(row[-1] * (x - (j - 1) * lam))
-    return row
 
 
 def _stirling_sums(lam: Fraction, weights: list) -> list[Fraction]:
@@ -440,30 +407,42 @@ def check_P5a(lam, p: int, n_max: int) -> Verdict:
     return col.verdict("P5a", _params(lam, p=p, n_max=n_max))
 
 
+def _incgamma_closed(p: int, u: Fps) -> tuple[Fps, Fps]:
+    """The lower incomplete gamma at integer order p >= 1 in closed form,
+    gamma(p, u) = (p-1)! (1 - e^(-u) sum_{j<p} u^j/j!), for a series u with
+    zero constant term; returns it with u**p, which the sum builds anyway."""
+    partial = Fps.constant(Fraction(0), u.order)
+    upow = Fps.constant(Fraction(1), u.order)
+    for j in range(p):
+        partial = partial + upow.scale(Fraction(1, factorial(j)))
+        upow = upow * u
+    return (1 - (-u).exp() * partial).scale(Fraction(factorial(p - 1))), upow
+
+
+def _validate_incgamma(p: int) -> None:
+    """Guard required before the closed form is trusted: at u = t it must
+    equal, through t^(2p), the termwise integral of the defining integrand,
+    sum_{n>=p} (-1)^(n-p) t^n / ((n-p)! n)."""
+    gamma, _ = _incgamma_closed(p, Fps.t(2 * p))
+    integral = [Fraction(0)] * p + [Fraction((-1) ** (n - p), factorial(n - p) * n)
+                                    for n in range(p, 2 * p + 1)]
+    if gamma != Fps(integral):
+        raise RuntimeError("closed-form lower incomplete gamma failed its series guard")
+
+
 def check_P5b(lam, p: int, order: int) -> Verdict:
     """Generating-series route through the closed form of the lower
-    incomplete gamma at integer order, validated against quadrature first,
-    then assembled as an exact series and divided out."""
+    incomplete gamma at integer order, checked exactly against its defining
+    integral first, then assembled as an exact series and divided out."""
     lam = Fraction(lam)
     _require(p >= 1, f"the incomplete-gamma form needs p >= 1, got {p}")
-    guard = _validate_incgamma(p)
-    depth = order + p
-    z = deg_exp(Fraction(1), lam, depth) - 1
-    partial = Fps.constant(Fraction(0), depth)
-    zpow = Fps.constant(Fraction(1), depth)
-    for j in range(p):
-        partial = partial + zpow.scale(Fraction(1, factorial(j)))
-        zpow = zpow * z
-    dser = (Fps.constant(Fraction(1), depth) - (-z).exp() * partial).scale(
-        Fraction(factorial(p - 1))
-    )
-    num = (z.exp() * dser).scale(Fraction(p))
-    v = num.valuation()
-    if v is not None and v < p:
-        raise ValueError(f"assembled numerator has valuation {v}, below the required {p}")
-    series = num / zpow  # zpow is z**p after the loop
+    _validate_incgamma(p)
+    z = deg_exp(Fraction(1), lam, order + p) - 1
+    gamma, zpow = _incgamma_closed(p, z)
+    # z has valuation 1, so dividing by z**p raises if the numerator's is below p
+    series = (z.exp() * gamma).scale(Fraction(p)) / zpow
     col = _Collector()
-    col.meta(f"closed-form incomplete-gamma guard: max quadrature deviation {guard:.3e}")
+    col.meta(f"closed-form incomplete-gamma guard: exact against the integral through t^{2 * p}")
     for n in range(order + 1):
         col.scalar(n, series.egf_coeff(n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
     return col.verdict("P5b", _params(lam, p=p, order=order))
@@ -575,19 +554,14 @@ def check_T4(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     return ncol.verdict("T4", _series_params(lam, cfg, p=p, n_max=n_max))
 
 
-def check_trig(lam, n_max: int, k_or_p, which: str, cfg: NumericConfig) -> Verdict:
-    """Contour quadrature checks on the unit circle.
-
-    which='L9' targets the degenerate Stirling triangle (k_or_p fixes a
-    single column, None probes all k <= n), which='C10' the plain family,
-    which='T11' the truncated family at truncation k_or_p >= 1. All three
-    representations need n >= 1 and |lam| < 1."""
-    lam = Fraction(lam)
-    _require(which in ("L9", "C10", "T11"), f"unknown contour check {which!r}")
+def _contour_check(check_id: str, lam: Fraction, n_max: int, cfg: NumericConfig, rows,
+                   scale: int = 1, **extra) -> Verdict:
+    """Contour quadrature on the unit circle, for n >= 1 and |lam| < 1: rows(z)
+    yields (n, k, f, exact), f the contour values of a function whose n-th
+    coefficient times scale should equal exact."""
     _require(abs(lam) < 1, f"contour checks need |lambda| < 1, got {lam}")
     _require(n_max >= 1, "contour representations hold for n >= 1 only")
     theta, z, w, floor = _circle_data(lam, cfg.quad_nodes)
-    params = _num_params(lam, cfg, n_max=n_max, quad_nodes=cfg.quad_nodes)
     ncol = _Collector(cfg)
     if floor < _BRANCH_FLOOR:
         ncol.ok = False
@@ -595,30 +569,51 @@ def check_trig(lam, n_max: int, k_or_p, which: str, cfg: NumericConfig) -> Verdi
             "inconclusive-fail: contour approaches the branch point, "
             f"min |1 + lambda*u| = {floor:.3e}"
         )
-        return ncol.verdict(which, params)
-    if which == "L9":
-        if k_or_p is not None:
-            _require(k_or_p >= 0, f"column index must be >= 0, got {k_or_p}")
-            params["k"] = int(k_or_p)
+    else:
+        for n, k, f, exact in rows(z):
+            ncol.compare(n, _contour_coeff(theta, w, f, n, scale), float(exact), k=k)
+    params = _num_params(lam, cfg, n_max=n_max, quad_nodes=cfg.quad_nodes, **extra)
+    return ncol.verdict(check_id, params)
+
+
+def check_L9(lam, n_max: int, k: int | None, cfg: NumericConfig) -> Verdict:
+    """Contour quadrature of the degenerate Stirling triangle: k fixes a
+    single column, None probes every k <= n."""
+    lam = Fraction(lam)
+    _require(k is None or k >= 0, f"column index must be >= 0, got {k}")
+
+    def rows(z):
         for n in range(1, n_max + 1):
-            cols = range(n + 1) if k_or_p is None else (k_or_p,)
-            for k in cols:
-                approx = _contour_coeff(theta, w, z**k / float(factorial(k)), n)
-                ncol.compare(n, approx, float(seq.stirling2_deg(n, k, lam)), k=k)
-    elif which == "C10":
+            for j in (range(n + 1) if k is None else (k,)):
+                yield n, j, z**j / float(factorial(j)), seq.stirling2_deg(n, j, lam)
+
+    return _contour_check("L9", lam, n_max, cfg, rows, k=k)
+
+
+def check_C10(lam, n_max: int, cfg: NumericConfig) -> Verdict:
+    """Contour quadrature of the plain family at x = 1."""
+    lam = Fraction(lam)
+
+    def rows(z):
         f = np.exp(z)
         for n in range(1, n_max + 1):
-            approx = _contour_coeff(theta, w, f, n)
-            ncol.compare(n, approx, float(seq.bell_deg(n, lam)(Fraction(1))))
-    else:
-        p = k_or_p
-        _require(p is not None and p >= 1, "the truncated contour form needs p >= 1")
-        params["p"] = int(p)
-        bracket = _contour_bracket(z, p)
+            yield n, -1, f, seq.bell_deg(n, lam)(Fraction(1))
+
+    return _contour_check("C10", lam, n_max, cfg, rows)
+
+
+def check_T11(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
+    """Contour quadrature of the truncated numbers through the entire
+    series bracket, at truncation p >= 1."""
+    lam = Fraction(lam)
+    _require(p >= 1, "the truncated contour form needs p >= 1")
+
+    def rows(z):
+        f = _contour_bracket(z, p)
         for n in range(1, n_max + 1):
-            approx = _contour_coeff(theta, w, bracket, n, factorial(p))
-            ncol.compare(n, approx, float(seq.trunc_bell_deg(n, p, lam)(Fraction(1))))
-    return ncol.verdict(which, params)
+            yield n, -1, f, seq.trunc_bell_deg(n, p, lam)(Fraction(1))
+
+    return _contour_check("T11", lam, n_max, cfg, rows, factorial(p), p=p)
 
 
 # --------------------------------------------------------------------------
@@ -641,7 +636,7 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     # exact values the loops below reuse, each computed once per call
     val = [seq.trunc_bell_deg(j, p, lam)(Fraction(1)) for j in range(n_max + 2)]
     val_raised = [seq.trunc_bell_deg(j, p + 1, lam)(Fraction(1)) for j in range(n_max + 1)]
-    ff = _falling_row(lam - 1, lam, n_max + 2)
+    ff = [deg_falling_factorial(lam - 1, j, lam) for j in range(n_max + 2)]
 
     results = []
     printed_ok = True
@@ -711,7 +706,8 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
                       x_points=None) -> list[Verdict]:
     """The modified truncated family: dual construction plus the printed
     and corrected convolution variants (T14), the double-series evaluation
-    at fixed rational points (T15), and the one-step recurrence (T16)."""
+    at fixed rational points against the corrected variant (T15), and the
+    one-step recurrence (T16)."""
     lam = Fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     _require(order >= n_max, f"order {order} must be at least n_max {n_max}")
@@ -726,6 +722,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
 
     c14 = _Collector()
     literal_bad = 0
+    convolutions = []
     for n in range(n_max + 1):
         target = mod_p[n]
         c14.poly(n, target, seq.trunc_mod_bell_deg_egf(n, p, lam, order))
@@ -737,6 +734,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
             corrected = corrected + ff * (w * const[m])
             literal = literal + ff * (w * const[n])
         c14.poly(n, target, corrected, note="convolution route, raised series index")
+        convolutions.append(corrected)
         if literal != target:
             literal_bad += 1
             c14.info(n, -1, target.to_string(), literal.to_string(),
@@ -748,23 +746,14 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     v14 = c14.verdict("T14", _params(lam, p=p, n_max=n_max, order=order))
 
     c15 = _Collector(cfg)
-    # x-independent inner sums sum_k S2deg(m2, k) / C(p+k, k)
-    inner = _stirling_sums(lam, [1 / binomial(p + k, k) for k in range(n_max + 1)])
     for x in x_points:
-        ffx = _falling_row(x, lam, n_max + 1)
         for n, approx, tail in _double_series(lam, p, n_max, cfg, float(x)):
-            exact = Fraction(0)
-            for m2 in range(n + 1):
-                ff = ffx[n - m2]
-                if ff == 0:
-                    continue
-                exact += binomial(n, m2) * inner[m2] * ff
-            c15.compare(n, approx, float(exact), label=f"x={x}", tail=tail)
+            c15.compare(n, approx, float(convolutions[n](x)), label=f"x={x}", tail=tail)
     v15 = c15.verdict("T15", _series_params(lam, cfg, p=p, n_max=n_max,
                                             x_points=[str(x) for x in x_points]))
 
     c16 = _Collector()
-    ff1 = _falling_row(Fraction(1), lam, n_max + 1)
+    ff1 = [deg_falling_factorial(Fraction(1), j, lam) for j in range(n_max + 1)]
     for n in range(n_max + 1):
         lhs = mod_p[n + 1]
         rhs = (Poly.x() - Fraction(n) * lam) * mod_p[n]
@@ -797,8 +786,7 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
         col.scalar(n, route, targets[n])
     v_exact = col.verdict("S3", _params(lam, p=p, n_max=n_max))
 
-    entropy = int.from_bytes(hashlib.sha256(b"S3").digest()[:8], "big")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, entropy])))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, _S3_ENTROPY])))
     u = rng.random(cfg.mc_samples)
     x = 1.0 - u ** (1.0 / p)
     pows = [np.ones_like(x)]
@@ -882,6 +870,10 @@ class _Args:
     x_points: tuple | None = None
     k: int | None = None  # the one fixed column of the L9 triangle check
 
+    def __post_init__(self):
+        _require(self.n_max >= 0, f"n_max must be >= 0, got {self.n_max}")
+        _require(self.order >= 0, f"order must be >= 0, got {self.order}")
+
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -911,12 +903,10 @@ CHECKS = (
               counted=False),
     CheckSpec(("T7",), lambda lam, p, a: [check_T7(lam, p, a.order)], 1),
     CheckSpec(("T8",), lambda lam, p, a: [check_T8(lam, p, a.n_max, a.order)], 1),
-    CheckSpec(("L9",), lambda lam, p, a: [check_trig(lam, a.n_max, a.k, "L9", a.cfg)],
-              None, contour=True),
-    CheckSpec(("C10",), lambda lam, p, a: [check_trig(lam, a.n_max, None, "C10", a.cfg)],
-              None, contour=True),
-    CheckSpec(("T11",), lambda lam, p, a: [check_trig(lam, a.n_max, p, "T11", a.cfg)],
-              1, contour=True),
+    CheckSpec(("L9",), lambda lam, p, a: [check_L9(lam, a.n_max, a.k, a.cfg)], None,
+              contour=True),
+    CheckSpec(("C10",), lambda lam, p, a: [check_C10(lam, a.n_max, a.cfg)], None, contour=True),
+    CheckSpec(("T11",), lambda lam, p, a: [check_T11(lam, p, a.n_max, a.cfg)], 1, contour=True),
     CheckSpec(("T12",), lambda lam, p, a: [check_T12(lam, p, a.n_max, a.order)], 0),
     CheckSpec(("T13",), lambda lam, p, a: [check_T13(lam, a.n_max)], None),
     CheckSpec(("T14", "T15", "T16"),

@@ -175,6 +175,25 @@ def test_check_negative_seed_is_usage_error(capsys):
     assert "seed must be >= 0" in err
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--order=-1", "order must be >= 0, got -1"),
+    ("--n-max=-3", "n_max must be >= 0, got -3"),
+])
+def test_check_negative_size_is_usage_error(flag, message, capsys):
+    code, out, err = run(capsys, "check", "--id", "P5b", "--lambda", "1/2", "--p", "1", flag)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_check_infinite_tolerance_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--id", "T4", "--lambda", "1/3", "--p", "1",
+                         "--n-max", "3", "--tol-rel", "inf")
+    assert code == 2
+    assert out == ""
+    assert "tolerances must be finite" in err
+
+
 def test_check_contour_domain_error(capsys):
     code, _, err = run(capsys, "check", "--id", "T11", "--lambda", "1", "--p", "2")
     assert code == 2
@@ -192,6 +211,15 @@ def test_suite_small_grid_exit_and_summary(capsys):
     assert len(report["summary"]["adjudication"]) == 1
     assert report["summary"]["grid"]["lambdas"] == ["0", "1/2"]
     assert report["summary"]["config"]["mc_samples"] == 5000
+
+
+def test_suite_runs_at_large_truncation_index(tmp_path, capsys):
+    path = tmp_path / "p12.json"
+    code, _, err = run(capsys, "suite", "--lambdas", "1/2", "--ps", "12", "-o", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(path.read_text())
+    assert report["summary"]["required_pass"] is True
+    assert report["summary"]["counts_by_id"]["P5b"] == {"pass": 1, "fail": 0}
 
 
 def test_suite_output_files_are_byte_identical(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ import pytest
 import truncbell.sequences as sequences
 import truncbell.verify as verify
 from truncbell import cli
+from truncbell.fps import Fps
 from truncbell.verify import (
     ADJUDICATION_IDS,
     NumericConfig,
@@ -29,6 +31,7 @@ CFG = NumericConfig()
 FAST_CFG = NumericConfig(mc_samples=20_000)
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+NEAR_ONE = Fraction(10**12 - 1, 10**12)
 
 
 def _bump_at(fn, bad_n=3):
@@ -59,8 +62,8 @@ def test_exact_checks_pass_on_valid_parameters():
 
 def test_numeric_checks_pass_on_valid_parameters():
     assert verify.check_T4(THIRD, 1, 6, CFG).status == "pass"
-    for which, kp in (("L9", None), ("L9", 2), ("C10", None), ("T11", 2)):
-        v = verify.check_trig(THIRD, 6, kp, which, CFG)
+    for v in (verify.check_L9(THIRD, 6, None, CFG), verify.check_L9(THIRD, 6, 2, CFG),
+              verify.check_C10(THIRD, 6, CFG), verify.check_T11(THIRD, 2, 6, CFG)):
         assert v.status == "pass"
         assert v.max_residual < CFG.tol_rel
 
@@ -110,18 +113,43 @@ def test_checks_reject_bad_parameters():
     with pytest.raises(ValueError):
         verify.check_T7(HALF, 0, 8)
     with pytest.raises(ValueError):
-        verify.check_trig(Fraction(1), 4, None, "C10", CFG)
+        verify.check_C10(Fraction(1), 4, CFG)
     with pytest.raises(ValueError):
-        verify.check_trig(HALF, 4, None, "T9", CFG)
-    with pytest.raises(ValueError):
-        verify.check_trig(HALF, 4, 0, "T11", CFG)
+        verify.check_T11(HALF, 0, 4, CFG)
     with pytest.raises(ValueError):
         verify.check_CSIX(HALF, 0, 4, CFG)
+
+
+def test_contour_parameters_are_checked_before_the_branch_floor():
+    # near lambda = -1 the contour hits the branch floor, which must not
+    # hide an out-of-domain truncation index or column
+    with pytest.raises(ValueError, match="p >= 1"):
+        verify.check_T11(-NEAR_ONE, 0, 4, CFG)
+    with pytest.raises(ValueError, match="column index must be >= 0"):
+        verify.check_L9(-NEAR_ONE, 4, -1, CFG)
+
+
+@pytest.mark.parametrize("check_id", verify.KNOWN_CHECK_IDS)
+def test_run_check_rejects_negative_sizes(check_id):
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        run_check(check_id, HALF, p=2, k=1, n_max=-1, cfg=FAST_CFG)
+    with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+        run_check(check_id, HALF, p=2, k=1, order=-1, cfg=FAST_CFG)
+
+
+def test_suite_rejects_negative_sizes():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        run_suite(SuiteGrid(lambdas=(HALF,), ps=(1,), n_max=-1, order=4), FAST_CFG)
 
 
 def test_numeric_config_validation():
     with pytest.raises(ValueError):
         NumericConfig(tol_rel=0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerances must be finite"):
+            NumericConfig(tol_rel=bad)
+        with pytest.raises(ValueError, match="tolerances must be finite"):
+            NumericConfig(tol_abs=bad)
     with pytest.raises(ValueError):
         NumericConfig(quad_nodes=15)
     with pytest.raises(ValueError):
@@ -152,10 +180,10 @@ EXACT_CONTROLS = [
 
 NUMERIC_CONTROLS = [
     ("T4", "trunc_bell_deg", lambda: verify.check_T4(THIRD, 1, 6, CFG)),
-    ("L9", "stirling2_deg", lambda: verify.check_trig(THIRD, 6, None, "L9", CFG)),
-    ("C10", "bell_deg", lambda: verify.check_trig(THIRD, 6, None, "C10", CFG)),
-    ("T11", "trunc_bell_deg", lambda: verify.check_trig(THIRD, 6, 2, "T11", CFG)),
-    ("T15", "stirling2_deg", lambda: verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[1]),
+    ("L9", "stirling2_deg", lambda: verify.check_L9(THIRD, 6, None, CFG)),
+    ("C10", "bell_deg", lambda: verify.check_C10(THIRD, 6, CFG)),
+    ("T11", "trunc_bell_deg", lambda: verify.check_T11(THIRD, 2, 6, CFG)),
+    ("T15", "trunc_bell_deg", lambda: verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[1]),
     ("S3-mc", "trunc_bell_deg", lambda: verify.check_S3(HALF, 2, 5, FAST_CFG)[1]),
     ("C-SIX", "stirling2_deg", lambda: verify.check_CSIX(THIRD, 2, 6, CFG)),
 ]
@@ -231,8 +259,7 @@ def test_truncated_series_reports_inconclusive_tail():
 
 
 def test_contour_branch_floor_reports_inconclusive():
-    lam = Fraction(10**12 - 1, 10**12)
-    v = verify.check_trig(lam, 4, None, "C10", CFG)
+    v = verify.check_C10(NEAR_ONE, 4, CFG)
     assert v.status == "fail"
     assert len(v.details) == 1
     assert "inconclusive-fail" in v.details[0]["note"]
@@ -240,14 +267,35 @@ def test_contour_branch_floor_reports_inconclusive():
 
 
 def test_incomplete_gamma_guard_accepts_closed_form():
-    for p in range(1, 5):
-        assert verify._validate_incgamma(p) < 1e-9
+    for p in range(1, 17):
+        verify._validate_incgamma(p)  # raises on any unequal coefficient
 
 
 def test_incomplete_gamma_guard_rejects_broken_closed_form(monkeypatch):
-    monkeypatch.setattr(verify, "_incgamma_closed", lambda p, zv: 0.0)
-    with pytest.raises(RuntimeError, match="quadrature guard"):
+    original = verify._incgamma_closed
+
+    def broken(p, u):
+        gamma, upow = original(p, u)
+        coeffs = list(gamma.coeffs)
+        coeffs[2 * p] += 1  # the last coefficient the guard compares
+        return Fps(coeffs), upow
+
+    monkeypatch.setattr(verify, "_incgamma_closed", broken)
+    with pytest.raises(RuntimeError, match="series guard"):
         verify.check_P5b(HALF, 2, 8)
+
+
+def test_incomplete_gamma_route_holds_beyond_p_eleven():
+    [v] = run_check("P5b", HALF, p=12, order=24)
+    assert v.status == "pass"
+    assert v.details == [{"n": -1, "k": -1, "lhs": "", "rhs": "", "note":
+                          "closed-form incomplete-gamma guard: exact against the integral "
+                          "through t^24"}]
+
+
+def test_monte_carlo_stream_key_is_the_check_id_digest():
+    digest = hashlib.sha256(b"S3").digest()
+    assert verify._S3_ENTROPY == int.from_bytes(digest[:8], "big")
 
 
 def test_refinement_does_not_diverge_on_passing_cases():
@@ -255,8 +303,8 @@ def test_refinement_does_not_diverge_on_passing_cases():
     # the discretization must not blow them up (factor 10 plus an epsilon
     # allowance for float noise around 1e-16)
     eps = 1e-13
-    coarse = verify.check_trig(THIRD, 6, None, "C10", NumericConfig(quad_nodes=512))
-    fine = verify.check_trig(THIRD, 6, None, "C10", NumericConfig(quad_nodes=1024))
+    coarse = verify.check_C10(THIRD, 6, NumericConfig(quad_nodes=512))
+    fine = verify.check_C10(THIRD, 6, NumericConfig(quad_nodes=1024))
     assert fine.max_residual <= 10.0 * coarse.max_residual + eps
 
     coarse = verify.check_T4(THIRD, 1, 6, NumericConfig(series_cutoff_k=20, series_cutoff_l=20))
