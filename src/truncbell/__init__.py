@@ -9,8 +9,6 @@ command line lives in cli.
 """
 
 from .exactnum import (
-    Lambda,
-    Rational,
     beta_exact,
     binomial,
     deg_falling_factorial,
@@ -18,7 +16,7 @@ from .exactnum import (
     format_rational,
     parse_rational,
 )
-from .fps import Fps, Poly, apply_Dlambda, deg_exp, deg_log, lift_to_poly_ring
+from .fps import Fps, Poly, apply_Dlambda, deg_exp, deg_log, times_deg_exp_x
 from .sequences import (
     CONSTRUCTION,
     Family,

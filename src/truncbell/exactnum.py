@@ -23,11 +23,6 @@ import re
 from fractions import Fraction
 from math import comb, factorial
 
-Rational = Fraction
-# Deformation parameters are plain exact rationals; 0 selects the classical
-# limit directly rather than as a numeric limit.
-Lambda = Fraction
-
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 _RATIONAL_CHARS = set("0123456789/+-")
 

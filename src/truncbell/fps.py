@@ -8,15 +8,13 @@ immutable. Arithmetic works on the integers and reduces each result by one
 gcd; the Fraction view `coeffs` is built only when asked for.
 
 Fps is a power series in t known exactly through a stated truncation order:
-coeffs has length order + 1 and every entry lives in one coefficient ring,
-either Fraction or Poly (series whose coefficients are polynomials in x).
-Those are the only two rings; nothing here is generic beyond them. The
-product, quotient and exp bring each operand once to integer numerators
-over a common denominator, run schoolbook integer recurrences (a 2-D
-convolution on the Poly ring) and build each result coefficient once, so
-Fraction appears only at this API boundary. Division works on the Fraction
-ring only, the one ring the package divides in; a Poly-ring operand raises
-TypeError.
+coeffs has length order + 1 and every entry is a Fraction. The product,
+quotient and exp bring each operand once to integer numerators over a
+common denominator, run schoolbook integer recurrences and build each
+result coefficient once, so Fraction appears only at this API boundary.
+The one product whose coefficients are polynomials in x, g(t) times the
+degenerate exponential e_lam^x(t), is times_deg_exp_x; it returns the Poly
+coefficients of the product rather than a series.
 
 Arithmetic keeps the weakest truncation of its operands, so a result's
 order always says how far its coefficients can be trusted. Division
@@ -204,7 +202,7 @@ class Poly:
                 power = 0
             elif tail == "x":
                 power = 1
-            elif tail.startswith("x^"):
+            elif tail.startswith("x^") and tail[2:].isascii() and tail[2:].isdigit():
                 power = int(tail[2:])
             else:
                 raise ValueError(f"invalid polynomial term {term!r}")
@@ -252,32 +250,9 @@ _POLY_X = _poly((0, 1), 1)
 
 
 def _numerators(cs) -> tuple[list, int]:
-    """Coefficients of one ring over their common denominator: integer
-    numerators on the Fraction ring, integer numerator tuples on the Poly ring."""
-    if isinstance(cs[0], Poly):
-        den = lcm(*(c.den for c in cs))
-        return [c.num if c.den == den else [v * (den // c.den) for v in c.num] for c in cs], den
+    """Fraction coefficients as integer numerators over their common denominator."""
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
-
-
-def _zero_like(sample):
-    return _POLY_ZERO if isinstance(sample, Poly) else Fraction(0)
-
-
-def _one_like(sample):
-    return _POLY_ONE if isinstance(sample, Poly) else Fraction(1)
-
-
-def _coerce(value, sample):
-    """Bring an int/Fraction scalar into the ring of `sample`."""
-    if isinstance(sample, Poly):
-        if isinstance(value, Poly):
-            return value
-        return Poly((value,))
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
 
 
 class Fps:
@@ -293,8 +268,7 @@ class Fps:
 
     @classmethod
     def constant(cls, c, order: int) -> "Fps":
-        z = _zero_like(c)
-        return cls((c,) + (z,) * order)
+        return cls((Fraction(c),) + (Fraction(0),) * order)
 
     @classmethod
     def t(cls, order: int) -> "Fps":
@@ -328,16 +302,12 @@ class Fps:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return Fps(self.coeffs[: order + 1])
 
-    def map_coeffs(self, fn) -> "Fps":
-        return Fps(tuple(fn(c) for c in self.coeffs))
-
     def __add__(self, other):
         if isinstance(other, Fps):
             n = min(self.order, other.order)
             return Fps(tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])))
-        if isinstance(other, _SCALARS + (Poly,)):
-            c = _coerce(other, self.coeffs[0])
-            return Fps((self.coeffs[0] + c,) + self.coeffs[1:])
+        if isinstance(other, _SCALARS):
+            return Fps((self.coeffs[0] + other,) + self.coeffs[1:])
         return NotImplemented
 
     __radd__ = __add__
@@ -346,42 +316,25 @@ class Fps:
         return Fps(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, Fps):
-            n = min(self.order, other.order)
-            return Fps(tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])))
-        if isinstance(other, _SCALARS + (Poly,)):
-            c = _coerce(other, self.coeffs[0])
-            return Fps((self.coeffs[0] - c,) + self.coeffs[1:])
+        if isinstance(other, (Fps,) + _SCALARS):
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c) -> "Fps":
-        c = _coerce(c, self.coeffs[0])
         return Fps(tuple(a * c for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Fps):
             n = min(self.order, other.order)
-            a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-            poly_ring = isinstance(a[0], Poly)
-            if poly_ring != isinstance(b[0], Poly):
-                raise TypeError(
-                    "operands are over different coefficient rings; lift the Fraction one")
-            (na, da), (nb, db) = _numerators(a), _numerators(b)
+            na, da = _numerators(self.coeffs[: n + 1])
+            nb, db = _numerators(other.coeffs[: n + 1])
             den = da * db
-            if poly_ring:  # 2-D integer convolution
-                out = []
-                for m in range(n + 1):
-                    acc: list = []
-                    for j in range(m + 1):
-                        _mul_into(acc, na[j], nb[m - j])
-                    out.append(_poly(acc, den))
-                return Fps(out)
             nb.reverse()
             return Fps([Fraction(sum(map(mul, na[: m + 1], nb[n - m :])), den) for m in range(n + 1)])
-        if isinstance(other, _SCALARS + (Poly,)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 
@@ -391,7 +344,7 @@ class Fps:
         if k < 0:
             raise ValueError("negative series power; divide instead")
         if k == 0:
-            return Fps.constant(_one_like(self.coeffs[0]), self.order)
+            return Fps.constant(Fraction(1), self.order)
         # left-to-right binary powering from the leading bit
         out = self
         for bit in bin(k)[3:]:
@@ -401,15 +354,13 @@ class Fps:
         return out
 
     def __truediv__(self, other):
-        """Series division on the Fraction ring with explicit valuation handling.
+        """Series division with explicit valuation handling.
 
         Requires valuation(other) <= valuation(self); the quotient's order is
-        min(order) - valuation(other). A Poly-ring operand raises TypeError.
+        min(order) - valuation(other).
         """
         if not isinstance(other, Fps):
             return NotImplemented
-        if isinstance(self.coeffs[0], Poly) or isinstance(other.coeffs[0], Poly):
-            raise TypeError("series division works on the Fraction ring only")
         v = other.valuation()
         if v is None:
             raise ZeroDivisionError("division by the zero series")
@@ -456,31 +407,26 @@ class Fps:
         """exp of a series with zero constant term, same order.
 
         With f_j = F_j / d over one denominator, the m-th coefficient is
-        e_m / (m! d^m) for integers (integer polynomials on the Poly ring)
-        e_0 = 1, e_m = sum_{j=1..m} j F_j e_{m-j} (m-1)!/(m-j)! d^(j-1):
+        e_m / (m! d^m) for integers e_0 = 1,
+        e_m = sum_{j=1..m} j F_j e_{m-j} (m-1)!/(m-j)! d^(j-1):
         the recurrence m out_m = sum_j j f_j out_{m-j}, multiplied through.
         """
-        c0 = self.coeffs[0]
-        poly_ring = isinstance(c0, Poly)
-        if c0:
+        if self.coeffs[0]:
             raise ValueError("exp needs a zero constant term")
         f, d = _numerators(self.coeffs)
-        e: list = [(1,) if poly_ring else 1]
+        e = [1]
         for m in range(1, len(f)):
-            acc = [] if poly_ring else 0
+            acc = 0
             w = 1  # (m-1)!/(m-j)! d^(j-1), from j = 1
             for j in range(1, m + 1):
-                if poly_ring:
-                    _mul_into(acc, [w * j * c for c in f[j]], e[m - j])
-                else:
-                    acc += w * j * f[j] * e[m - j]
+                acc += w * j * f[j] * e[m - j]
                 w *= (m - j) * d
             e.append(acc)
         out, den = [], 1
         for m, em in enumerate(e):
             if m:
                 den *= m * d
-            out.append(_poly(em, den) if poly_ring else Fraction(em, den))
+            out.append(Fraction(em, den))
         return Fps(out)
 
     def __eq__(self, other):
@@ -496,41 +442,57 @@ class Fps:
         for k, c in enumerate(self.coeffs):
             if not c and not (k == 0 and len(self.coeffs) == 1):
                 continue
-            cs = f"({c.to_string()})" if isinstance(c, Poly) else str(c)
             if k == 0:
-                parts.append(cs)
+                parts.append(str(c))
             elif k == 1:
-                parts.append(f"{cs}*t")
+                parts.append(f"{c}*t")
             else:
-                parts.append(f"{cs}*t^{k}")
+                parts.append(f"{c}*t^{k}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(t^{self.order + 1})"
 
     __repr__ = __str__
 
 
-def lift_to_poly_ring(f: Fps) -> Fps:
-    """Reinterpret a Fraction-ring series as a Poly-ring series."""
-    return f.map_coeffs(lambda c: Poly((c,)))
-
-
 def deg_exp(x, lam: Fraction, order: int) -> Fps:
-    """Degenerate exponential series: coefficient of t^n is
-    deg_falling_factorial(x, n, lam) / n!.
-
-    x may be a Fraction (Fraction-ring series) or a Poly (Poly-ring series,
-    giving the two-variable generating series in t with polynomial
-    coefficients in x). lam = 0 yields the ordinary exponential of x*t.
-    """
+    """Degenerate exponential series at a rational x: coefficient of t^n is
+    deg_falling_factorial(x, n, lam) / n!. lam = 0 yields the ordinary
+    exponential of x*t; times_deg_exp_x keeps x symbolic."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    one = _one_like(x)
-    coeffs = [one]
-    term = one
+    x = Fraction(x)
+    coeffs = [Fraction(1)]
+    term = coeffs[0]
     for m in range(1, order + 1):
-        term = term * (x - (m - 1) * lam) * Fraction(1, m)
+        term = term * (x - (m - 1) * lam) / m
         coeffs.append(term)
     return Fps(tuple(coeffs))
+
+
+def times_deg_exp_x(g: Fps, lam) -> tuple[Poly, ...]:
+    """t^n coefficients of g(t) e_lam^x(t) through the order N of g, as
+    polynomials in x: sum_m g_m (x)_{n-m,lam} / (n-m)!. With lam = a/b and
+    P_j = prod_{i<j} (b x - i a), (x)_{j,lam}/j! = P_j b^(N-j) N!/j! over
+    D = b^N N!, so each result is one integer convolution, reduced once."""
+    lam = Fraction(lam)
+    a, b = lam.numerator, lam.denominator
+    ng, dg = _numerators(g.coeffs)
+    N = g.order
+    D = b**N * factorial(N)
+    e, pj = [], [1]
+    for j in range(N + 1):
+        w = D // (b**j * factorial(j))
+        e.append([w * c for c in pj])
+        # P_{j+1} = P_j (b x - j a)
+        pj = [s - j * a * c for s, c in zip([0] + [b * c for c in pj], pj + [0])]
+    out = []
+    for n in range(N + 1):
+        acc: list = []
+        for m in range(n + 1):
+            if ng[m]:
+                _mul_into(acc, (ng[m],), e[n - m])
+        out.append(_poly(acc, dg * D))
+    return tuple(out)
 
 
 def deg_log(lam: Fraction, order: int) -> Fps:
@@ -558,7 +520,4 @@ def apply_Dlambda(f: Fps, lam: Fraction) -> Fps:
     degenerate exponential with exponent lam - 1. Shortens the order by one
     (the derivative's loss); iterate for higher powers of the operator."""
     d = f.derivative()
-    w = deg_exp(lam - Fraction(1), lam, d.order)
-    if isinstance(f.coeffs[0], Poly):
-        w = lift_to_poly_ring(w)
-    return d * w
+    return d * deg_exp(lam - Fraction(1), lam, d.order)

@@ -6,7 +6,8 @@ Two constructions run side by side for every family that admits them:
   the target basis by exact triangular elimination (or, for the
   monomial-to-falling direction, through the classical triangle);
 * a series route: extract factorial-normalized coefficients from the
-  family's generating function with the Fps machinery.
+  family's generating function with the Fps machinery. Series with
+  coefficients in x are kept as tuples of their t^m coefficients (Polys).
 
 The verification layer pits one route against the other, so the two must
 stay genuinely independent: the basis route never touches Fps, and the
@@ -54,7 +55,7 @@ from functools import lru_cache
 from math import factorial
 
 from .exactnum import binomial, format_rational, parse_rational
-from .fps import Fps, Poly, deg_exp, deg_log, lift_to_poly_ring
+from .fps import Fps, Poly, deg_exp, deg_log, times_deg_exp_x
 
 # the entry bound of every memo in the package (verify reads it too)
 MEMO_MAXSIZE = 4096
@@ -339,8 +340,8 @@ def deg_bernoulli(n: int, r: int, lam) -> Poly:
     table = _bern_poly_table(lam, r)
     if n >= len(table):
         depth = _deeper(table, n)
-        gf = lift_to_poly_ring(_bern_base_pow(lam, r, depth)) * deg_exp(Poly.x(), lam, depth)
-        table[:] = [gf.egf_coeff(m) for m in range(depth + 1)]
+        gf = times_deg_exp_x(_bern_base_pow(lam, r, depth), lam)
+        table[:] = [c * factorial(m) for m, c in enumerate(gf)]
     return table[n]
 
 
@@ -397,58 +398,51 @@ def stirling1_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _bell_gf(lam: Fraction, order: int) -> Fps:
-    return (lift_to_poly_ring(_z_series(lam, order)) * Poly.x()).exp()
+def _trunc_gf(lam: Fraction, p: int, order: int) -> tuple[Poly, ...]:
+    """t^m coefficients, as polynomials in x, of the truncated family's
+    generating series p! * sum_k x^k (deformed exp - 1)^k / (k+p)!; the
+    k-sum is finite at each order because the k-th term has valuation k.
+    At p = 0 this is exp(x z), the plain family's series."""
+    pows = [_z_pow(lam, k, order) for k in range(order + 1)]
+    return tuple(
+        Poly(pows[k].coeff(m) * Fraction(factorial(p), factorial(k + p)) for k in range(m + 1))
+        for m in range(order + 1)
+    )
 
 
 def bell_deg_egf(n: int, lam, order: int | None = None) -> Poly:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _bell_gf(Fraction(lam), _series_depth(n, order)).egf_coeff(n)
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _trunc_gf(lam: Fraction, p: int, order: int) -> Fps:
-    """Generating series of the truncated family over the Poly ring:
-    p! * sum_k x^k (deformed exp - 1)^k / (k+p)!; the k-sum is finite at
-    each order because the k-th term has valuation k."""
-    pows = [_z_pow(lam, k, order) for k in range(order + 1)]
-    coeffs = []
-    for m in range(order + 1):
-        coeffs.append(
-            Poly(pows[k].coeff(m) * Fraction(factorial(p), factorial(k + p)) for k in range(m + 1))
-        )
-    return Fps(tuple(coeffs))
+    return _trunc_gf(Fraction(lam), 0, _series_depth(n, order))[n] * factorial(n)
 
 
 def trunc_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
     _check_np(n, p)
-    return _trunc_gf(Fraction(lam), p, _series_depth(n, order)).egf_coeff(n)
+    return _trunc_gf(Fraction(lam), p, _series_depth(n, order))[n] * factorial(n)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _mod_gf(lam: Fraction, p: int, order: int) -> Fps:
-    """Generating series of the modified truncated family over the Poly
-    ring, built by the division pipeline: p! (exp(z) - partial sum) / z^p
+def _mod_gf(lam: Fraction, p: int, order: int) -> tuple[Poly, ...]:
+    """t^m coefficients of the modified truncated family's generating
+    series, built by the division pipeline: p! (exp(z) - partial sum) / z^p
     times the deformed exponential of x, with z the deformed exp minus 1."""
     deep = order + p
     z = _z_series(lam, deep)
     num = z.exp()
     for l in range(p):
         num = num - _z_pow(lam, l, deep) * Fraction(1, factorial(l))
-    g = (num * factorial(p)) / _z_pow(lam, p, deep)
-    return lift_to_poly_ring(g) * deg_exp(Poly.x(), lam, order)
+    return times_deg_exp_x((num * factorial(p)) / _z_pow(lam, p, deep), lam)
 
 
 def trunc_mod_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
     _check_np(n, p)
-    return _mod_gf(Fraction(lam), p, _series_depth(n, order)).egf_coeff(n)
+    return _mod_gf(Fraction(lam), p, _series_depth(n, order))[n] * factorial(n)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _s2degpoly_gf(lam: Fraction, l: int, order: int) -> Fps:
-    g = _z_pow(lam, l, order) * Fraction(1, factorial(l))
-    return lift_to_poly_ring(g) * deg_exp(Poly.x(), lam, order)
+def _s2degpoly_gf(lam: Fraction, l: int, order: int) -> tuple[Poly, ...]:
+    """t^m coefficients of z^l / l! times the deformed exponential of x."""
+    return times_deg_exp_x(_z_pow(lam, l, order) * Fraction(1, factorial(l)), lam)
 
 
 def stirling2_deg_poly_egf(n: int, l: int, lam, order: int | None = None) -> Poly:
@@ -456,7 +450,7 @@ def stirling2_deg_poly_egf(n: int, l: int, lam, order: int | None = None) -> Pol
         raise ValueError(f"n must be >= 0, got {n}")
     if l < 0 or l > n:
         return Poly.zero()
-    return _s2degpoly_gf(Fraction(lam), l, _series_depth(n, order)).egf_coeff(n)
+    return _s2degpoly_gf(Fraction(lam), l, _series_depth(n, order))[n] * factorial(n)
 
 
 # --------------------------------------------------------------------------

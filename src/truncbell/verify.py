@@ -882,14 +882,17 @@ class CheckSpec:
     None (the check takes no p), else once per grid p >= p_min. Contour
     entries need |lambda| < 1 and are recorded as skipped outside it.
     Uncounted entries report on a statement/derivation conflict and never
-    decide an exit code. Runners call checks by their module-level names,
-    so rebinding a check (as a tracer does) reaches every caller."""
+    decide an exit code. `takes` names the optional _Args fields (k,
+    x_points) the runner reads; run_check refuses any other. Runners call
+    checks by their module-level names, so rebinding a check (as a tracer
+    does) reaches every caller."""
 
     ids: tuple
     run: Callable
     p_min: int | None
     contour: bool = False
     counted: bool = True
+    takes: tuple = ()
 
 
 CHECKS = (
@@ -904,14 +907,14 @@ CHECKS = (
     CheckSpec(("T7",), lambda lam, p, a: [check_T7(lam, p, a.order)], 1),
     CheckSpec(("T8",), lambda lam, p, a: [check_T8(lam, p, a.n_max, a.order)], 1),
     CheckSpec(("L9",), lambda lam, p, a: [check_L9(lam, a.n_max, a.k, a.cfg)], None,
-              contour=True),
+              contour=True, takes=("k",)),
     CheckSpec(("C10",), lambda lam, p, a: [check_C10(lam, a.n_max, a.cfg)], None, contour=True),
     CheckSpec(("T11",), lambda lam, p, a: [check_T11(lam, p, a.n_max, a.cfg)], 1, contour=True),
     CheckSpec(("T12",), lambda lam, p, a: [check_T12(lam, p, a.n_max, a.order)], 0),
     CheckSpec(("T13",), lambda lam, p, a: [check_T13(lam, a.n_max)], None),
     CheckSpec(("T14", "T15", "T16"),
               lambda lam, p, a: check_T14_T15_T16(lam, p, a.n_max, a.order, a.cfg, a.x_points),
-              0),
+              0, takes=("x_points",)),
     CheckSpec(("S3",), lambda lam, p, a: check_S3(lam, p, a.n_max, a.cfg), 1),
     CheckSpec(("C-SIX",), lambda lam, p, a: [check_CSIX(lam, p, a.n_max, a.cfg)], 1),
 )
@@ -1082,7 +1085,8 @@ def run_check(check_id: str, lam, *, p=None, k=None, n_max=10, order=24,
               cfg: NumericConfig | None = None, x_points=None) -> list[Verdict]:
     """Run the registry entry that emits check_id at one point. The stated
     id of an uncounted (adjudicated) entry returns every variant it emits;
-    any other id returns only its own verdicts."""
+    any other id returns only its own verdicts. A p, k or x_points the
+    check does not read is an error, not silently dropped."""
     cfg = cfg or NumericConfig()
     lam = Fraction(lam)
     check = _CHECK_BY_ID.get(check_id)
@@ -1090,7 +1094,12 @@ def run_check(check_id: str, lam, *, p=None, k=None, n_max=10, order=24,
         raise ValueError(f"unknown identity id: {check_id}")
     if check.p_min is not None and p is None:
         raise ValueError(f"check {check_id} requires p")
-    verdicts = check.run(lam, p, _Args(n_max, order, cfg, x_points, k))
+    args = _Args(n_max, order, cfg, x_points, k)
+    takes = check.takes if check.p_min is None else ("p",) + check.takes
+    for name, value in (("p", p), ("k", k), ("x_points", x_points)):
+        if value is not None and name not in takes:
+            raise ValueError(f"check {check_id} does not take {name}")
+    verdicts = check.run(lam, p, args)
     if not check.counted and check_id == check.ids[0]:
         return verdicts
     return [v for v in verdicts if v.check_id == check_id]

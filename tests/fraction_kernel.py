@@ -153,6 +153,16 @@ def series_exp(f) -> tuple:
     return tuple(out)
 
 
+def deg_exp_x(lam, order: int) -> tuple:
+    """The degenerate exponential in t with x kept symbolic: RefPoly
+    coefficients x (x - lam) ... (x - (n-1) lam) / n! for n = 0..order."""
+    out, term = [], RefPoly((1,))
+    for n in range(order + 1):
+        out.append(term)
+        term = term * RefPoly((-n * lam, 1)) * Fraction(1, n + 1)
+    return tuple(out)
+
+
 def series_compose(f, g) -> tuple:
     """f(g(t)) for g with zero constant term, by Horner's rule."""
     n = min(len(f), len(g)) - 1

@@ -167,6 +167,17 @@ def test_check_missing_p_is_usage_error(capsys):
     assert "requires p" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--id", "C10", "--k", "-1"), "check C10 does not take k"),
+    (("--id", "T2", "--p", "7"), "check T2 does not take p"),
+])
+def test_check_unused_argument_is_usage_error(argv, message, capsys):
+    code, out, err = run(capsys, "check", "--lambda", "1/2", "--n-max", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_negative_seed_is_usage_error(capsys):
     code, out, err = run(capsys, "check", "--id", "S3", "--lambda", "1/2", "--p", "2",
                          "--seed=-1")

@@ -1,6 +1,7 @@
 """The integer-numerator kernel in truncbell.fps against the Fraction
-schoolbook reference in fraction_kernel.py, exactly, on both rings (the
-quotient on the Fraction ring, the only one that divides)."""
+schoolbook reference in fraction_kernel.py, exactly: Poly arithmetic,
+series arithmetic, and the one product with polynomial coefficients,
+times_deg_exp_x."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 
 from fraction_kernel import (
     RefPoly,
+    deg_exp_x,
     series_add,
     series_div,
     series_exp,
     series_mul,
     series_pow,
 )
-from truncbell.fps import Fps, Poly
+from truncbell.fps import Fps, Poly, times_deg_exp_x
 
 # mixed signs and unrelated denominators, so common denominators differ
 # between operands and reductions really happen
@@ -29,7 +31,6 @@ rationals = st.one_of(
 nonzero_rationals = rationals.filter(bool)
 # trailing zeros on purpose: the constructor must trim them
 polys = st.lists(st.one_of(rationals, st.just(Fraction(0))), max_size=6).map(Poly)
-coeff_polys = st.lists(st.one_of(rationals, st.just(Fraction(0))), max_size=4).map(Poly)
 
 
 def ref(value):
@@ -52,28 +53,20 @@ def assert_canonical(p: Poly) -> None:
 
 def assert_same_series(lib: Fps, reference: tuple) -> None:
     assert ref(lib) == reference
-    for c in lib.coeffs:
-        assert isinstance(c, (Fraction, Poly))
-        if isinstance(c, Poly):
-            assert_canonical(c)
+    assert all(isinstance(c, Fraction) for c in lib.coeffs)
 
 
 @st.composite
-def series(draw, ring, order=5, min_val=0, max_val=2):
-    """A series on the given ring with valuation in [min_val, max_val]."""
+def series(draw, order=5, min_val=0, max_val=2):
+    """A series with valuation in [min_val, max_val]."""
     v = draw(st.integers(min_val, min(max_val, order)))
-    if ring == "poly":
-        lead = draw(coeff_polys.filter(lambda p: not p.is_zero))
-        tail = draw(st.lists(coeff_polys, min_size=order - v, max_size=order - v))
-        zero = Poly.zero()
-    else:
-        lead = draw(nonzero_rationals)
-        tail = draw(st.lists(rationals, min_size=order - v, max_size=order - v))
-        zero = Fraction(0)
-    return Fps([zero] * v + [lead] + tail)
+    lead = draw(nonzero_rationals)
+    tail = draw(st.lists(rationals, min_size=order - v, max_size=order - v))
+    return Fps([Fraction(0)] * v + [lead] + tail)
 
 
-RINGS = ["fraction", "poly"]
+# Fps has one coefficient ring; the parameter names it in the test ids
+ON_FRACTIONS = pytest.mark.parametrize("ring", ["fraction"])
 # the reference is slow by design, so no per-example deadline
 reference_settings = settings(deadline=None)
 
@@ -140,64 +133,67 @@ def test_mismatched_denominators_reduce():
     assert ((a * 12).num, (a * 12).den) == ((2, -3), 1)
 
 
-# ---------------------------------------------------------------- Fps on both rings
+# ---------------------------------------------------------------- Fps
 
 
-@pytest.mark.parametrize("ring", RINGS)
+@ON_FRACTIONS
 @reference_settings
 @given(data=st.data())
 def test_series_product_and_sum_match_reference(ring, data):
-    a = data.draw(series(ring, order=data.draw(st.integers(0, 6))), label="a")
-    b = data.draw(series(ring, order=data.draw(st.integers(0, 6))), label="b")
+    a = data.draw(series(order=data.draw(st.integers(0, 6))), label="a")
+    b = data.draw(series(order=data.draw(st.integers(0, 6))), label="b")
     assert_same_series(a * b, series_mul(ref(a), ref(b)))
     assert_same_series(a + b, series_add(ref(a), ref(b)))
     assert_same_series(a * a, series_mul(ref(a), ref(a)))
 
 
-@pytest.mark.parametrize("ring", RINGS)
+@ON_FRACTIONS
 @reference_settings
 @given(data=st.data())
 def test_series_power_matches_reference(ring, data):
-    a = data.draw(series(ring, order=5, max_val=1), label="a")
+    a = data.draw(series(order=5, max_val=1), label="a")
     k = data.draw(st.integers(0, 6), label="k")
     assert_same_series(a**k, series_pow(ref(a), k))
 
 
-@pytest.mark.parametrize("ring", ["fraction"])
+@ON_FRACTIONS
 @reference_settings
 @given(data=st.data())
 def test_series_quotient_matches_reference(ring, data):
-    b = data.draw(series(ring, max_val=2), label="b")
+    b = data.draw(series(max_val=2), label="b")
     v = b.valuation()
-    a = data.draw(series(ring, min_val=v, max_val=v + 1), label="a")
+    a = data.draw(series(min_val=v, max_val=v + 1), label="a")
     assert_same_series(a / b, series_div(ref(a), ref(b)))
 
 
-@pytest.mark.parametrize("ring", RINGS)
+@ON_FRACTIONS
 @reference_settings
 @given(data=st.data())
 def test_series_exp_matches_reference(ring, data):
-    f = data.draw(series(ring, min_val=1, max_val=3), label="f")
+    f = data.draw(series(min_val=1, max_val=3), label="f")
     assert_same_series(f.exp(), series_exp(ref(f)))
 
 
+# ---------------------------------------------------------------- times_deg_exp_x
+
+
+@reference_settings
+@given(data=st.data())
+def test_times_deg_exp_x_matches_reference(data):
+    g = data.draw(series(order=data.draw(st.integers(0, 6)), max_val=3), label="g")
+    lam = data.draw(rationals, label="lam")
+    lib = times_deg_exp_x(g, lam)
+    lifted = tuple(RefPoly((c,)) for c in g.coeffs)
+    assert tuple(ref(c) for c in lib) == series_mul(lifted, deg_exp_x(lam, g.order))
+    for c in lib:
+        assert_canonical(c)
+
+
 def test_zero_series_results_stay_canonical():
-    z = Fps.constant(Poly.zero(), 4)
-    x = Fps((Poly.zero(), Poly.x(), Poly.one(), Poly.zero(), Poly.x()))
-    for out in (z * x, x * z, x - x):
-        assert all((c.num, c.den) == ((), 1) for c in out.coeffs)
-    assert z.exp() == Fps.constant(Poly.one(), 4)
-
-
-def test_mixed_rings_are_rejected():
-    frac = Fps.constant(Fraction(1), 3)
-    poly = Fps.constant(Poly.one(), 3)
-    with pytest.raises(TypeError):
-        frac * poly
-    with pytest.raises(TypeError):
-        poly / frac
-    # series division works on the Fraction ring only, zero numerator included
-    with pytest.raises(TypeError):
-        poly / poly
-    with pytest.raises(TypeError):
-        Fps.constant(Poly.zero(), 3) / poly
+    for lam in (Fraction(0), Fraction(1), Fraction(-1, 3)):
+        assert all((c.num, c.den) == ((), 1)
+                   for c in times_deg_exp_x(Fps.constant(0, 4), lam))
+        # zero coefficients below the valuation give zero polynomials too
+        out = times_deg_exp_x(Fps.t(4) * Fps.t(4), lam)
+        assert [(c.num, c.den) for c in out[:2]] == [((), 1)] * 2
+        assert out[2] == Poly.one()

@@ -2,6 +2,7 @@ import importlib
 import json
 import pkgutil
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
 import truncbell
 from truncbell.exactnum import binomial
 from truncbell import sequences
-from truncbell.fps import Poly, deg_exp, lift_to_poly_ring
+from truncbell.fps import Poly, times_deg_exp_x
 from truncbell.sequences import (
     CONSTRUCTION,
     Family,
@@ -238,11 +239,10 @@ def test_deg_bernoulli_tables_grow_on_demand(r, monkeypatch):
     # depths double: 0, 1, 3, 7, 15 for each table
     assert builds == [0, 1, 3, 7, 15] * 2
     # the n-th coefficient is the one a series of depth exactly n gives
-    x = Poly.x()
     for n in range(13):
         at_depth_n = real(lam, r, n)
         assert nums[n] == at_depth_n.egf_coeff(n)
-        gf = (lift_to_poly_ring(at_depth_n) * deg_exp(x, lam, n)).egf_coeff(n)
+        gf = times_deg_exp_x(at_depth_n, lam)[n] * factorial(n)
         assert polys[n] == gf
         assert polys[n](Fraction(0)) == nums[n]
 
@@ -305,6 +305,14 @@ def test_table_json_round_trip(family, kwargs):
     table = build_table(family, 5, **kwargs)
     parsed = SequenceTable.from_json_dict(json.loads(table.to_json_text()))
     assert parsed == table
+
+
+@pytest.mark.parametrize("term", ["1*x^-1", "1*x^+2"])
+def test_table_json_rejects_signed_exponents(term):
+    data = build_table(Family.BellDeg, 2, lam=Fraction(1, 2)).to_json_dict()
+    data["values"][2] = f"2 + {term}"
+    with pytest.raises(ValueError, match="invalid polynomial term"):
+        SequenceTable.from_json_dict(data)
 
 
 def test_table_output_is_byte_stable():

@@ -33,6 +33,19 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 NEAR_ONE = Fraction(10**12 - 1, 10**12)
 
+# the optional run_check arguments each check reads, written out here
+# rather than read from the registry
+TAKES_NO_P = {"T2", "L9", "C10", "T13"}
+TAKES_K = {"L9"}
+TAKES_X_POINTS = {"T14", "T15", "T16"}
+
+
+def taken(check_id, **values):
+    """The given run_check arguments that check_id reads."""
+    takes = {"p": check_id not in TAKES_NO_P, "k": check_id in TAKES_K,
+             "x_points": check_id in TAKES_X_POINTS}
+    return {name: value for name, value in values.items() if takes[name]}
+
 
 def _bump_at(fn, bad_n=3):
     """Wrap a family function so its value at n == bad_n is off by one."""
@@ -131,10 +144,21 @@ def test_contour_parameters_are_checked_before_the_branch_floor():
 
 @pytest.mark.parametrize("check_id", verify.KNOWN_CHECK_IDS)
 def test_run_check_rejects_negative_sizes(check_id):
+    args = taken(check_id, p=2, k=1)
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
-        run_check(check_id, HALF, p=2, k=1, n_max=-1, cfg=FAST_CFG)
+        run_check(check_id, HALF, n_max=-1, cfg=FAST_CFG, **args)
     with pytest.raises(ValueError, match="order must be >= 0, got -1"):
-        run_check(check_id, HALF, p=2, k=1, order=-1, cfg=FAST_CFG)
+        run_check(check_id, HALF, order=-1, cfg=FAST_CFG, **args)
+
+
+@pytest.mark.parametrize("check_id", verify.KNOWN_CHECK_IDS)
+def test_run_check_rejects_arguments_the_check_does_not_take(check_id):
+    values = {"p": 2, "k": 1, "x_points": (HALF,)}
+    needed = taken(check_id, p=2)
+    for name in sorted(values.keys() - taken(check_id, **values).keys()):
+        with pytest.raises(ValueError, match=f"check {check_id} does not take {name}"):
+            run_check(check_id, HALF, n_max=2, order=4, cfg=FAST_CFG,
+                      **{**needed, name: values[name]})
 
 
 def test_suite_rejects_negative_sizes():
@@ -434,8 +458,8 @@ def point_report():
 @pytest.mark.parametrize("check_id", verify.KNOWN_CHECK_IDS)
 def test_run_check_agrees_with_suite(check_id, point_report):
     report, grid = point_report
-    single = run_check(check_id, HALF, p=2, n_max=grid.n_max, order=grid.order,
-                       cfg=FAST_CFG, x_points=grid.x_points)
+    single = run_check(check_id, HALF, n_max=grid.n_max, order=grid.order, cfg=FAST_CFG,
+                       **taken(check_id, p=2, x_points=grid.x_points))
     # asking for T6 runs the adjudication, so it also reports the T6k variant
     ids = {"T6": {"T6", "T6k"}}.get(check_id, {check_id})
     from_suite = [v for v in report.verdicts if v.check_id in ids]
