@@ -6,7 +6,14 @@ truncated formal power series and polynomials over the rationals (fps),
 the sequence families themselves with dual constructions (sequences),
 and the identity-verification engine plus suite runner (verify). The
 command line lives in cli.
+
+Importing the package loads the three exact layers only, and no numpy.
+The attribute verify and the names the package re-exports from it
+(run_suite, NumericConfig, KNOWN_CHECK_IDS, ...) are resolved on first
+use, which imports the engine and with it numpy.
 """
+
+import importlib
 
 from .exactnum import (
     beta_exact,
@@ -43,19 +50,29 @@ from .sequences import (
     trunc_mod_bell_deg,
     trunc_mod_bell_deg_egf,
 )
-from .verify import (
-    ADJUDICATION_IDS,
-    KNOWN_CHECK_IDS,
-    NumericConfig,
-    SuiteGrid,
-    SuiteReport,
-    Verdict,
-    default_grid,
-    exit_code_for,
-    report_to_json_text,
-    run_check,
-    run_suite,
-    verdicts_to_json_text,
-)
+
+_VERIFY_EXPORTS = frozenset({
+    "ADJUDICATION_IDS",
+    "KNOWN_CHECK_IDS",
+    "NumericConfig",
+    "SuiteGrid",
+    "SuiteReport",
+    "Verdict",
+    "default_grid",
+    "exit_code_for",
+    "report_to_json_text",
+    "run_check",
+    "run_suite",
+    "verdicts_to_json_text",
+})
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # verify imports numpy, which would more than double the start-up time
+    # of table and eval; it loads on first use of the module or its names
+    if name == "verify" or name in _VERIFY_EXPORTS:
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

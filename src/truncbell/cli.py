@@ -6,6 +6,10 @@ accepted solely for tolerances. Exit codes: 0 success / all counted
 checks pass, 1 a counted check failed, 2 invalid arguments, 3 output
 could not be written. The environment variable TRUNCBELL_OUTPUT_DIR, if
 set, prefixes relative output paths; everything else is flags.
+
+table and eval run on the exact layers alone: for them the check engine
+(verify) and numpy are never imported. check and suite import both, to
+build their subcommands' choices and defaults and to run.
 """
 
 from __future__ import annotations
@@ -14,15 +18,13 @@ import argparse
 import os
 import sys
 
-from . import verify
 from .exactnum import parse_rational
 from .fps import Poly
 from .sequences import Family, SequenceTable, build_table
 
 OUTPUT_DIR_ENV = "TRUNCBELL_OUTPUT_DIR"
 
-_DEFAULT_CFG = verify.NumericConfig()
-_DEFAULT_GRID = verify.SuiteGrid()
+_EXACT_COMMANDS = ("table", "eval")
 
 
 def _rational(text: str):
@@ -48,24 +50,26 @@ def _add_output_flag(sub):
                      help="write to PATH instead of stdout")
 
 
-def _add_config_flags(sub):
-    sub.add_argument("--tol-rel", type=float, default=_DEFAULT_CFG.tol_rel,
+def _add_config_flags(sub, cfg):
+    sub.add_argument("--tol-rel", type=float, default=cfg.tol_rel,
                      help="relative tolerance for numeric checks")
-    sub.add_argument("--tol-abs", type=float, default=_DEFAULT_CFG.tol_abs,
+    sub.add_argument("--tol-abs", type=float, default=cfg.tol_abs,
                      help="absolute tolerance for numeric checks")
-    sub.add_argument("--quad-nodes", type=int, default=_DEFAULT_CFG.quad_nodes,
+    sub.add_argument("--quad-nodes", type=int, default=cfg.quad_nodes,
                      help="even panel count for contour quadrature")
-    sub.add_argument("--cutoff-k", type=int, default=_DEFAULT_CFG.series_cutoff_k,
+    sub.add_argument("--cutoff-k", type=int, default=cfg.series_cutoff_k,
                      help="outer cutoff for double-series checks")
-    sub.add_argument("--cutoff-l", type=int, default=_DEFAULT_CFG.series_cutoff_l,
+    sub.add_argument("--cutoff-l", type=int, default=cfg.series_cutoff_l,
                      help="inner cutoff for double-series checks")
-    sub.add_argument("--mc-samples", type=int, default=_DEFAULT_CFG.mc_samples,
+    sub.add_argument("--mc-samples", type=int, default=cfg.mc_samples,
                      help="Monte Carlo sample count")
-    sub.add_argument("--seed", type=int, default=_DEFAULT_CFG.seed,
+    sub.add_argument("--seed", type=int, default=cfg.seed,
                      help="base seed; each check derives its own stream")
 
 
-def _config_from(args) -> verify.NumericConfig:
+def _config_from(args):
+    from . import verify
+
     return verify.NumericConfig(
         tol_rel=args.tol_rel,
         tol_abs=args.tol_abs,
@@ -121,6 +125,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import verify
+
     verdicts = verify.run_check(
         args.id,
         args.lam,
@@ -136,6 +142,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from . import verify
+
     grid = verify.SuiteGrid(
         lambdas=args.lambdas,
         ps=args.ps,
@@ -148,7 +156,10 @@ def cmd_suite(args) -> int:
     return rc if rc else report.exit_code()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or, when command is table or eval,
+    one without the check and suite subcommands, whose choices and
+    defaults come from the check engine and so would import it."""
     parser = argparse.ArgumentParser(
         prog="truncbell",
         description="Exact tables and mechanical identity checks for "
@@ -183,6 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flag(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
+    if command in _EXACT_COMMANDS:
+        return parser
+    from . import verify
+
+    cfg, grid = verify.NumericConfig(), verify.SuiteGrid()
     p_check = sub.add_parser("check", help="run one identity check, print verdicts")
     p_check.add_argument("--id", required=True, choices=verify.KNOWN_CHECK_IDS)
     p_check.add_argument("--lambda", dest="lam", type=_rational, required=True,
@@ -190,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--p", type=int, default=None)
     p_check.add_argument("--k", type=int, default=None,
                          help="fix one column in the triangle contour check")
-    p_check.add_argument("--n-max", type=int, default=_DEFAULT_GRID.n_max)
-    p_check.add_argument("--order", type=int, default=_DEFAULT_GRID.order,
+    p_check.add_argument("--n-max", type=int, default=grid.n_max)
+    p_check.add_argument("--order", type=int, default=grid.order,
                          help="series truncation order")
     p_check.add_argument("--x-points", type=_rational_list, default=None,
                          metavar="R1,R2,...", help="evaluation points for T15")
-    _add_config_flags(p_check)
+    _add_config_flags(p_check, cfg)
     _add_output_flag(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -203,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--default-grid", action="store_true",
                          help="use the built-in grid (also the default)")
     p_suite.add_argument("--lambdas", type=_rational_list,
-                         default=_DEFAULT_GRID.lambdas, metavar="R1,R2,...")
-    p_suite.add_argument("--ps", type=_int_list, default=_DEFAULT_GRID.ps,
+                         default=grid.lambdas, metavar="R1,R2,...")
+    p_suite.add_argument("--ps", type=_int_list, default=grid.ps,
                          metavar="P1,P2,...")
-    p_suite.add_argument("--n-max", type=int, default=_DEFAULT_GRID.n_max)
-    p_suite.add_argument("--order", type=int, default=_DEFAULT_GRID.order)
+    p_suite.add_argument("--n-max", type=int, default=grid.n_max)
+    p_suite.add_argument("--order", type=int, default=grid.order)
     p_suite.add_argument("--x-points", type=_rational_list,
-                         default=_DEFAULT_GRID.x_points, metavar="R1,R2,...")
-    _add_config_flags(p_suite)
+                         default=grid.x_points, metavar="R1,R2,...")
+    _add_config_flags(p_suite, cfg)
     _add_output_flag(p_suite)
     p_suite.set_defaults(func=cmd_suite)
 
@@ -218,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option but -h, so argv[0] names the command
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)

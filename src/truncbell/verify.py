@@ -1081,8 +1081,9 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
 # single-check dispatch (used by the command line)
 
 
-def run_check(check_id: str, lam, *, p=None, k=None, n_max=10, order=24,
-              cfg: NumericConfig | None = None, x_points=None) -> list[Verdict]:
+def run_check(check_id: str, lam, *, p=None, k=None, n_max=SuiteGrid.n_max,
+              order=SuiteGrid.order, cfg: NumericConfig | None = None,
+              x_points=None) -> list[Verdict]:
     """Run the registry entry that emits check_id at one point. The stated
     id of an uncounted (adjudicated) entry returns every variant it emits;
     any other id returns only its own verdicts. A p, k or x_points the

@@ -284,3 +284,16 @@ def test_unknown_flag_rejected(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "suite", "--help")[0] == 0
+
+
+COMMANDS = ("table", "eval", "check", "suite")
+
+
+def test_help_and_mistyped_command_list_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    code, _, err = run(capsys, "tabel", "--family", "S2", "--n-max", "3")
+    assert code == 2
+    assert "invalid choice: 'tabel'" in err
+    assert all(f"'{c}'" in err for c in COMMANDS)

@@ -620,12 +620,38 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_import_loads_no_pool_modules():
+_HEAVY_MODULES = ("concurrent.futures", "multiprocessing", "numpy", "truncbell.verify")
+_CLI = "from truncbell import cli\nif cli.main({}) != 0: raise SystemExit('command failed')"
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import truncbell", []),
+    (_CLI.format(["table", "--family", "S2deg", "--lambda", "1/2", "--n-max", "4"]), []),
+    (_CLI.format(["eval", "--family", "TruncBellDeg", "--lambda", "1/2", "--p", "1",
+                  "--n", "2", "--x", "1/3"]), []),
+    (_CLI.format(["check", "--id", "T1", "--lambda", "1/3", "--p", "2", "--n-max", "4"]),
+     ["numpy", "truncbell.verify"]),
+], ids=["import", "table", "eval", "check"])
+def test_modules_loaded_by_entry_point(code, loaded):
+    """The exact paths load neither numpy nor the check engine nor the
+    suite's pool; check loads the engine and numpy (so the probe sees
+    them at all) but still no pool."""
     import truncbell
 
-    code = ("import sys, truncbell; "
-            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    probe = f"{code}\nimport sys; print(sorted(set({_HEAVY_MODULES!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(truncbell.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == repr(loaded)
+
+
+def test_lazy_exports_are_the_engine_objects():
+    import truncbell
+
+    for name in ("ADJUDICATION_IDS", "KNOWN_CHECK_IDS", "NumericConfig", "SuiteGrid",
+                 "SuiteReport", "Verdict", "default_grid", "exit_code_for",
+                 "report_to_json_text", "run_check", "run_suite", "verdicts_to_json_text"):
+        assert getattr(truncbell, name) is getattr(verify, name), name
+    assert truncbell.verify is verify
+    with pytest.raises(AttributeError, match="no_such_name"):
+        truncbell.no_such_name
