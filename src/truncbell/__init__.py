@@ -1,16 +1,17 @@
 """Exact computation and mechanical verification of degenerate and
 truncated Bell-type sequence families.
 
-The package has four layers: exact scalar arithmetic (exactnum),
+The package has five layers: exact scalar arithmetic (exactnum),
 truncated formal power series and polynomials over the rationals (fps),
 the sequence families themselves with dual constructions (sequences),
+the double-precision quadrature, series and sampling kernels (numeric),
 and the identity-verification engine plus suite runner (verify). The
 command line lives in cli.
 
 Importing the package loads the three exact layers only, and no numpy.
 The attribute verify and the names the package re-exports from it
 (run_suite, NumericConfig, KNOWN_CHECK_IDS, ...) are resolved on first
-use, which imports the engine and with it numpy.
+use, which imports the engine and with it numeric and numpy.
 """
 
 import importlib
@@ -19,7 +20,6 @@ from .exactnum import (
     beta_exact,
     binomial,
     deg_falling_factorial,
-    falling_factorial,
     format_rational,
     parse_rational,
 )

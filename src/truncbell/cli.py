@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .exactnum import parse_rational
 from .fps import Poly
@@ -57,10 +58,10 @@ def _add_config_flags(sub, cfg):
                      help="absolute tolerance for numeric checks")
     sub.add_argument("--quad-nodes", type=int, default=cfg.quad_nodes,
                      help="even panel count for contour quadrature")
-    sub.add_argument("--cutoff-k", type=int, default=cfg.series_cutoff_k,
-                     help="outer cutoff for double-series checks")
-    sub.add_argument("--cutoff-l", type=int, default=cfg.series_cutoff_l,
-                     help="inner cutoff for double-series checks")
+    sub.add_argument("--cutoff-k", dest="series_cutoff_k", metavar="CUTOFF_K", type=int,
+                     default=cfg.series_cutoff_k, help="outer cutoff for double-series checks")
+    sub.add_argument("--cutoff-l", dest="series_cutoff_l", metavar="CUTOFF_L", type=int,
+                     default=cfg.series_cutoff_l, help="inner cutoff for double-series checks")
     sub.add_argument("--mc-samples", type=int, default=cfg.mc_samples,
                      help="Monte Carlo sample count")
     sub.add_argument("--seed", type=int, default=cfg.seed,
@@ -68,17 +69,10 @@ def _add_config_flags(sub, cfg):
 
 
 def _config_from(args):
-    from . import verify
+    # every NumericConfig field has a flag whose dest is the field's name
+    from .verify import NumericConfig
 
-    return verify.NumericConfig(
-        tol_rel=args.tol_rel,
-        tol_abs=args.tol_abs,
-        quad_nodes=args.quad_nodes,
-        series_cutoff_k=args.cutoff_k,
-        series_cutoff_l=args.cutoff_l,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-    )
+    return NumericConfig(**{f.name: getattr(args, f.name) for f in fields(NumericConfig)})
 
 
 def _write_output(text: str, path: str | None) -> int:

@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from math import comb, factorial
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 _RATIONAL_CHARS = set("0123456789/+-")
 
 
@@ -65,16 +65,6 @@ def binomial(n: int, k: int) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)
     return Fraction(comb(n, k))
-
-
-def falling_factorial(x: Fraction, n: int) -> Fraction:
-    """x * (x-1) * ... * (x-n+1); the empty product at n = 0."""
-    if n < 0:
-        raise ValueError(f"falling_factorial needs n >= 0, got n={n}")
-    out = Fraction(1)
-    for j in range(n):
-        out *= x - j
-    return out
 
 
 def deg_falling_factorial(x: Fraction, n: int, lam: Fraction) -> Fraction:

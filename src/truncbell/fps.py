@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul
 
-from .exactnum import falling_factorial, parse_rational
+from .exactnum import deg_falling_factorial, parse_rational
 
 _SCALARS = (int, Fraction)
 
@@ -508,7 +508,7 @@ def deg_log(lam: Fraction, order: int) -> Fps:
     coeffs = [Fraction(0)]
     if lam:
         for n in range(1, order + 1):
-            coeffs.append(falling_factorial(lam, n) / (factorial(n) * lam))
+            coeffs.append(deg_falling_factorial(lam, n, 1) / (factorial(n) * lam))
     else:
         for n in range(1, order + 1):
             coeffs.append(Fraction((-1) ** (n + 1), n))

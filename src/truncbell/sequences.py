@@ -81,14 +81,12 @@ def _deg_ff_poly(lam: Fraction, n: int) -> Poly:
 
 
 def falling_factorial_poly(n: int) -> Poly:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     return _ff_poly(n)
 
 
 def deg_falling_factorial_poly(n: int, lam) -> Poly:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     return _deg_ff_poly(Fraction(lam), n)
 
 
@@ -114,8 +112,7 @@ def _s2_row(n: int) -> tuple[Fraction, ...]:
 
 def stirling2(n: int, k: int) -> Fraction:
     """Second-kind numbers: x^n = sum_k stirling2(n,k) (x)_k."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
     return _s2_row(n)[k]
@@ -128,8 +125,7 @@ def stirling1(n: int, k: int) -> Fraction:
     relation itself; the test suite cross-checks the usual recurrence
     against these values rather than the other way around.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
     return _ff_poly(n).coeff(k)
@@ -157,8 +153,6 @@ def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
     Triangular elimination: the basis element of degree d is monic, so the
     leading coefficient of the remainder is the next basis coefficient.
     """
-    if poly.is_zero:
-        return []
     out = [Fraction(0)] * (poly.degree + 1)
     work = poly
     while not work.is_zero:
@@ -175,24 +169,17 @@ def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
-    return tuple(_monomial_to_falling(_padded_coeffs(_deg_ff_poly(lam, n), n)))
+    return tuple(_monomial_to_falling(_deg_ff_poly(lam, n).coeffs))
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _s1deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
-    out = _to_deg_falling_basis(_ff_poly(n), lam)
-    return tuple(out + [Fraction(0)] * (n + 1 - len(out)))
-
-
-def _padded_coeffs(poly: Poly, n: int) -> list[Fraction]:
-    cs = list(poly.coeffs)
-    return cs + [Fraction(0)] * (n + 1 - len(cs))
+    return tuple(_to_deg_falling_basis(_ff_poly(n), lam))
 
 
 def stirling2_deg(n: int, k: int, lam) -> Fraction:
     """Degenerate second kind: (x)_{n,lam} = sum_k stirling2_deg(n,k,lam) (x)_k."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
     return _s2deg_row(Fraction(lam), n)[k]
@@ -200,8 +187,7 @@ def stirling2_deg(n: int, k: int, lam) -> Fraction:
 
 def stirling1_deg(n: int, k: int, lam) -> Fraction:
     """Degenerate first kind: (x)_n = sum_k stirling1_deg(n,k,lam) (x)_{k,lam}."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
     return _s1deg_row(Fraction(lam), n)[k]
@@ -221,8 +207,7 @@ def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
     """Polynomial-argument degenerate second kind: the x-shifted triangle
     entry, as the finite binomial convolution of plain entries against
     deformed falling factorials of x."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if l < 0 or l > n:
         return Poly.zero()
     return _s2deg_poly(Fraction(lam), n, l)
@@ -239,22 +224,19 @@ def _bell_deg_poly(lam: Fraction, n: int) -> Poly:
 
 def bell_deg(n: int, lam) -> Poly:
     """sum_k stirling2_deg(n,k,lam) x^k."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     return _bell_deg_poly(Fraction(lam), n)
 
 
 def bell_poly_classical(n: int) -> Poly:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     return Poly(_s2_row(n))
 
 
 def bell_classical(n: int) -> Fraction:
     """Number of set partitions of an n-set, as the row sum of the
     second-kind triangle."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     return sum(_s2_row(n), Fraction(0))
 
 
@@ -283,9 +265,13 @@ def trunc_mod_bell_deg(n: int, p: int, lam) -> Poly:
     return _trunc_mod_poly(Fraction(lam), p, n)
 
 
-def _check_np(n: int, p: int) -> None:
+def _check_n(n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+
+
+def _check_np(n: int, p: int) -> None:
+    _check_n(n)
     if p < 0:
         raise ValueError(f"truncation index p must be >= 0, got {p}")
 
@@ -379,8 +365,7 @@ def _series_depth(n: int, order) -> int:
 def stirling2_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction:
     """Series route: n-th factorial-normalized coefficient of the k-th
     power of the deformed exponential minus one, over k!."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
     depth = _series_depth(n, order)
@@ -389,8 +374,7 @@ def stirling2_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction
 
 def stirling1_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction:
     """Series route via powers of the deformed logarithm."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
     depth = _series_depth(n, order)
@@ -411,8 +395,7 @@ def _trunc_gf(lam: Fraction, p: int, order: int) -> tuple[Poly, ...]:
 
 
 def bell_deg_egf(n: int, lam, order: int | None = None) -> Poly:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     return _trunc_gf(Fraction(lam), 0, _series_depth(n, order))[n] * factorial(n)
 
 
@@ -446,8 +429,7 @@ def _s2degpoly_gf(lam: Fraction, l: int, order: int) -> tuple[Poly, ...]:
 
 
 def stirling2_deg_poly_egf(n: int, l: int, lam, order: int | None = None) -> Poly:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if l < 0 or l > n:
         return Poly.zero()
     return _s2degpoly_gf(Fraction(lam), l, _series_depth(n, order))[n] * factorial(n)

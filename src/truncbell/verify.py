@@ -6,8 +6,8 @@ demand equality of rationals or rational-coefficient polynomials, carry no
 tolerance, fail on one unequal coefficient and report the mismatch count as
 max_residual. Numeric checks evaluate an analytic representation
 (truncated double series, contour quadrature, Monte Carlo sampling) in
-double precision and compare against the exact rational value, which is
-converted to float only at comparison time.
+double precision with the kernels of numeric, and compare against the
+exact rational value, which is converted to float only at comparison time.
 
 Verdicts are plain data with a stable JSON rendering; identical parameters
 (seed included) must reproduce a suite report byte for byte.
@@ -49,21 +49,21 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import factorial, isfinite, pi
+from math import factorial, isfinite
 
 import numpy as np
 
 from . import sequences as seq
 from .exactnum import beta_exact, binomial, deg_falling_factorial
 from .fps import Fps, Poly, apply_Dlambda, deg_exp
+from .numeric import beta_moments, circle_data, contour_bracket, contour_coeff, double_series
 
 _BRANCH_FLOOR = 1e-9
-_BRACKET_TERMS = 60  # series depth for the entire-function contour bracket
-_S3_ENTROPY = 4960337475862901380  # S3's stream key: sha256(b"S3")[:8], big-endian
+_CONTOUR_N_MIN = "contour representations hold for n >= 1 only"
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,8 @@ class NumericConfig:
             raise ValueError("seed must be >= 0")
 
     def as_dict(self) -> dict:
-        return {
-            "tol_rel": float(self.tol_rel),
-            "tol_abs": float(self.tol_abs),
-            "quad_nodes": int(self.quad_nodes),
-            "series_cutoff_k": int(self.series_cutoff_k),
-            "series_cutoff_l": int(self.series_cutoff_l),
-            "mc_samples": int(self.mc_samples),
-            "seed": int(self.seed),
-        }
+        # plain float or int per field, whatever number type a caller passed
+        return {f.name: type(f.default)(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
@@ -186,6 +179,11 @@ class _Collector:
         for power in range(max(lhs.degree, rhs.degree) + 1):
             self.scalar(n, lhs.coeff(power), rhs.coeff(power), power, note, counted)
 
+    def scalars(self, values, targets):
+        """scalar() for each n of two equally long lists indexed by n."""
+        for n, (lhs, rhs) in enumerate(zip(values, targets)):
+            self.scalar(n, lhs, rhs)
+
     def info(self, n, k, lhs, rhs, note):
         self.rows.append(_row(n, k, lhs, rhs, note))
 
@@ -223,98 +221,8 @@ class _Collector:
         return Verdict(check_id, self.mode, params, status, float(residual), self.rows)
 
 
-# --------------------------------------------------------------------------
-# numeric building blocks
-
-
-def _simpson_weights(panels: int, length: float) -> np.ndarray:
-    # composite Simpson over a uniform grid with `panels` subintervals
-    if panels < 2 or panels % 2:
-        raise ValueError("Simpson rule needs a positive even panel count")
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (length / panels / 3.0)
-
-
-@lru_cache(maxsize=seq.MEMO_MAXSIZE)
-def _circle_data(lam: Fraction, panels: int):
-    """Deformed exponential minus one on the unit circle, with Simpson
-    weights. Principal branch throughout; callers must keep |lam| < 1 so
-    1 + lam*u stays clear of the negative real axis on the contour."""
-    theta = np.linspace(0.0, 2.0 * pi, panels + 1)
-    u = np.exp(1j * theta)
-    if lam == 0:
-        w = np.exp(u)
-        floor = 1.0
-    else:
-        lf = float(lam)
-        base = 1.0 + lf * u
-        floor = float(np.abs(base).min())
-        w = np.exp(np.log(base) / lf)
-    weights = _simpson_weights(panels, 2.0 * pi)
-    z = w - 1.0
-    for arr in (theta, z, weights):
-        arr.setflags(write=False)
-    return theta, z, weights, floor
-
-
-def _contour_bracket(z: np.ndarray, p: int) -> np.ndarray:
-    """The integrand bracket exp(z)/z^p minus the first p inverse-power
-    terms, evaluated as the entire series sum_m z^m/(m+p)! to dodge the
-    cancellation the literal form suffers."""
-    acc = np.zeros_like(z)
-    for m in range(_BRACKET_TERMS, -1, -1):
-        acc = acc * z + 1.0 / float(factorial(m + p))
-    return acc
-
-
-@lru_cache(maxsize=seq.MEMO_MAXSIZE)
-def _series_weight_matrix(p: int, kmax: int, lmax: int):
-    """Double-series weights w[k,l] = (-1)^l / (k! l! C(k+l+p,p)) shared by
-    the plain and modified double-series checks, plus row sums over l."""
-    top = kmax + lmax + p
-    lnfact = np.concatenate(
-        ([0.0], np.cumsum(np.log(np.arange(1, top + 1, dtype=np.float64))))
-    )
-    ks = np.arange(kmax + 1)[:, None]
-    ls = np.arange(lmax + 1)[None, :]
-    ln_binom = lnfact[ks + ls + p] - lnfact[ks + ls] - lnfact[p]
-    mag = np.exp(-(lnfact[ks] + lnfact[ls] + ln_binom))
-    sign = np.where(np.arange(lmax + 1)[None, :] % 2 == 0, 1.0, -1.0)
-    m = sign * mag
-    rowsums = m.sum(axis=1)
-    m.setflags(write=False)
-    rowsums.setflags(write=False)
-    return m, rowsums
-
-
-def _double_series(lam: Fraction, p: int, n_max: int, cfg: NumericConfig, x: float = 0.0):
-    """Double-series value of the modified truncated family at x under the
-    configured cutoffs (at x = 0 the truncated numbers), yielding
-    (n, approx, tail) for n = 0..n_max; tail is the size of the last kept
-    row and column, a heuristic for what the cutoffs dropped."""
-    m, rowsums = _series_weight_matrix(p, cfg.series_cutoff_k, cfg.series_cutoff_l)
-    lamf = float(lam)
-    ks = np.arange(cfg.series_cutoff_k + 1, dtype=np.float64)
-    fall = np.ones_like(ks)
-    for n in range(n_max + 1):
-        if n > 0:
-            fall = fall * (x + ks - (n - 1) * lamf)
-        tail = abs(float(fall[-1] * rowsums[-1])) + abs(float(fall @ m[:, -1]))
-        yield n, float(fall @ rowsums), tail
-
-
-def _contour_coeff(theta: np.ndarray, w: np.ndarray, f: np.ndarray, n: int,
-                   scale: int = 1) -> float:
-    """scale * n!/pi times the quadrature of Im f * sin(n theta) over the
-    unit circle: the contour form of the n-th coefficient, n >= 1, of the
-    function whose values on the contour are f."""
-    return factorial(n) * scale / pi * float(w @ (np.imag(f) * np.sin(n * theta)))
-
-
 def _series_params(lam, cfg: NumericConfig, **rest) -> dict:
-    # parameters of a verdict that evaluates _double_series
+    # parameters of a verdict that evaluates double_series
     return _num_params(lam, cfg, series_cutoff_k=cfg.series_cutoff_k,
                        series_cutoff_l=cfg.series_cutoff_l, **rest)
 
@@ -322,6 +230,12 @@ def _series_params(lam, cfg: NumericConfig, **rest) -> dict:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _truncated(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
+    """The basis-route truncated numbers for n = 0..n_max, the reference of
+    every route to them, read through the public function entry by entry."""
+    return [seq.trunc_bell_deg(n, p, lam)(Fraction(1)) for n in range(n_max + 1)]
 
 
 def _stirling_sums(lam: Fraction, weights: list) -> list[Fraction]:
@@ -381,8 +295,7 @@ def check_P3(lam, p: int, n_max: int) -> Verdict:
             col.poly(n, seq.trunc_bell_deg(n, 0, lam), seq.bell_deg(n, lam),
                      note="p = 0 reduces to the plain family")
     else:
-        for n, route in enumerate(_beta_route(lam, p, n_max)):
-            col.scalar(n, route, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+        col.scalars(_beta_route(lam, p, n_max), _truncated(lam, p, n_max))
     return col.verdict("P3", _params(lam, p=p, n_max=n_max))
 
 
@@ -402,8 +315,7 @@ def check_P5a(lam, p: int, n_max: int) -> Verdict:
     lam = Fraction(lam)
     _require(p >= 1, f"the double-sum form needs p >= 1, got {p}")
     col = _Collector()
-    for n, route in enumerate(_alternating_route(lam, p, n_max)):
-        col.scalar(n, route, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+    col.scalars(_alternating_route(lam, p, n_max), _truncated(lam, p, n_max))
     return col.verdict("P5a", _params(lam, p=p, n_max=n_max))
 
 
@@ -443,8 +355,7 @@ def check_P5b(lam, p: int, order: int) -> Verdict:
     series = (z.exp() * gamma).scale(Fraction(p)) / zpow
     col = _Collector()
     col.meta(f"closed-form incomplete-gamma guard: exact against the integral through t^{2 * p}")
-    for n in range(order + 1):
-        col.scalar(n, series.egf_coeff(n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+    col.scalars([series.egf_coeff(n) for n in range(order + 1)], _truncated(lam, p, order))
     return col.verdict("P5b", _params(lam, p=p, order=order))
 
 
@@ -512,8 +423,8 @@ def check_T7(lam, p: int, order: int) -> Verdict:
     _require(order >= p, f"order {order} too small for p = {p}")
     series = _operator_route(lam, p, order)
     col = _Collector()
-    for n in range(series.order + 1):
-        col.scalar(n, series.egf_coeff(n), seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+    col.scalars([series.egf_coeff(n) for n in range(series.order + 1)],
+                _truncated(lam, p, series.order))
     col.meta(f"coefficients compared through n = {series.order}")
     return col.verdict("T7", _params(lam, p=p, order=order))
 
@@ -534,8 +445,7 @@ def check_T8(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     lam = Fraction(lam)
     _require(p >= 1, f"the double-sum convolution needs p >= 1, got {p}")
     col = _Collector()
-    for n, route in enumerate(_convolution_route(lam, p, n_max)):
-        col.scalar(n, route, seq.trunc_bell_deg(n, p, lam)(Fraction(1)))
+    col.scalars(_convolution_route(lam, p, n_max), _truncated(lam, p, n_max))
     return col.verdict("T8", _params(lam, p=p, n_max=n_max, order=order))
 
 
@@ -549,8 +459,9 @@ def check_T4(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     lam = Fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     ncol = _Collector(cfg)
-    for n, approx, tail in _double_series(lam, p, n_max, cfg):
-        ncol.compare(n, approx, float(seq.trunc_bell_deg(n, p, lam)(Fraction(1))), tail=tail)
+    targets = _truncated(lam, p, n_max)
+    for n, approx, tail in double_series(lam, p, n_max, cfg):
+        ncol.compare(n, approx, targets[n], tail=tail)
     return ncol.verdict("T4", _series_params(lam, cfg, p=p, n_max=n_max))
 
 
@@ -560,8 +471,8 @@ def _contour_check(check_id: str, lam: Fraction, n_max: int, cfg: NumericConfig,
     yields (n, k, f, exact), f the contour values of a function whose n-th
     coefficient times scale should equal exact."""
     _require(abs(lam) < 1, f"contour checks need |lambda| < 1, got {lam}")
-    _require(n_max >= 1, "contour representations hold for n >= 1 only")
-    theta, z, w, floor = _circle_data(lam, cfg.quad_nodes)
+    _require(n_max >= 1, _CONTOUR_N_MIN)
+    theta, z, w, floor = circle_data(lam, cfg.quad_nodes)
     ncol = _Collector(cfg)
     if floor < _BRANCH_FLOOR:
         ncol.ok = False
@@ -571,7 +482,7 @@ def _contour_check(check_id: str, lam: Fraction, n_max: int, cfg: NumericConfig,
         )
     else:
         for n, k, f, exact in rows(z):
-            ncol.compare(n, _contour_coeff(theta, w, f, n, scale), float(exact), k=k)
+            ncol.compare(n, contour_coeff(theta, w, f, n, scale), float(exact), k=k)
     params = _num_params(lam, cfg, n_max=n_max, quad_nodes=cfg.quad_nodes, **extra)
     return ncol.verdict(check_id, params)
 
@@ -609,9 +520,10 @@ def check_T11(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     _require(p >= 1, "the truncated contour form needs p >= 1")
 
     def rows(z):
-        f = _contour_bracket(z, p)
+        f = contour_bracket(z, p)
+        targets = _truncated(lam, p, n_max)
         for n in range(1, n_max + 1):
-            yield n, -1, f, seq.trunc_bell_deg(n, p, lam)(Fraction(1))
+            yield n, -1, f, targets[n]
 
     return _contour_check("T11", lam, n_max, cfg, rows, factorial(p), p=p)
 
@@ -634,8 +546,8 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     col = _Collector()
 
     # exact values the loops below reuse, each computed once per call
-    val = [seq.trunc_bell_deg(j, p, lam)(Fraction(1)) for j in range(n_max + 2)]
-    val_raised = [seq.trunc_bell_deg(j, p + 1, lam)(Fraction(1)) for j in range(n_max + 1)]
+    val = _truncated(lam, p, n_max + 1)
+    val_raised = _truncated(lam, p + 1, n_max)
     ff = [deg_falling_factorial(lam - 1, j, lam) for j in range(n_max + 2)]
 
     results = []
@@ -718,7 +630,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     # exact values the loops below reuse, each computed once per call
     mod_p = [seq.trunc_mod_bell_deg(j, p, lam) for j in range(n_max + 2)]
     mod_p1 = [seq.trunc_mod_bell_deg(j, p + 1, lam) for j in range(n_max + 1)]
-    const = [seq.trunc_bell_deg(m, p, lam)(Fraction(1)) for m in range(n_max + 1)]
+    const = _truncated(lam, p, n_max)
 
     c14 = _Collector()
     literal_bad = 0
@@ -747,7 +659,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
 
     c15 = _Collector(cfg)
     for x in x_points:
-        for n, approx, tail in _double_series(lam, p, n_max, cfg, float(x)):
+        for n, approx, tail in double_series(lam, p, n_max, cfg, float(x)):
             c15.compare(n, approx, float(convolutions[n](x)), label=f"x={x}", tail=tail)
     v15 = c15.verdict("T15", _series_params(lam, cfg, p=p, n_max=n_max,
                                             x_points=[str(x) for x in x_points]))
@@ -780,26 +692,15 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     with inverse-transform sampling and a four-standard-error band."""
     lam = Fraction(lam)
     _require(p >= 1, f"the moment identity needs p >= 1, got {p}")
-    targets = [seq.trunc_bell_deg(n, p, lam)(Fraction(1)) for n in range(n_max + 1)]
+    targets = _truncated(lam, p, n_max)
     col = _Collector()
-    for n, route in enumerate(_moment_route(lam, p, n_max)):
-        col.scalar(n, route, targets[n])
+    col.scalars(_moment_route(lam, p, n_max), targets)
     v_exact = col.verdict("S3", _params(lam, p=p, n_max=n_max))
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, _S3_ENTROPY])))
-    u = rng.random(cfg.mc_samples)
-    x = 1.0 - u ** (1.0 / p)
-    pows = [np.ones_like(x)]
-    for _ in range(n_max):
-        pows.append(pows[-1] * x)
+    coeffs = [[float(seq.stirling2_deg(n, k, lam)) for k in range(n + 1)] for n in range(n_max + 1)]
     mc = _Collector()
-    for n in range(n_max + 1):
-        y = np.zeros_like(x)
-        for k in range(n + 1):
-            c = float(seq.stirling2_deg(n, k, lam))
-            if c:
-                y = y + c * pows[k]
-        mc.band(n, float(y.mean()), targets[n], float(y.std(ddof=1) / np.sqrt(cfg.mc_samples)))
+    for n, (mean, se) in enumerate(beta_moments(cfg.seed, p, cfg.mc_samples, coeffs)):
+        mc.band(n, mean, targets[n], se)
     params = _params(lam, p=p, n_max=n_max, mc_samples=cfg.mc_samples, seed=cfg.seed)
     return [v_exact, mc.verdict("S3", params)]
 
@@ -828,11 +729,11 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     ncol = _Collector(cfg)
     bracket = None
     if abs(lam) < 1:
-        theta, z, w, floor = _circle_data(lam, cfg.quad_nodes)
+        theta, z, w, floor = circle_data(lam, cfg.quad_nodes)
         if floor < _BRANCH_FLOOR:
             ncol.meta("route 5 skipped: contour approaches the branch point")
         else:
-            bracket = _contour_bracket(z, p)
+            bracket = contour_bracket(z, p)
             ncol.meta("route 5 evaluated for n >= 1 only: the contour form needs positive n")
     else:
         ncol.meta("route 5 skipped: |lambda| >= 1 keeps the contour off the principal branch")
@@ -841,14 +742,15 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     alternating = _alternating_route(lam, p, n_max)
     convolution = _convolution_route(lam, p, n_max)
     moment = _moment_route(lam, p, n_max)
-    for n, series, tail in _double_series(lam, p, n_max, cfg):
-        ref = seq.trunc_bell_deg(n, p, lam)(Fraction(1))
+    targets = _truncated(lam, p, n_max)
+    for n, series, tail in double_series(lam, p, n_max, cfg):
+        ref = targets[n]
         ncol.scalar(n, beta[n], ref, 1, _CSIX_ROUTES[1])
         ncol.compare(n, series, ref, k=2, label=_CSIX_ROUTES[2], tail=tail)
         ncol.scalar(n, alternating[n], ref, 3, _CSIX_ROUTES[3])
         ncol.scalar(n, convolution[n], ref, 4, _CSIX_ROUTES[4])
         if bracket is not None and n >= 1:
-            contour = _contour_coeff(theta, w, bracket, n, factorial(p))
+            contour = contour_coeff(theta, w, bracket, n, factorial(p))
             ncol.compare(n, contour, ref, k=5, label=_CSIX_ROUTES[5])
         ncol.scalar(n, moment[n], ref, 6, _CSIX_ROUTES[6])
 
@@ -880,10 +782,10 @@ class CheckSpec:
     """One registry entry. run(lam, p, args) returns the verdicts of the
     ids it emits. The suite runs an entry once per lambda when p_min is
     None (the check takes no p), else once per grid p >= p_min. Contour
-    entries need |lambda| < 1 and are recorded as skipped outside it.
-    Uncounted entries report on a statement/derivation conflict and never
-    decide an exit code. `takes` names the optional _Args fields (k,
-    x_points) the runner reads; run_check refuses any other. Runners call
+    entries need |lambda| < 1 and n_max >= 1 and are recorded as skipped
+    otherwise. Uncounted entries report on a statement/derivation conflict
+    and never decide an exit code. `takes` names the optional _Args fields
+    (k, x_points) the runner reads; run_check refuses any other. Runners call
     checks by their module-level names, so rebinding a check (as a tracer
     does) reaches every caller."""
 
@@ -963,15 +865,9 @@ def _verdict_sort_key(v: Verdict):
 def _adjudication_record(verdicts: list[Verdict]) -> dict | None:
     outcomes = {}
     for vid in sorted(ADJUDICATION_IDS):
-        statuses = [v.status for v in verdicts if v.check_id == vid]
-        if not statuses:
-            continue
-        if all(s == "pass" for s in statuses):
-            outcomes[vid] = "pass"
-        elif all(s == "fail" for s in statuses):
-            outcomes[vid] = "fail"
-        else:
-            outcomes[vid] = "mixed"
+        statuses = {v.status for v in verdicts if v.check_id == vid}
+        if statuses:
+            outcomes[vid] = statuses.pop() if len(statuses) == 1 else "mixed"
     if not outcomes:
         return None
     clean = [vid for vid, o in outcomes.items() if o == "pass"]
@@ -1031,10 +927,14 @@ def _run_lambda(lam, ps, args: _Args) -> tuple[list[Verdict], list[dict]]:
     skipped: list[dict] = []
     for check in CHECKS:
         check_ps = (None,) if check.p_min is None else [p for p in ps if p >= check.p_min]
+        skip = None
+        if check.contour and abs(lam) >= 1:
+            skip = "|lambda| >= 1 is outside the contour domain"
+        elif check.contour and args.n_max < 1:
+            skip = _CONTOUR_N_MIN
         for p in check_ps:
-            if check.contour and abs(lam) >= 1:
-                skipped.append({"id": check.ids[0], **_params(lam, p=p),
-                                "reason": "|lambda| >= 1 is outside the contour domain"})
+            if skip:
+                skipped.append({"id": check.ids[0], **_params(lam, p=p), "reason": skip})
             else:
                 verdicts.extend(check.run(lam, p, args))
     return verdicts, skipped

@@ -125,6 +125,14 @@ def test_eval_rejects_float_notation(capsys):
     assert "position" in err
 
 
+def test_eval_rejects_non_ascii_digits(capsys):
+    # Arabic-Indic 1/2 and 2, which int() reads as 1/2 and 2
+    code, out, err = run(capsys, "eval", "--family", "BellDeg", "--lambda", "\u0661/\u0662",
+                         "--n", "3", "--x", "\u0662")
+    assert (code, out) == (2, "")
+    assert "unexpected character '\u0661' at position 0" in err
+
+
 # ---------------------------------------------------------------- check
 
 
@@ -222,6 +230,31 @@ def test_suite_small_grid_exit_and_summary(capsys):
     assert len(report["summary"]["adjudication"]) == 1
     assert report["summary"]["grid"]["lambdas"] == ["0", "1/2"]
     assert report["summary"]["config"]["mc_samples"] == 5000
+
+
+def test_suite_config_records_every_flag(capsys):
+    code, out, _ = run(capsys, "suite", "--lambdas", "1/2", "--ps", "1", "--n-max", "2",
+                       "--order", "4", "--tol-rel", "1e-6", "--tol-abs", "1e-8",
+                       "--quad-nodes", "512", "--cutoff-k", "40", "--cutoff-l", "50",
+                       "--mc-samples", "3000", "--seed", "7")
+    assert code == 0
+    assert json.loads(out)["summary"]["config"] == {
+        "tol_rel": 1e-6, "tol_abs": 1e-8, "quad_nodes": 512, "series_cutoff_k": 40,
+        "series_cutoff_l": 50, "mc_samples": 3000, "seed": 7,
+    }
+
+
+def test_suite_at_n_max_zero_skips_the_contour_checks(capsys):
+    code, out, err = run(capsys, "suite", "--lambdas", "1/2", "--ps", "1", "--n-max", "0",
+                         "--order", "4")
+    assert (code, err) == (0, "")
+    skipped = json.loads(out)["summary"]["skipped_checks"]
+    assert [(s["id"], s["reason"]) for s in skipped] == [
+        (i, "contour representations hold for n >= 1 only") for i in ("L9", "C10", "T11")
+    ]
+    # a single contour check at n_max = 0 is still a usage error
+    code, _, err = run(capsys, "check", "--id", "L9", "--lambda", "1/2", "--n-max", "0")
+    assert code == 2 and "n >= 1" in err
 
 
 def test_suite_runs_at_large_truncation_index(tmp_path, capsys):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import truncbell.numeric as numeric
 import truncbell.sequences as sequences
 import truncbell.verify as verify
 from truncbell import cli
@@ -319,7 +320,7 @@ def test_incomplete_gamma_route_holds_beyond_p_eleven():
 
 def test_monte_carlo_stream_key_is_the_check_id_digest():
     digest = hashlib.sha256(b"S3").digest()
-    assert verify._S3_ENTROPY == int.from_bytes(digest[:8], "big")
+    assert numeric._S3_ENTROPY == int.from_bytes(digest[:8], "big")
 
 
 def test_refinement_does_not_diverge_on_passing_cases():
@@ -620,7 +621,8 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-_HEAVY_MODULES = ("concurrent.futures", "multiprocessing", "numpy", "truncbell.verify")
+_HEAVY_MODULES = ("concurrent.futures", "multiprocessing", "numpy", "truncbell.numeric",
+                  "truncbell.verify")
 _CLI = "from truncbell import cli\nif cli.main({}) != 0: raise SystemExit('command failed')"
 
 
@@ -630,12 +632,12 @@ _CLI = "from truncbell import cli\nif cli.main({}) != 0: raise SystemExit('comma
     (_CLI.format(["eval", "--family", "TruncBellDeg", "--lambda", "1/2", "--p", "1",
                   "--n", "2", "--x", "1/3"]), []),
     (_CLI.format(["check", "--id", "T1", "--lambda", "1/3", "--p", "2", "--n-max", "4"]),
-     ["numpy", "truncbell.verify"]),
+     ["numpy", "truncbell.numeric", "truncbell.verify"]),
 ], ids=["import", "table", "eval", "check"])
 def test_modules_loaded_by_entry_point(code, loaded):
-    """The exact paths load neither numpy nor the check engine nor the
-    suite's pool; check loads the engine and numpy (so the probe sees
-    them at all) but still no pool."""
+    """The exact paths load neither numpy nor the float kernels nor the
+    check engine nor the suite's pool; check loads the engine, the
+    kernels and numpy (so the probe sees them at all) but still no pool."""
     import truncbell
 
     probe = f"{code}\nimport sys; print(sorted(set({_HEAVY_MODULES!r}) & set(sys.modules)))"
