@@ -57,7 +57,7 @@ def _add_config_flags(sub, cfg):
     sub.add_argument("--tol-abs", type=float, default=cfg.tol_abs,
                      help="absolute tolerance for numeric checks")
     sub.add_argument("--quad-nodes", type=int, default=cfg.quad_nodes,
-                     help="even panel count for contour quadrature")
+                     help="even node count for contour quadrature")
     sub.add_argument("--cutoff-k", dest="series_cutoff_k", metavar="CUTOFF_K", type=int,
                      default=cfg.series_cutoff_k, help="outer cutoff for double-series checks")
     sub.add_argument("--cutoff-l", dest="series_cutoff_l", metavar="CUTOFF_L", type=int,

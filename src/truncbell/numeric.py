@@ -24,53 +24,39 @@ _BRACKET_TERMS = 60  # series depth for the entire-function contour bracket
 _S3_ENTROPY = 4960337475862901380  # S3's stream key: sha256(b"S3")[:8], big-endian
 
 
-def _simpson_weights(panels: int, length: float) -> np.ndarray:
-    # composite Simpson over a uniform grid with `panels` subintervals, an
-    # even count (NumericConfig validates quad_nodes)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (length / panels / 3.0)
-
-
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def circle_data(lam: Fraction, panels: int):
-    """Deformed exponential minus one on the unit circle, with Simpson
-    weights. Principal branch throughout; callers must keep |lam| < 1 so
-    1 + lam*u stays clear of the negative real axis on the contour."""
-    theta = np.linspace(0.0, 2.0 * pi, panels + 1)
-    u = np.exp(1j * theta)
-    if lam == 0:
-        w = np.exp(u)
-        floor = 1.0
-    else:
-        lf = float(lam)
-        base = 1.0 + lf * u
-        floor = float(np.abs(base).min())
-        w = np.exp(np.log(base) / lf)
-    weights = _simpson_weights(panels, 2.0 * pi)
-    z = w - 1.0
-    for arr in (theta, z, weights):
-        arr.setflags(write=False)
-    return theta, z, weights, floor
+def circle_data(lam: Fraction, nodes: int):
+    """Deformed exponential minus one at the trapezoid nodes e^(2 pi i j/nodes),
+    j = 0..nodes-1, of the unit circle, and min |1 + lam*u| over them.
+    Principal branch throughout; callers must keep |lam| < 1 so 1 + lam*u
+    stays clear of the negative real axis on the contour."""
+    u = np.exp(2j * pi * np.arange(nodes) / nodes)
+    base = 1.0 + float(lam) * u
+    z = (np.exp(u) if lam == 0 else np.exp(np.log(base) / float(lam))) - 1.0
+    z.setflags(write=False)
+    return z, float(np.abs(base).min())
 
 
 def contour_bracket(z: np.ndarray, p: int) -> np.ndarray:
-    """The integrand bracket exp(z)/z^p minus the first p inverse-power
-    terms, evaluated as the entire series sum_m z^m/(m+p)! to dodge the
-    cancellation the literal form suffers."""
-    acc = np.zeros_like(z)
-    for m in range(_BRACKET_TERMS, -1, -1):
-        acc = acc * z + 1.0 / float(factorial(m + p))
+    """p! times the integrand bracket exp(z)/z^p minus the first p
+    inverse-power terms, evaluated as the entire series
+    sum_m z^m p!/(m+p)! to dodge the cancellation the literal form suffers,
+    nested as 1 + z/(p+1) (1 + z/(p+2) (...)) so that no factorial is formed."""
+    acc = np.ones_like(z)
+    for m in range(_BRACKET_TERMS, 0, -1):
+        acc = 1.0 + acc * z / (p + m)
     return acc
 
 
-def contour_coeff(theta: np.ndarray, w: np.ndarray, f: np.ndarray, n: int,
-                  scale: int = 1) -> float:
-    """scale * n!/pi times the quadrature of Im f * sin(n theta) over the
-    unit circle: the contour form of the n-th coefficient, n >= 1, of the
-    function whose values on the contour are f."""
-    return factorial(n) * scale / pi * float(w @ (np.imag(f) * np.sin(n * theta)))
+def contour_coeffs(f: np.ndarray, n_max: int) -> np.ndarray:
+    """n! times the n-th Taylor coefficient, n = 0..n_max, of a function
+    real on the real axis whose values at the nodes of circle_data are f
+    (along the last axis), by the trapezoid rule: coefficient n >= 1 is
+    -(2/N) Im F[n] for F the real FFT of Im f, and coefficient 0 is the
+    mean of Re f. Coefficients alias unless 2*n_max < N."""
+    out = np.fft.rfft(np.imag(f))[..., :n_max + 1].imag * (-2.0 / f.shape[-1])
+    out[..., 0] = np.real(f).mean(axis=-1)
+    return out * np.array([float(factorial(n)) for n in range(n_max + 1)])
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)

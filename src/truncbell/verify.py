@@ -60,7 +60,7 @@ import numpy as np
 from . import sequences as seq
 from .exactnum import beta_exact, binomial, deg_falling_factorial
 from .fps import Fps, Poly, apply_Dlambda, deg_exp
-from .numeric import beta_moments, circle_data, contour_bracket, contour_coeff, double_series
+from .numeric import beta_moments, circle_data, contour_bracket, contour_coeffs, double_series
 
 _BRANCH_FLOOR = 1e-9
 _CONTOUR_N_MIN = "contour representations hold for n >= 1 only"
@@ -89,7 +89,7 @@ class NumericConfig:
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2 for a standard error")
         if self.quad_nodes < 2 or self.quad_nodes % 2:
-            raise ValueError("quad_nodes must be a positive even panel count")
+            raise ValueError("quad_nodes must be a positive even node count")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -465,52 +465,66 @@ def check_T4(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     return ncol.verdict("T4", _series_params(lam, cfg, p=p, n_max=n_max))
 
 
-def _contour_check(check_id: str, lam: Fraction, n_max: int, cfg: NumericConfig, rows,
-                   scale: int = 1, **extra) -> Verdict:
-    """Contour quadrature on the unit circle, for n >= 1 and |lam| < 1: rows(z)
-    yields (n, k, f, exact), f the contour values of a function whose n-th
-    coefficient times scale should equal exact."""
+def _contour_route(lam: Fraction, n_max: int, cfg: NumericConfig, integrand):
+    """n! times the n-th coefficient, n = 0..n_max, of the function whose
+    values at the trapezoid nodes of the unit circle are integrand(z),
+    z = e_lam(u) - 1, and the floor min |1 + lam*u| over the nodes; the
+    coefficients are None when the floor is under the branch guard."""
     _require(abs(lam) < 1, f"contour checks need |lambda| < 1, got {lam}")
-    _require(n_max >= 1, _CONTOUR_N_MIN)
-    theta, z, w, floor = circle_data(lam, cfg.quad_nodes)
-    ncol = _Collector(cfg)
+    _require(2 * n_max < cfg.quad_nodes,
+             f"contour checks need 2*n_max < quad_nodes = {cfg.quad_nodes}, got n_max = {n_max}")
+    z, floor = circle_data(lam, cfg.quad_nodes)
     if floor < _BRANCH_FLOOR:
+        return None, floor
+    return contour_coeffs(integrand(z), n_max), floor
+
+
+def _contour_check(check_id: str, lam: Fraction, n_max: int, cfg: NumericConfig, integrand,
+                   rows, **extra) -> Verdict:
+    """Contour quadrature on the unit circle, for n >= 1 and |lam| < 1:
+    rows(c) yields (n, k, approx, exact) from the coefficients c that
+    _contour_route reads off integrand."""
+    _require(n_max >= 1, _CONTOUR_N_MIN)
+    coeffs, floor = _contour_route(lam, n_max, cfg, integrand)
+    ncol = _Collector(cfg)
+    if coeffs is None:
         ncol.ok = False
         ncol.meta(
             "inconclusive-fail: contour approaches the branch point, "
             f"min |1 + lambda*u| = {floor:.3e}"
         )
     else:
-        for n, k, f, exact in rows(z):
-            ncol.compare(n, contour_coeff(theta, w, f, n, scale), float(exact), k=k)
+        for n, k, approx, exact in rows(coeffs):
+            ncol.compare(n, approx, float(exact), k=k)
     params = _num_params(lam, cfg, n_max=n_max, quad_nodes=cfg.quad_nodes, **extra)
     return ncol.verdict(check_id, params)
 
 
 def check_L9(lam, n_max: int, k: int | None, cfg: NumericConfig) -> Verdict:
-    """Contour quadrature of the degenerate Stirling triangle: k fixes a
-    single column, None probes every k <= n."""
+    """Contour quadrature of the degenerate Stirling triangle, one transform
+    per column: k fixes a single column, None probes every k <= n."""
     lam = Fraction(lam)
     _require(k is None or k >= 0, f"column index must be >= 0, got {k}")
+    cols = range(n_max + 1) if k is None else (k,)
 
-    def rows(z):
+    def rows(c):
         for n in range(1, n_max + 1):
-            for j in (range(n + 1) if k is None else (k,)):
-                yield n, j, z**j / float(factorial(j)), seq.stirling2_deg(n, j, lam)
+            for i, j in enumerate(range(n + 1) if k is None else cols):
+                yield n, j, c[i, n], seq.stirling2_deg(n, j, lam)
 
-    return _contour_check("L9", lam, n_max, cfg, rows, k=k)
+    return _contour_check("L9", lam, n_max, cfg,
+                          lambda z: np.array([z**j / float(factorial(j)) for j in cols]),
+                          rows, k=k)
 
 
 def check_C10(lam, n_max: int, cfg: NumericConfig) -> Verdict:
     """Contour quadrature of the plain family at x = 1."""
     lam = Fraction(lam)
 
-    def rows(z):
-        f = np.exp(z)
-        for n in range(1, n_max + 1):
-            yield n, -1, f, seq.bell_deg(n, lam)(Fraction(1))
+    def rows(c):
+        return [(n, -1, c[n], seq.bell_deg(n, lam)(Fraction(1))) for n in range(1, n_max + 1)]
 
-    return _contour_check("C10", lam, n_max, cfg, rows)
+    return _contour_check("C10", lam, n_max, cfg, np.exp, rows)
 
 
 def check_T11(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
@@ -519,13 +533,11 @@ def check_T11(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     lam = Fraction(lam)
     _require(p >= 1, "the truncated contour form needs p >= 1")
 
-    def rows(z):
-        f = contour_bracket(z, p)
+    def rows(c):
         targets = _truncated(lam, p, n_max)
-        for n in range(1, n_max + 1):
-            yield n, -1, f, targets[n]
+        return [(n, -1, c[n], targets[n]) for n in range(1, n_max + 1)]
 
-    return _contour_check("T11", lam, n_max, cfg, rows, factorial(p), p=p)
+    return _contour_check("T11", lam, n_max, cfg, lambda z: contour_bracket(z, p), rows, p=p)
 
 
 # --------------------------------------------------------------------------
@@ -727,14 +739,11 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     lam = Fraction(lam)
     _require(p >= 1, f"the six-expression display needs p >= 1, got {p}")
     ncol = _Collector(cfg)
-    bracket = None
+    contour = None
     if abs(lam) < 1:
-        theta, z, w, floor = circle_data(lam, cfg.quad_nodes)
-        if floor < _BRANCH_FLOOR:
-            ncol.meta("route 5 skipped: contour approaches the branch point")
-        else:
-            bracket = contour_bracket(z, p)
-            ncol.meta("route 5 evaluated for n >= 1 only: the contour form needs positive n")
+        contour, _ = _contour_route(lam, n_max, cfg, lambda z: contour_bracket(z, p))
+        ncol.meta("route 5 skipped: contour approaches the branch point" if contour is None
+                  else "route 5 evaluated for n >= 1 only: the contour form needs positive n")
     else:
         ncol.meta("route 5 skipped: |lambda| >= 1 keeps the contour off the principal branch")
 
@@ -749,9 +758,8 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
         ncol.compare(n, series, ref, k=2, label=_CSIX_ROUTES[2], tail=tail)
         ncol.scalar(n, alternating[n], ref, 3, _CSIX_ROUTES[3])
         ncol.scalar(n, convolution[n], ref, 4, _CSIX_ROUTES[4])
-        if bracket is not None and n >= 1:
-            contour = contour_coeff(theta, w, bracket, n, factorial(p))
-            ncol.compare(n, contour, ref, k=5, label=_CSIX_ROUTES[5])
+        if contour is not None and n >= 1:
+            ncol.compare(n, contour[n], ref, k=5, label=_CSIX_ROUTES[5])
         ncol.scalar(n, moment[n], ref, 6, _CSIX_ROUTES[6])
 
     params = _series_params(lam, cfg, p=p, n_max=n_max, quad_nodes=cfg.quad_nodes)

@@ -219,6 +219,35 @@ def test_check_contour_domain_error(capsys):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--id", "C10"), ("--id", "L9"), ("--id", "T11", "--p", "1"), ("--id", "C-SIX", "--p", "1"),
+])
+def test_check_contour_with_aliasing_node_count_is_usage_error(argv, capsys):
+    # four nodes alias coefficient n with coefficient N - n: a domain error,
+    # not a fail verdict for an identity that holds
+    code, out, err = run(capsys, "check", "--lambda=1/2", "--quad-nodes", "4", "--n-max", "10",
+                         *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: contour checks need 2*n_max < quad_nodes = 4, got n_max = 10\n"
+
+
+def test_suite_with_aliasing_node_count_is_usage_error(capsys):
+    code, out, err = run(capsys, "suite", "--lambdas", "1/2", "--ps", "1", "--n-max", "10",
+                         "--order", "12", "--quad-nodes", "20")
+    assert (code, out) == (2, "")
+    assert "2*n_max < quad_nodes = 20" in err
+
+
+@pytest.mark.parametrize("check_id", ["T11", "C-SIX"])
+def test_check_contour_at_truncation_index_beyond_float_factorials(check_id, capsys):
+    # (m + p)! for m <= 60 overflows a float past p = 110, so the bracket
+    # must not form it
+    code, out, _ = run(capsys, "check", "--id", check_id, "--lambda=1/2", "--p", "120",
+                       "--n-max", "3")
+    assert code == 0
+    assert [v["status"] for v in json.loads(out)] == ["pass"]
+
+
 # ---------------------------------------------------------------- suite
 
 

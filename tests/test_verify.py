@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import truncbell.numeric as numeric
@@ -335,6 +337,84 @@ def test_refinement_does_not_diverge_on_passing_cases():
     coarse = verify.check_T4(THIRD, 1, 6, NumericConfig(series_cutoff_k=20, series_cutoff_l=20))
     fine = verify.check_T4(THIRD, 1, 6, NumericConfig(series_cutoff_k=40, series_cutoff_l=40))
     assert fine.max_residual <= 10.0 * coarse.max_residual + eps
+
+
+
+# ---------------------------------------------------------------- contour quadrature
+
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+# the polynomial sum_n c_n u^n, degree 7 < N/2, sampled at the N = 16 nodes
+POLY_COEFFS = np.random.default_rng(1).standard_normal(8)
+POLY_VALUES = np.polyval(POLY_COEFFS[::-1], np.exp(2j * np.pi * np.arange(16) / 16))
+
+
+def _bell_integrand():
+    # at lambda = 0 the contour carries z = e^u - 1, and n! [u^n] e^z = Bell(n)
+    z, floor = numeric.circle_data(Fraction(0), 2048)
+    assert floor == 1.0
+    return np.exp(z)
+
+
+@pytest.mark.parametrize("values,n_max,expected,rel", [
+    (_bell_integrand, 10, BELL, 1e-12),
+    (lambda: POLY_VALUES, 7, [factorial(n) * c for n, c in enumerate(POLY_COEFFS)], 1e-14),
+    (lambda: np.stack([_bell_integrand(), _bell_integrand() ** 2]), 10,
+     [BELL, [sum(2**k * sequences.stirling2(n, k) for k in range(n + 1)) for n in range(11)]],
+     1e-12),
+], ids=["bell-numbers", "trigonometric-polynomial", "one-transform-per-row"])
+def test_contour_coeffs_reads_every_coefficient_from_one_transform(values, n_max, expected, rel):
+    # the trapezoid rule integrates a polynomial of degree below N/2 exactly,
+    # so its coefficients come back to rounding; the Bell numbers converge
+    # geometrically in N
+    got = numeric.contour_coeffs(values(), n_max)
+    expected = np.array(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= rel * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("check_id,lam,p,n_max", [
+    ("T11", HALF, 120, 3),
+    ("T11", -THIRD, 400, 10),
+    ("C-SIX", HALF, 120, 3),
+])
+def test_contour_bracket_holds_at_large_truncation_index(check_id, lam, p, n_max):
+    # p!/(m+p)! is formed as a product of ratios, so no factorial has to fit
+    # in a float
+    [v] = run_check(check_id, lam, p=p, n_max=n_max, cfg=CFG)
+    assert v.status == "pass"
+
+
+@pytest.mark.parametrize("check_id", ["L9", "C10", "T11", "C-SIX"])
+def test_contour_routes_reject_node_counts_that_alias(check_id):
+    # coefficient n of the N-node rule aliases with coefficient N - n, and
+    # n = N/2 reads the Nyquist term, which carries no sine part
+    args = taken(check_id, p=1)
+    with pytest.raises(ValueError, match=r"2\*n_max < quad_nodes = 20, got n_max = 10"):
+        run_check(check_id, HALF, n_max=10, cfg=NumericConfig(quad_nodes=20), **args)
+    run_check(check_id, HALF, n_max=10, cfg=NumericConfig(quad_nodes=22), **args)
+
+
+def test_suite_rejects_node_counts_that_alias():
+    grid = SuiteGrid(lambdas=(HALF,), ps=(1,), n_max=10, order=12)
+    with pytest.raises(ValueError, match=r"2\*n_max < quad_nodes = 4"):
+        run_suite(grid, NumericConfig(quad_nodes=4, mc_samples=2000))
+
+
+# the deep-grid contour verdicts that fail although the identities hold: at
+# n_max = 20 a coefficient near 1/20! is read out of an O(1) integrand and
+# multiplied by 20!, so rounding, not the identity, decides them
+KNOWN_DEEP_CONTOUR_FAILS = {("L9", "0", None), ("L9", "1/2", None), ("C10", "1/2", None)} | {
+    ("T11", "1/2", p) for p in range(1, 5)}
+
+
+def test_deep_contour_rows_fail_only_where_known():
+    failing = set()
+    for lam in (Fraction(0), HALF, -THIRD):
+        verdicts = [verify.check_L9(lam, 20, None, CFG), verify.check_C10(lam, 20, CFG)]
+        verdicts += [verify.check_T11(lam, p, 20, CFG) for p in range(1, 5)]
+        failing |= {(v.check_id, v.params["lambda"], v.params.get("p"))
+                    for v in verdicts if v.status != "pass"}
+    assert failing <= KNOWN_DEEP_CONTOUR_FAILS
 
 
 # ---------------------------------------------------------------- adjudication
