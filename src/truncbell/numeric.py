@@ -6,15 +6,17 @@ float code. The check engine (verify) supplies what to integrate (the
 contour integrands, the coefficients of the moment sums) and judges the
 results against exact values; nothing here reads the sequence families.
 Equal arguments give bit-identical floats, the seeded Monte Carlo stream
-included, and arrays a memo hands out are read-only. Importing this module
-imports numpy.
+included, and arrays a memo hands out are read-only. The Monte Carlo
+estimate reads every row from one memoized vector of sample moments, keyed
+by (seed, p, samples) and not by lambda, so the samples are drawn once per
+key and never kept. Importing this module imports numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, pi
+from math import factorial, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from .sequences import MEMO_MAXSIZE
 
 _BRACKET_TERMS = 60  # series depth for the entire-function contour bracket
 _S3_ENTROPY = 4960337475862901380  # S3's stream key: sha256(b"S3")[:8], big-endian
+_EPS = float(np.finfo(np.float64).eps)
+_HANKEL_MARGIN = 1e6  # a trusted Hankel variance has a relative rounding error under 1e-6
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
@@ -96,21 +100,70 @@ def double_series(lam: Fraction, p: int, n_max: int, cfg, x: float = 0.0):
         yield n, float(fall @ rowsums), tail
 
 
+def _samples(seed: int, p: int, samples: int) -> np.ndarray:
+    """S3's inverse-transform samples X = 1 - U^(1/p) of the density
+    p(1-x)^(p-1) on [0, 1], from the stream keyed by (seed, _S3_ENTROPY)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _S3_ENTROPY])))
+    return 1.0 - rng.random(samples) ** (1.0 / p)
+
+
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def _sample_moments(seed: int, p: int, samples: int, kmax: int) -> np.ndarray:
+    """m[k] = mean of X^k over S3's samples, k = 0..kmax, from one draw of
+    them; only the moments are kept, never the samples."""
+    x = _samples(seed, p, samples)
+    power = np.ones_like(x)
+    m = np.empty(kmax + 1)
+    m[0] = 1.0
+    for k in range(1, kmax + 1):
+        power *= x
+        m[k] = power.mean()
+    m.setflags(write=False)
+    return m
+
+
 def beta_moments(seed: int, p: int, samples: int, coeffs: list):
     """Monte Carlo estimates of E[sum_k c[k] X^k] for X with density
     p(1-x)^(p-1) on [0, 1], one per coefficient row c of coeffs, row n
-    holding c[0..n]: inverse-transform samples X = 1 - U^(1/p) from S3's
-    stream, keyed by (seed, _S3_ENTROPY). Yields (mean, standard error)
-    per row."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _S3_ENTROPY])))
-    u = rng.random(samples)
-    x = 1.0 - u ** (1.0 / p)
-    pows = [np.ones_like(x)]
-    for _ in range(len(coeffs) - 1):
-        pows.append(pows[-1] * x)
+    holding c[0..n]. Yields (mean, standard error) per row, the standard
+    error being the sample standard deviation (ddof=1) over sqrt(samples).
+
+    By linearity both come from the sample moments m of _sample_moments,
+    memoized by (seed, p, samples) and the longest row: the mean is c.m
+    and the second moment c^T H c with H[j, k] = m[j + k]. That quadratic
+    form can cancel, so its variance is used only when it is finite and
+    exceeds _HANKEL_MARGIN times its rounding bound
+    8 (d + log2(samples) + 16) eps |c|^T H |c| for a row of length d (H is
+    entrywise >= 0, as X lies in [0, 1]). Any other row is summed directly
+    over the samples, drawn again from the same seeded stream, so a
+    cancelling row is never clipped. A row with c[1:] all zero is a
+    constant and has no spread."""
+    d_max = max(map(len, coeffs), default=1)
+    m = _sample_moments(seed, p, samples, 2 * (d_max - 1))
+    x = None
     for row in coeffs:
-        y = np.zeros_like(x)
-        for c, power in zip(row, pows):
-            if c:
-                y = y + c * power
-        yield float(y.mean()), float(y.std(ddof=1) / np.sqrt(samples))
+        c = np.asarray(row, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf
+            est = _hankel_estimate(c, m, samples)
+            if est is None:
+                if x is None:
+                    x = _samples(seed, p, samples)
+                y = np.polynomial.polynomial.polyval(x, c)
+                est = float(y.mean()), float(y.std(ddof=1) / np.sqrt(samples))
+        yield est
+
+
+def _hankel_estimate(c: np.ndarray, m: np.ndarray, samples: int):
+    """(mean, standard error) of the row c from the sample moments m, or
+    None when the Hankel variance is not finite or does not clear its
+    rounding bound by _HANKEL_MARGIN (see beta_moments)."""
+    d = len(c)
+    mean = float(c @ m[:d])
+    if not c[1:].any():
+        return mean, 0.0
+    h = m[np.add.outer(np.arange(d), np.arange(d))]
+    var = float(c @ h @ c) - mean * mean
+    bound = 8 * (d + samples.bit_length() + 16) * _EPS * float(np.abs(c) @ h @ np.abs(c))
+    if isfinite(var) and var > _HANKEL_MARGIN * bound:
+        return mean, sqrt(var / (samples - 1))
+    return None

@@ -63,6 +63,7 @@ from .fps import Fps, Poly, apply_Dlambda, deg_exp
 from .numeric import beta_moments, circle_data, contour_bracket, contour_coeffs, double_series
 
 _BRANCH_FLOOR = 1e-9
+_FLOAT_FACTORIAL_MAX = 170  # 171! overflows a float
 _CONTOUR_N_MIN = "contour representations hold for n >= 1 only"
 
 
@@ -155,9 +156,11 @@ class _Collector:
     compare() checks a float approximation against an exact target within
     its tolerances and records every probed row, not only the failures.
     band() records a Monte Carlo estimate against its four-standard-error
-    band and makes the verdict a monte_carlo one. Any counted mismatch
-    fails the verdict and becomes its max_residual (as a count); otherwise
-    max_residual is the largest numeric residual."""
+    band and makes the verdict a monte_carlo one; a non-finite estimate or
+    standard error is a domain error, since an infinite band would accept
+    anything. Any counted mismatch fails the verdict and becomes its
+    max_residual (as a count); otherwise max_residual is the largest
+    numeric residual."""
 
     def __init__(self, cfg: NumericConfig | None = None):
         self.cfg = cfg
@@ -205,6 +208,9 @@ class _Collector:
         self.max_residual = max(self.max_residual, r)
 
     def band(self, n, est: float, exact, se: float):
+        _require(isfinite(est) and isfinite(se),
+                 f"Monte Carlo row n = {n} is not finite (estimate {est}, standard error {se}); "
+                 "its sum overflows a float")
         exact = float(exact)
         self.mode = "monte_carlo"
         if abs(est - exact) > 4.0 * se:
@@ -473,6 +479,9 @@ def _contour_route(lam: Fraction, n_max: int, cfg: NumericConfig, integrand):
     _require(abs(lam) < 1, f"contour checks need |lambda| < 1, got {lam}")
     _require(2 * n_max < cfg.quad_nodes,
              f"contour checks need 2*n_max < quad_nodes = {cfg.quad_nodes}, got n_max = {n_max}")
+    _require(n_max <= _FLOAT_FACTORIAL_MAX,
+             f"contour checks need n_max <= {_FLOAT_FACTORIAL_MAX}, where n! fits in a float, "
+             f"got n_max = {n_max}")
     z, floor = circle_data(lam, cfg.quad_nodes)
     if floor < _BRANCH_FLOOR:
         return None, floor
@@ -505,6 +514,8 @@ def check_L9(lam, n_max: int, k: int | None, cfg: NumericConfig) -> Verdict:
     per column: k fixes a single column, None probes every k <= n."""
     lam = Fraction(lam)
     _require(k is None or k >= 0, f"column index must be >= 0, got {k}")
+    _require(k is None or k <= _FLOAT_FACTORIAL_MAX,
+             f"column index must be <= {_FLOAT_FACTORIAL_MAX}, where k! fits in a float, got {k}")
     cols = range(n_max + 1) if k is None else (k,)
 
     def rows(c):
@@ -955,12 +966,14 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     On Linux the lambda slices run side by side in a pool of forked worker
     processes, one per lambda up to the number of CPUs this process may use;
     with one lambda, one usable CPU or on another platform they run in a
-    plain loop in this process. The slices share no work (each check seeds
-    its own generator and the memos are keyed by lambda) and are joined in
-    grid order, so the report is byte-identical to the loop's. Memos fill
-    inside the workers: a second call in the same process starts cold, and
-    as each worker bounds its memos by sequences.MEMO_MAXSIZE on its own,
-    memo memory is at most the worker count times that bound. Workers are
+    plain loop in this process. Each check seeds its own generator and every
+    memo returns a pure function of its key, so slices that share a memo
+    entry (S3's sample moments are keyed without lambda) get the same floats
+    whichever slice filled it; the slices are joined in grid order, so the
+    report is byte-identical to the loop's. Memos fill inside the workers:
+    a second call in the same process starts cold, and as each worker
+    bounds its memos by sequences.MEMO_MAXSIZE on its own, memo memory is
+    at most the worker count times that bound. Workers are
     forked rather than spawned, so they start without re-importing numpy
     and this package; only Python 3.11.7 was measured, and forking a process
     that runs threads (which Python 3.12+ warns about) is unverified."""

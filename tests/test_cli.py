@@ -238,6 +238,33 @@ def test_suite_with_aliasing_node_count_is_usage_error(capsys):
     assert "2*n_max < quad_nodes = 20" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--id", "C10"), ("--id", "L9"), ("--id", "T11", "--p", "1"), ("--id", "C-SIX", "--p", "1"),
+])
+def test_check_contour_beyond_float_factorials_is_usage_error(argv, capsys):
+    # coefficient n is scaled by n!, and 171! overflows a float
+    code, out, err = run(capsys, "check", "--lambda=1/2", "--n-max", "171", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: contour checks need n_max <= 170, where n! fits in a float, "
+                   "got n_max = 171\n")
+
+
+def test_check_contour_column_beyond_float_factorials_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--id", "L9", "--lambda=1/2", "--n-max", "5",
+                         "--k", "171")
+    assert (code, out) == (2, "")
+    assert "column index must be <= 170" in err
+
+
+def test_check_monte_carlo_overflow_is_usage_error(capsys):
+    # the squares of S2(n, k) near n = 140 overflow a float; an infinite
+    # standard error would make a band that accepts anything
+    code, out, err = run(capsys, "check", "--id", "S3", "--lambda=0", "--p", "2",
+                         "--n-max", "140", "--mc-samples", "2000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Monte Carlo row n = ") and "is not finite" in err
+
+
 @pytest.mark.parametrize("check_id", ["T11", "C-SIX"])
 def test_check_contour_at_truncation_index_beyond_float_factorials(check_id, capsys):
     # (m + p)! for m <= 60 overflows a float past p = 110, so the bracket

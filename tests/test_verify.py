@@ -143,6 +143,8 @@ def test_contour_parameters_are_checked_before_the_branch_floor():
         verify.check_T11(-NEAR_ONE, 0, 4, CFG)
     with pytest.raises(ValueError, match="column index must be >= 0"):
         verify.check_L9(-NEAR_ONE, 4, -1, CFG)
+    with pytest.raises(ValueError, match="column index must be <= 170"):
+        verify.check_L9(-NEAR_ONE, 4, 171, CFG)
 
 
 @pytest.mark.parametrize("check_id", verify.KNOWN_CHECK_IDS)
@@ -394,6 +396,13 @@ def test_contour_routes_reject_node_counts_that_alias(check_id):
     run_check(check_id, HALF, n_max=10, cfg=NumericConfig(quad_nodes=22), **args)
 
 
+@pytest.mark.parametrize("check_id", ["L9", "C10", "T11", "C-SIX"])
+def test_contour_routes_reject_n_max_beyond_float_factorials(check_id):
+    # every coefficient is scaled by n!, and 171! overflows a float
+    with pytest.raises(ValueError, match="n_max <= 170, where n! fits in a float, got n_max = 171"):
+        run_check(check_id, HALF, n_max=171, cfg=CFG, **taken(check_id, p=1))
+
+
 def test_suite_rejects_node_counts_that_alias():
     grid = SuiteGrid(lambdas=(HALF,), ps=(1,), n_max=10, order=12)
     with pytest.raises(ValueError, match=r"2\*n_max < quad_nodes = 4"):
@@ -511,6 +520,96 @@ def test_monte_carlo_reruns_are_bit_identical():
     a = verdicts_to_json_text(verify.check_S3(HALF, 2, 5, FAST_CFG))
     b = verdicts_to_json_text(verify.check_S3(HALF, 2, 5, FAST_CFG))
     assert a == b
+
+
+def _direct_beta_moments(seed, p, samples, coeffs):
+    """The per-row sums over the samples that the moment route replaces:
+    every power of every sample, then each row's values and their mean and
+    sample standard deviation."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, numeric._S3_ENTROPY])))
+    x = 1.0 - rng.random(samples) ** (1.0 / p)
+    pows = [np.ones_like(x)]
+    for _ in range(max(map(len, coeffs)) - 1):
+        pows.append(pows[-1] * x)
+    for row in coeffs:
+        y = sum(c * power for c, power in zip(row, pows))
+        yield float(y.mean()), float(y.std(ddof=1) / np.sqrt(samples))
+
+
+def _s2deg_rows(lam, n_max):
+    return [[float(sequences.stirling2_deg(n, k, lam)) for k in range(n + 1)]
+            for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), HALF, -THIRD])
+@pytest.mark.parametrize("p", [1, 4])
+def test_sample_moments_agree_with_direct_row_sums(lam, p):
+    coeffs = _s2deg_rows(lam, 10)
+    got = list(numeric.beta_moments(7, p, 20_000, coeffs))
+    want = list(_direct_beta_moments(7, p, 20_000, coeffs))
+    assert len(got) == len(want) == 11
+    for (mean, se), (ref_mean, ref_se) in zip(got, want):
+        assert abs(mean - ref_mean) <= 1e-12 * abs(ref_mean)
+        assert abs(se - ref_se) <= 1e-12 * ref_se
+
+
+def test_cancelling_row_falls_back_to_the_direct_sum():
+    # the Hankel second moment of 1e8 + X is about 1e16 and its variance
+    # about 0.05, far below the form's rounding error: the row is summed
+    # over the samples again instead of reporting a standard error of 0
+    [(mean, se)] = numeric.beta_moments(42, 2, 20_000, [[1e8, 1.0]])
+    [(ref_mean, ref_se)] = _direct_beta_moments(42, 2, 20_000, [[1e8, 1.0]])
+    assert se > 0
+    assert abs(se - ref_se) <= 1e-12 * ref_se and abs(mean - ref_mean) <= 1e-12 * ref_mean
+
+
+def test_moment_memo_keeps_moments_not_samples(monkeypatch):
+    held, draws = [], []
+    memo, draw = numeric._sample_moments, numeric._samples
+
+    def spy_memo(*key):
+        held.append(memo(*key))
+        return held[-1]
+
+    def spy_draw(*key):
+        draws.append(key)
+        return draw(*key)
+
+    monkeypatch.setattr(numeric, "_sample_moments", spy_memo)
+    monkeypatch.setattr(numeric, "_samples", spy_draw)
+    memo.cache_clear()
+    for lam in (Fraction(0), HALF, -THIRD):
+        for p in (1, 4):
+            verify.check_S3(lam, p, 10, FAST_CFG)
+    assert len(held) == 6
+    assert all(m.shape == (2 * 10 + 1,) and not m.flags.writeable for m in held)
+    # the stream does not depend on lambda: one draw per p serves every lambda
+    assert draws == [(FAST_CFG.seed, 1, 20_000), (FAST_CFG.seed, 4, 20_000)]
+
+
+@pytest.mark.parametrize("est,se", [(1.0, float("inf")), (1.0, float("nan")),
+                                    (float("inf"), 0.5), (float("nan"), 0.5)])
+def test_monte_carlo_band_rejects_non_finite_rows(est, se):
+    # a band of 4 * inf (or a nan estimate) would accept any value
+    with pytest.raises(ValueError, match="Monte Carlo row n = 3 is not finite"):
+        verify._Collector().band(3, est, 1, se)
+
+
+def test_monte_carlo_row_that_overflows_is_a_domain_error():
+    # S2(n, k) for n near 140 squares past the float range
+    with pytest.raises(ValueError, match=r"Monte Carlo row n = \d+ is not finite"):
+        verify.check_S3(Fraction(0), 2, 140, NumericConfig(mc_samples=2000))
+
+
+S3_SWEEP_LAMBDAS = [Fraction(0), Fraction(1), HALF, -THIRD, Fraction(-9, 10), Fraction(3),
+                    Fraction(-5, 2)]
+
+
+@pytest.mark.parametrize("lam", S3_SWEEP_LAMBDAS, ids=str)
+@pytest.mark.parametrize("p", [1, 2, 4, 12])
+def test_moment_check_holds_across_regimes(lam, p):
+    v_exact, v_mc = verify.check_S3(lam, p, 20, FAST_CFG)
+    assert (v_exact.status, v_mc.status) == ("pass", "pass")
 
 
 # ---------------------------------------------------------------- dispatch
