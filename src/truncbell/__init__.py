@@ -31,12 +31,10 @@ from .sequences import (
     bell_classical,
     bell_deg,
     bell_deg_egf,
-    bell_poly_classical,
     build_table,
     deg_bernoulli,
     deg_bernoulli_num,
     deg_falling_factorial_poly,
-    falling_factorial_poly,
     stirling1,
     stirling1_deg,
     stirling1_deg_egf,

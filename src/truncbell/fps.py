@@ -30,9 +30,15 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul
 
-from .exactnum import deg_falling_factorial, parse_rational
+from .exactnum import deg_falling_factorial
 
 _SCALARS = (int, Fraction)
+
+
+def _numerators(cs) -> tuple[list, int]:
+    """Fraction coefficients as integer numerators over their common denominator."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 class Poly:
@@ -50,9 +56,8 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         # over the lcm of reduced denominators no prime divides every numerator
-        den = lcm(*(c.denominator for c in cs))
-        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self.den = den
+        num, self.den = _numerators(cs)
+        self.num = tuple(num)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -189,31 +194,6 @@ class Poly:
                 parts.append(f"{c}*x^{k}")
         return " + ".join(parts)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Poly":
-        s = text.strip()
-        if s == "0":
-            return _POLY_ZERO
-        coeffs: dict[int, Fraction] = {}
-        for term in s.split(" + "):
-            head, _, tail = term.partition("*")
-            c = parse_rational(head)
-            if not tail:
-                power = 0
-            elif tail == "x":
-                power = 1
-            elif tail.startswith("x^") and tail[2:].isascii() and tail[2:].isdigit():
-                power = int(tail[2:])
-            else:
-                raise ValueError(f"invalid polynomial term {term!r}")
-            if power in coeffs:
-                raise ValueError(f"repeated power {power} in {text!r}")
-            coeffs[power] = c
-        out = [Fraction(0)] * (max(coeffs) + 1)
-        for power, c in coeffs.items():
-            out[power] = c
-        return cls(out)
-
 
 def _poly(num, den: int) -> Poly:
     """Poly from integer numerators over a positive denominator, brought to
@@ -247,12 +227,6 @@ def _mul_into(acc: list, a, b) -> None:
 _POLY_ZERO = _poly((), 1)
 _POLY_ONE = _poly((1,), 1)
 _POLY_X = _poly((0, 1), 1)
-
-
-def _numerators(cs) -> tuple[list, int]:
-    """Fraction coefficients as integer numerators over their common denominator."""
-    den = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 class Fps:
@@ -296,11 +270,6 @@ class Fps:
             if c:
                 return i
         return None
-
-    def truncate(self, order: int) -> "Fps":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return Fps(self.coeffs[: order + 1])
 
     def __add__(self, other):
         if isinstance(other, Fps):
@@ -436,22 +405,6 @@ class Fps:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c and not (k == 0 and len(self.coeffs) == 1):
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{k}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(t^{self.order + 1})"
-
-    __repr__ = __str__
 
 
 def deg_exp(x, lam: Fraction, order: int) -> Fps:

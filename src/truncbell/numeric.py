@@ -33,10 +33,19 @@ def circle_data(lam: Fraction, nodes: int):
     """Deformed exponential minus one at the trapezoid nodes e^(2 pi i j/nodes),
     j = 0..nodes-1, of the unit circle, and min |1 + lam*u| over them.
     Principal branch throughout; callers must keep |lam| < 1 so 1 + lam*u
-    stays clear of the negative real axis on the contour."""
+    stays clear of the negative real axis on the contour. The real part of
+    log(1 + lam*u), which lam divides, is log1p(t)/2 where |t| < 1/2, with
+    t = |1 + lam*u|^2 - 1 formed as a(2 + a) + b^2 from lam*u = a + ib, free
+    of the rounding of 1 + a; a lam that is 0 as a float takes exp(u)."""
     u = np.exp(2j * pi * np.arange(nodes) / nodes)
-    base = 1.0 + float(lam) * u
-    z = (np.exp(u) if lam == 0 else np.exp(np.log(base) / float(lam))) - 1.0
+    w = float(lam) * u
+    base = 1.0 + w
+    t = w.real * (2.0 + w.real) + w.imag**2
+    near = np.abs(t) < 0.5
+    log_abs = np.log(np.abs(base), where=~near, out=np.empty(nodes))
+    log_abs[near] = 0.5 * np.log1p(t[near])
+    log_base = log_abs + 1j * np.angle(base)
+    z = (np.exp(u) if float(lam) == 0 else np.exp(log_base / float(lam))) - 1.0
     z.setflags(write=False)
     return z, float(np.abs(base).min())
 

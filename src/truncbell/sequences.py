@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import binomial, format_rational, parse_rational
+from .exactnum import binomial, format_rational
 from .fps import Fps, Poly, deg_exp, deg_log, times_deg_exp_x
 
 # the entry bound of every memo in the package (verify reads it too)
@@ -65,24 +65,11 @@ MEMO_MAXSIZE = 4096
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _ff_poly(n: int) -> Poly:
-    """(x)_n = x (x-1) ... (x-n+1) as a Poly."""
-    if n == 0:
-        return Poly.one()
-    return _ff_poly(n - 1) * Poly((-(n - 1), 1))
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
 def _deg_ff_poly(lam: Fraction, n: int) -> Poly:
-    """(x)_{n,lam} = x (x-lam) ... (x-(n-1)lam) as a Poly."""
+    """(x)_{n,lam} = x (x-lam) ... (x-(n-1)lam) as a Poly, (x)_n at lam = 1."""
     if n == 0:
         return Poly.one()
     return _deg_ff_poly(lam, n - 1) * Poly((-(n - 1) * lam, 1))
-
-
-def falling_factorial_poly(n: int) -> Poly:
-    _check_n(n)
-    return _ff_poly(n)
 
 
 def deg_falling_factorial_poly(n: int, lam) -> Poly:
@@ -128,7 +115,7 @@ def stirling1(n: int, k: int) -> Fraction:
     _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
-    return _ff_poly(n).coeff(k)
+    return _deg_ff_poly(Fraction(1), n).coeff(k)
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +161,7 @@ def _s2deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _s1deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
-    return tuple(_to_deg_falling_basis(_ff_poly(n), lam))
+    return tuple(_to_deg_falling_basis(_deg_ff_poly(Fraction(1), n), lam))
 
 
 def stirling2_deg(n: int, k: int, lam) -> Fraction:
@@ -226,11 +213,6 @@ def bell_deg(n: int, lam) -> Poly:
     """sum_k stirling2_deg(n,k,lam) x^k."""
     _check_n(n)
     return _bell_deg_poly(Fraction(lam), n)
-
-
-def bell_poly_classical(n: int) -> Poly:
-    _check_n(n)
-    return Poly(_s2_row(n))
 
 
 def bell_classical(n: int) -> Fraction:
@@ -446,7 +428,6 @@ CONSTRUCTION = {
     "stirling2_deg": "basis-solve",
     "stirling2_deg_poly": "finite-sum",
     "bell_classical": "row-sum",
-    "bell_poly_classical": "recurrence",
     "bell_deg": "basis-solve",
     "trunc_bell_deg": "basis-solve",
     "trunc_mod_bell_deg": "finite-sum",
@@ -556,25 +537,6 @@ class SequenceTable:
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SequenceTable":
-        family = Family(data["family"])
-        spec = FAMILIES[family]
-        parse = Poly.from_string if spec.poly_valued else parse_rational
-        if spec.triangular:
-            values = tuple(tuple(parse(v) for v in row) for row in data["values"])
-        else:
-            values = tuple(parse(v) for v in data["values"])
-        return cls(
-            family=family,
-            lam=None if data["lambda"] is None else parse_rational(data["lambda"]),
-            p=data["p"],
-            r=data["r"],
-            n_max=data["n_max"],
-            values=values,
-            construction=data["construction"],
-        )
 
     def to_csv_text(self) -> str:
         """RFC-4180-style quoting, one row per n; triangular tables pad the

@@ -471,17 +471,22 @@ def check_T4(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     return ncol.verdict("T4", _series_params(lam, cfg, p=p, n_max=n_max))
 
 
+def _require_contour_grid(n_max: int, cfg: NumericConfig) -> None:
+    """Contour coefficients through n_max neither alias nor overflow n!."""
+    _require(2 * n_max < cfg.quad_nodes,
+             f"contour checks need 2*n_max < quad_nodes = {cfg.quad_nodes}, got n_max = {n_max}")
+    _require(n_max <= _FLOAT_FACTORIAL_MAX,
+             f"contour checks need n_max <= {_FLOAT_FACTORIAL_MAX}, where n! fits in a float, "
+             f"got n_max = {n_max}")
+
+
 def _contour_route(lam: Fraction, n_max: int, cfg: NumericConfig, integrand):
     """n! times the n-th coefficient, n = 0..n_max, of the function whose
     values at the trapezoid nodes of the unit circle are integrand(z),
     z = e_lam(u) - 1, and the floor min |1 + lam*u| over the nodes; the
     coefficients are None when the floor is under the branch guard."""
     _require(abs(lam) < 1, f"contour checks need |lambda| < 1, got {lam}")
-    _require(2 * n_max < cfg.quad_nodes,
-             f"contour checks need 2*n_max < quad_nodes = {cfg.quad_nodes}, got n_max = {n_max}")
-    _require(n_max <= _FLOAT_FACTORIAL_MAX,
-             f"contour checks need n_max <= {_FLOAT_FACTORIAL_MAX}, where n! fits in a float, "
-             f"got n_max = {n_max}")
+    _require_contour_grid(n_max, cfg)
     z, floor = circle_data(lam, cfg.quad_nodes)
     if floor < _BRANCH_FLOOR:
         return None, floor
@@ -955,8 +960,17 @@ def _run_lambda(lam, ps, args: _Args) -> tuple[list[Verdict], list[dict]]:
             if skip:
                 skipped.append({"id": check.ids[0], **_params(lam, p=p), "reason": skip})
             else:
-                verdicts.extend(check.run(lam, p, args))
+                verdicts.extend(_run_entry(check, lam, p, args))
     return verdicts, skipped
+
+
+def _run_entry(check: CheckSpec, lam: Fraction, p, args: _Args) -> list[Verdict]:
+    """check.run at one point; a float overflow is a domain error naming it."""
+    try:
+        return check.run(lam, p, args)
+    except OverflowError as exc:
+        raise ValueError(f"check {'/'.join(check.ids)} at lambda = {lam} leaves the float "
+                         f"range: {exc}") from None
 
 
 def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -> SuiteReport:
@@ -981,6 +995,8 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     cfg = cfg or NumericConfig()
     for p in grid.ps:
         _require(p >= 0, f"truncation index p must be >= 0, got {p}")
+    if grid.n_max >= 1 and any(abs(Fraction(lam)) < 1 for lam in grid.lambdas):
+        _require_contour_grid(grid.n_max, cfg)  # before any exact work, not after it
     args = _Args(grid.n_max, grid.order, cfg, grid.x_points)
     workers = min(len(grid.lambdas), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
     if workers > 1:
@@ -1021,7 +1037,7 @@ def run_check(check_id: str, lam, *, p=None, k=None, n_max=SuiteGrid.n_max,
     for name, value in (("p", p), ("k", k), ("x_points", x_points)):
         if value is not None and name not in takes:
             raise ValueError(f"check {check_id} does not take {name}")
-    verdicts = check.run(lam, p, args)
+    verdicts = _run_entry(check, lam, p, args)
     if not check.counted and check_id == check.ids[0]:
         return verdicts
     return [v for v in verdicts if v.check_id == check_id]

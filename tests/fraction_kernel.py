@@ -7,14 +7,19 @@ denominator. Both routes of every identity check now run on the library
 kernel, so a kernel bug could make both sides wrong in the same way; the
 property tests in test_kernel.py compare the library against this code
 exactly, and test_fps.py checks `deg_log` against its composition and
-reversion, which the library does not have. It is deliberately plain and
-slow; keep it independent of `truncbell`.
+reversion, which the library does not have. read_poly reads back the
+text `Poly.to_string` writes, for the round-trip tests, as the library
+has no reader either. It is deliberately plain and slow; keep it
+independent of `truncbell`.
 
 Polynomials are RefPoly values; a series is a tuple of coefficients
 (Fraction or RefPoly, one ring per series) through its truncation order.
 """
 
+import re
 from fractions import Fraction
+
+_TERM = re.compile(r"(-?[0-9]+(?:/[0-9]+)?)(\*x(?:\^([0-9]+))?)?")
 
 
 class RefPoly:
@@ -81,6 +86,22 @@ class RefPoly:
 
     def __repr__(self):
         return f"RefPoly{self.coeffs!r}"
+
+
+def read_poly(text: str) -> RefPoly:
+    """The polynomial written as "0" or as nonzero terms "c", "c*x" and
+    "c*x^k" (k in ASCII digits) joined by " + " in rising powers, as in
+    "1/2 + -1/3*x + 2*x^2"; any other term raises ValueError."""
+    if text == "0":
+        return RefPoly()
+    coeffs: list = []
+    for term in text.split(" + "):
+        m = _TERM.fullmatch(term)
+        power = None if m is None else 0 if m[2] is None else int(m[3] or 1)
+        if power is None or power < len(coeffs) or not Fraction(m[1]):
+            raise ValueError(f"invalid polynomial term {term!r}")
+        coeffs += [Fraction(0)] * (power - len(coeffs)) + [Fraction(m[1])]
+    return RefPoly(coeffs)
 
 
 def _is_zero(c) -> bool:

@@ -1,11 +1,12 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
 
 from truncbell.cli import main
-from truncbell.sequences import Family, SequenceTable, build_table
+from truncbell.sequences import trunc_bell_deg
 
 SMALL_SUITE = [
     "suite", "--lambdas", "0,1/2", "--ps", "0,1", "--n-max", "4",
@@ -51,8 +52,8 @@ def test_table_json_round_trip(capsys):
     code, out, _ = run(capsys, "table", "--family", "TruncBellDeg", "--lambda=-1/3",
                        "--p", "2", "--n-max", "5", "--format", "json")
     assert code == 0
-    parsed = SequenceTable.from_json_dict(json.loads(out))
-    assert parsed == build_table(Family.TruncBellDeg, 5, lam=Fraction(-1, 3), p=2)
+    values = json.loads(out)["values"]
+    assert values == [trunc_bell_deg(n, 2, Fraction(-1, 3)).to_string() for n in range(6)]
 
 
 def test_table_rejects_wrong_parameters(capsys):
@@ -275,6 +276,31 @@ def test_check_contour_at_truncation_index_beyond_float_factorials(check_id, cap
     assert [v["status"] for v in json.loads(out)] == ["pass"]
 
 
+@pytest.mark.parametrize("lam", ["1/10000", "-1/10000", "1/1" + "0" * 20, "1/1" + "0" * 400],
+                         ids=["1e-4", "-1e-4", "1e-20", "1e-400"])
+def test_check_contour_at_small_lambda_keeps_its_accuracy(lam, capsys):
+    # log(1 + lam*u) / lam magnifies the rounding of the logarithm by 1/|lam|;
+    # the residuals must stay at the level they have at lambda = 1/2
+    for argv in (("--id", "L9"), ("--id", "C10"), ("--id", "T11", "--p", "1")):
+        code, out, err = run(capsys, "check", f"--lambda={lam}", *argv)
+        assert (code, err) == (0, ""), argv
+        assert [v["status"] for v in json.loads(out)] == ["pass"], argv
+        assert json.loads(out)[0]["max_residual"] < 1e-9, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("--id", "T4", "--lambda", "1" + "0" * 40, "--p", "0"),
+    ("--id", "S3", "--lambda", "1" + "0" * 40, "--p", "1"),
+    ("--id", "T15", "--lambda", "0", "--p", "1", "--x-points", "1" + "0" * 40),
+])
+def test_check_beyond_the_float_range_is_usage_error(argv, capsys):
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert last.startswith("error: check ") and "leaves the float range" in last
+    assert f"at lambda = {argv[3]} " in last
+
+
 # ---------------------------------------------------------------- suite
 
 
@@ -298,6 +324,25 @@ def test_suite_config_records_every_flag(capsys):
         "tol_rel": 1e-6, "tol_abs": 1e-8, "quad_nodes": 512, "series_cutoff_k": 40,
         "series_cutoff_l": 50, "mc_samples": 3000, "seed": 7,
     }
+
+
+def test_suite_rejects_a_contour_grid_before_its_exact_work(capsys):
+    # the exact checks at n_max = 171 take seconds; the rejection must not wait for them
+    start = time.perf_counter()
+    code, out, err = run(capsys, "suite", "--lambdas", "1/2", "--ps", "1", "--n-max", "171",
+                         "--order", "172")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == ("error: contour checks need n_max <= 170, where n! fits in a float, "
+                   "got n_max = 171\n")
+
+
+def test_suite_without_contour_lambdas_ignores_the_node_count(capsys):
+    # at |lambda| >= 1 no contour runs, so four nodes for n_max = 3 are no error
+    code, out, err = run(capsys, "suite", "--lambdas", "1,-2", "--ps", "1", "--n-max", "3",
+                         "--order", "4", "--quad-nodes", "4", "--mc-samples", "2000")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"]["required_pass"] is True
 
 
 def test_suite_at_n_max_zero_skips_the_contour_checks(capsys):

@@ -106,7 +106,7 @@ def test_poly_construction_is_canonical(a):
 
 @given(polys, polys)
 def test_poly_hash_agrees_with_equality(a, b):
-    for same in ((a + b) - b, a * Poly.one(), Poly(a.coeffs), Poly.from_string(a.to_string())):
+    for same in ((a + b) - b, a * Poly.one(), Poly(a.coeffs)):
         assert same == a
         assert hash(same) == hash(a)
     assert (a == b) == (ref(a) == ref(b))

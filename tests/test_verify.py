@@ -409,6 +409,12 @@ def test_suite_rejects_node_counts_that_alias():
         run_suite(grid, NumericConfig(quad_nodes=4, mc_samples=2000))
 
 
+def test_suite_value_beyond_the_float_range_is_a_domain_error():
+    grid = SuiteGrid(lambdas=(Fraction(10**40),), ps=(0,), n_max=10, order=12)
+    with pytest.raises(ValueError, match=r"check T4 at lambda = 1(0{40}) leaves the float range"):
+        run_suite(grid, FAST_CFG)
+
+
 # the deep-grid contour verdicts that fail although the identities hold: at
 # n_max = 20 a coefficient near 1/20! is read out of an O(1) integrand and
 # multiplied by 20!, so rounding, not the identity, decides them
