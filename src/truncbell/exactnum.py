@@ -1,8 +1,9 @@
 """Exact rational scalars and small combinatorial primitives.
 
-Everything in this module is fractions.Fraction arithmetic: no floats, no
-rounding. Callers convert to float only at the moment they compare an exact
-value against a numeric approximation, never inside these routines.
+Everything in this module is exact integer and fractions.Fraction
+arithmetic: no floats, no rounding. Callers convert to float only at the
+moment they compare an exact value against a numeric approximation, never
+inside these routines.
 
 Conventions:
 
@@ -49,6 +50,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num))
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction is returned as the same object. A memo
+    key that holds the same object matches by identity, so a hot public
+    read builds no Fraction and calls no Fraction.__eq__."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical "num/den" form, "num" alone when the denominator is 1."""
     return str(q)
@@ -68,13 +76,17 @@ def binomial(n: int, k: int) -> Fraction:
 
 
 def deg_falling_factorial(x: Fraction, n: int, lam: Fraction) -> Fraction:
-    """x * (x-lam) * ... * (x-(n-1)*lam); the empty product at n = 0."""
+    """x * (x-lam) * ... * (x-(n-1)*lam); the empty product at n = 0. With
+    x = a/b and lam = c/d the factors are (ad - jcb)/(bd), so the product is
+    formed on the integers and reduced once."""
     if n < 0:
         raise ValueError(f"deg_falling_factorial needs n >= 0, got n={n}")
-    out = Fraction(1)
+    x, lam = Fraction(x), Fraction(lam)
+    a, b, c, d = x.numerator, x.denominator, lam.numerator, lam.denominator
+    num = 1
     for j in range(n):
-        out *= x - j * lam
-    return out
+        num *= a * d - j * c * b
+    return Fraction(num, (b * d) ** n)
 
 
 def beta_exact(a: int, b: int) -> Fraction:

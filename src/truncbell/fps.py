@@ -5,7 +5,12 @@ numerators over one positive integer denominator, in canonical form:
 trailing zeros trimmed and gcd(den, *num) == 1. The zero polynomial is the
 empty tuple over 1 (its degree reports -1). Instances are treated as
 immutable. Arithmetic works on the integers and reduces each result by one
-gcd; the Fraction view `coeffs` is built only when asked for.
+gcd; the Fraction view `coeffs` is built only when asked for. The finite
+sums of the package go through two kernels that work the same way:
+lincomb(terms) returns sum c * P over (rational c, Poly P) pairs as one
+Poly, and dot(terms) returns sum a * b over pairs of rationals as one
+Fraction; each brings its terms to integer numerators over one common
+denominator, accumulates them on the integers and reduces once.
 
 Fps is a power series in t known exactly through a stated truncation order:
 coeffs has length order + 1 and every entry is a Fraction. The product,
@@ -30,7 +35,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul
 
-from .exactnum import deg_falling_factorial
+from .exactnum import as_fraction, deg_falling_factorial
 
 _SCALARS = (int, Fraction)
 
@@ -157,7 +162,7 @@ class Poly:
 
     def __call__(self, x0) -> Fraction:
         # Horner on p/q scaled by q^(degree+1): acc = q * sum num_i p^i q^(deg-i)
-        x0 = Fraction(x0)
+        x0 = as_fraction(x0)
         p, q = x0.numerator, x0.denominator
         acc, qk = 0, 1
         for c in reversed(self.num):
@@ -222,6 +227,26 @@ def _mul_into(acc: list, a, b) -> None:
     for i, c in enumerate(a):
         if c:
             acc[i : i + lb] = map(add, acc[i : i + lb], map(c.__mul__, b))
+
+
+def lincomb(terms) -> Poly:
+    """sum c * P over (c, P) pairs, c an int or Fraction, as one Poly: every
+    term is brought to integer numerators over the lcm of the c.den * P.den,
+    accumulated on the integers and reduced once."""
+    terms = [(c.numerator, c.denominator * p.den, p.num) for c, p in terms]
+    den = lcm(*(d for _, d, _ in terms))
+    acc: list = []
+    for c, d, num in terms:
+        _mul_into(acc, (c * (den // d),), num)
+    return _poly(acc, den)
+
+
+def dot(terms) -> Fraction:
+    """sum a * b over (a, b) pairs of ints or Fractions, as one Fraction
+    from one integer sum over the lcm of the a.den * b.den."""
+    terms = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in terms]
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 _POLY_ZERO = _poly((), 1)

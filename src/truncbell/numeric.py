@@ -97,16 +97,20 @@ def double_series(lam: Fraction, p: int, n_max: int, cfg, x: float = 0.0):
     cutoffs of cfg (a verify.NumericConfig; at x = 0 the truncated
     numbers), yielding (n, approx, tail) for n = 0..n_max; tail is the size
     of the last kept row and column, a heuristic for what the cutoffs
-    dropped."""
+    dropped. A row whose value or tail is not finite raises OverflowError."""
     m, rowsums = _series_weight_matrix(p, cfg.series_cutoff_k, cfg.series_cutoff_l)
     lamf = float(lam)
     ks = np.arange(cfg.series_cutoff_k + 1, dtype=np.float64)
     fall = np.ones_like(ks)
     for n in range(n_max + 1):
-        if n > 0:
-            fall = fall * (x + ks - (n - 1) * lamf)
-        tail = abs(float(fall[-1] * rowsums[-1])) + abs(float(fall @ m[:, -1]))
-        yield n, float(fall @ rowsums), tail
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan
+            if n > 0:
+                fall = fall * (x + ks - (n - 1) * lamf)
+            approx = float(fall @ rowsums)
+            tail = abs(float(fall[-1] * rowsums[-1])) + abs(float(fall @ m[:, -1]))
+        if not (isfinite(approx) and isfinite(tail)):
+            raise OverflowError(f"double-series row n = {n} is not finite")
+        yield n, approx, tail
 
 
 def _samples(seed: int, p: int, samples: int) -> np.ndarray:

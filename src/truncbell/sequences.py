@@ -15,6 +15,14 @@ series route never reads a triangle built here. CONSTRUCTION records which
 route each public function takes; tables carry the tag of the function
 that filled them.
 
+The basis routes accumulate on the integers: the classical rows are
+integer tuples, the monomial-to-falling rewrite multiplies a Poly's integer
+numerators by them, and the finite sums over k or i (the x-shifted entries
+and the modified truncated family) are each one fps.lincomb call with
+math.comb weights, so every result is one integer sum reduced by one gcd.
+Each sum keeps its terms and its index range; only the arithmetic that
+adds them up moved to the integers.
+
 The classical second-kind triangle is filled by the standard two-term
 recurrence. That recurrence is an implementation choice made here, not a
 consequence of anything else in this module, and the test suite validates
@@ -52,10 +60,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .exactnum import binomial, format_rational
-from .fps import Fps, Poly, deg_exp, deg_log, times_deg_exp_x
+from .exactnum import as_fraction, format_rational
+from .fps import Fps, Poly, _mul_into, deg_exp, deg_log, lincomb, times_deg_exp_x
 
 # the entry bound of every memo in the package (verify reads it too)
 MEMO_MAXSIZE = 4096
@@ -74,7 +82,7 @@ def _deg_ff_poly(lam: Fraction, n: int) -> Poly:
 
 def deg_falling_factorial_poly(n: int, lam) -> Poly:
     _check_n(n)
-    return _deg_ff_poly(Fraction(lam), n)
+    return _deg_ff_poly(as_fraction(lam), n)
 
 
 # --------------------------------------------------------------------------
@@ -82,19 +90,11 @@ def deg_falling_factorial_poly(n: int, lam) -> Poly:
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _s2_row(n: int) -> tuple[Fraction, ...]:
+def _s2_row(n: int) -> tuple[int, ...]:
     if n == 0:
-        return (Fraction(1),)
-    prev = _s2_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        v = Fraction(0)
-        if k <= n - 1:
-            v += k * prev[k]
-        if k >= 1:
-            v += prev[k - 1]
-        row.append(v)
-    return tuple(row)
+        return (1,)
+    prev = _s2_row(n - 1) + (0,)
+    return tuple(k * prev[k] + (prev[k - 1] if k else 0) for k in range(n + 1))
 
 
 def stirling2(n: int, k: int) -> Fraction:
@@ -102,7 +102,7 @@ def stirling2(n: int, k: int) -> Fraction:
     _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
-    return _s2_row(n)[k]
+    return Fraction(_s2_row(n)[k])
 
 
 def stirling1(n: int, k: int) -> Fraction:
@@ -122,16 +122,13 @@ def stirling1(n: int, k: int) -> Fraction:
 # basis conversions
 
 
-def _monomial_to_falling(coeffs) -> list[Fraction]:
-    """Rewrite sum c_m x^m in the (x)_k basis via the classical triangle."""
-    out = [Fraction(0)] * len(coeffs)
-    for m, c in enumerate(coeffs):
-        if not c:
-            continue
-        row = _s2_row(m)
-        for k in range(m + 1):
-            out[k] += c * row[k]
-    return out
+def _monomial_to_falling(poly: Poly) -> list[Fraction]:
+    """Rewrite poly = sum c_m x^m in the (x)_k basis via the classical
+    triangle: the integer numerators of poly times the integer rows."""
+    acc: list = []
+    for m, c in enumerate(poly.num):
+        _mul_into(acc, (c,), _s2_row(m))
+    return [Fraction(c, poly.den) for c in acc]
 
 
 def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
@@ -156,7 +153,7 @@ def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
-    return tuple(_monomial_to_falling(_deg_ff_poly(lam, n).coeffs))
+    return tuple(_monomial_to_falling(_deg_ff_poly(lam, n)))
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
@@ -169,7 +166,7 @@ def stirling2_deg(n: int, k: int, lam) -> Fraction:
     _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
-    return _s2deg_row(Fraction(lam), n)[k]
+    return _s2deg_row(as_fraction(lam), n)[k]
 
 
 def stirling1_deg(n: int, k: int, lam) -> Fraction:
@@ -177,17 +174,13 @@ def stirling1_deg(n: int, k: int, lam) -> Fraction:
     _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
-    return _s1deg_row(Fraction(lam), n)[k]
+    return _s1deg_row(as_fraction(lam), n)[k]
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2deg_poly(lam: Fraction, n: int, l: int) -> Poly:
-    acc = Poly.zero()
-    for i in range(l, n + 1):
-        c = binomial(n, i) * _s2deg_row(lam, i)[l]
-        if c:
-            acc = acc + _deg_ff_poly(lam, n - i) * c
-    return acc
+    return lincomb((comb(n, i) * _s2deg_row(lam, i)[l], _deg_ff_poly(lam, n - i))
+                   for i in range(l, n + 1))
 
 
 def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
@@ -197,7 +190,7 @@ def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
     _check_n(n)
     if l < 0 or l > n:
         return Poly.zero()
-    return _s2deg_poly(Fraction(lam), n, l)
+    return _s2deg_poly(as_fraction(lam), n, l)
 
 
 # --------------------------------------------------------------------------
@@ -212,39 +205,36 @@ def _bell_deg_poly(lam: Fraction, n: int) -> Poly:
 def bell_deg(n: int, lam) -> Poly:
     """sum_k stirling2_deg(n,k,lam) x^k."""
     _check_n(n)
-    return _bell_deg_poly(Fraction(lam), n)
+    return _bell_deg_poly(as_fraction(lam), n)
 
 
 def bell_classical(n: int) -> Fraction:
     """Number of set partitions of an n-set, as the row sum of the
     second-kind triangle."""
     _check_n(n)
-    return sum(_s2_row(n), Fraction(0))
+    return Fraction(sum(_s2_row(n)))
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _trunc_poly(lam: Fraction, p: int, n: int) -> Poly:
-    return Poly(c / binomial(k + p, k) for k, c in enumerate(_s2deg_row(lam, n)))
+    return Poly(c / comb(k + p, k) for k, c in enumerate(_s2deg_row(lam, n)))
 
 
 def trunc_bell_deg(n: int, p: int, lam) -> Poly:
     """sum_k stirling2_deg(n,k,lam) / C(k+p,k) * x^k."""
     _check_np(n, p)
-    return _trunc_poly(Fraction(lam), p, n)
+    return _trunc_poly(as_fraction(lam), p, n)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _trunc_mod_poly(lam: Fraction, p: int, n: int) -> Poly:
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + _s2deg_poly(lam, n, k) * (Fraction(1) / binomial(k + p, p))
-    return acc
+    return lincomb((Fraction(1, comb(k + p, p)), _s2deg_poly(lam, n, k)) for k in range(n + 1))
 
 
 def trunc_mod_bell_deg(n: int, p: int, lam) -> Poly:
     """sum_k stirling2_deg_poly(n,k,lam) / C(k+p,p)."""
     _check_np(n, p)
-    return _trunc_mod_poly(Fraction(lam), p, n)
+    return _trunc_mod_poly(as_fraction(lam), p, n)
 
 
 def _check_n(n: int) -> None:
@@ -291,7 +281,7 @@ def deg_bernoulli_num(n: int, r: int, lam) -> Fraction:
     """Order-r degenerate Bernoulli number (the polynomial at x = 0)."""
     if n < 0 or r < 0:
         raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     table = _bern_num_table(lam, r)
     if n >= len(table):
         s = _bern_base_pow(lam, r, _deeper(table, n))
@@ -304,7 +294,7 @@ def deg_bernoulli(n: int, r: int, lam) -> Poly:
     the deformed falling factorial of x."""
     if n < 0 or r < 0:
         raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     table = _bern_poly_table(lam, r)
     if n >= len(table):
         depth = _deeper(table, n)
@@ -351,7 +341,7 @@ def stirling2_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction
     if k < 0 or k > n:
         return Fraction(0)
     depth = _series_depth(n, order)
-    return _z_pow(Fraction(lam), k, depth).egf_coeff(n) / factorial(k)
+    return _z_pow(as_fraction(lam), k, depth).egf_coeff(n) / factorial(k)
 
 
 def stirling1_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction:
@@ -360,7 +350,7 @@ def stirling1_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction
     if k < 0 or k > n:
         return Fraction(0)
     depth = _series_depth(n, order)
-    return _log_pow(Fraction(lam), k, depth).egf_coeff(n) / factorial(k)
+    return _log_pow(as_fraction(lam), k, depth).egf_coeff(n) / factorial(k)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
@@ -370,20 +360,19 @@ def _trunc_gf(lam: Fraction, p: int, order: int) -> tuple[Poly, ...]:
     k-sum is finite at each order because the k-th term has valuation k.
     At p = 0 this is exp(x z), the plain family's series."""
     pows = [_z_pow(lam, k, order) for k in range(order + 1)]
-    return tuple(
-        Poly(pows[k].coeff(m) * Fraction(factorial(p), factorial(k + p)) for k in range(m + 1))
-        for m in range(order + 1)
-    )
+    weights = [Fraction(factorial(p), factorial(k + p)) for k in range(order + 1)]
+    return tuple(Poly(pows[k].coeff(m) * weights[k] for k in range(m + 1))
+                 for m in range(order + 1))
 
 
 def bell_deg_egf(n: int, lam, order: int | None = None) -> Poly:
     _check_n(n)
-    return _trunc_gf(Fraction(lam), 0, _series_depth(n, order))[n] * factorial(n)
+    return _trunc_gf(as_fraction(lam), 0, _series_depth(n, order))[n] * factorial(n)
 
 
 def trunc_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
     _check_np(n, p)
-    return _trunc_gf(Fraction(lam), p, _series_depth(n, order))[n] * factorial(n)
+    return _trunc_gf(as_fraction(lam), p, _series_depth(n, order))[n] * factorial(n)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
@@ -401,7 +390,7 @@ def _mod_gf(lam: Fraction, p: int, order: int) -> tuple[Poly, ...]:
 
 def trunc_mod_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
     _check_np(n, p)
-    return _mod_gf(Fraction(lam), p, _series_depth(n, order))[n] * factorial(n)
+    return _mod_gf(as_fraction(lam), p, _series_depth(n, order))[n] * factorial(n)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
@@ -414,7 +403,7 @@ def stirling2_deg_poly_egf(n: int, l: int, lam, order: int | None = None) -> Pol
     _check_n(n)
     if l < 0 or l > n:
         return Poly.zero()
-    return _s2degpoly_gf(Fraction(lam), l, _series_depth(n, order))[n] * factorial(n)
+    return _s2degpoly_gf(as_fraction(lam), l, _series_depth(n, order))[n] * factorial(n)
 
 
 # --------------------------------------------------------------------------
@@ -578,7 +567,7 @@ def build_table(
             need = "requires" if takes else "does not take"
             raise ValueError(f"family {family.value} {need} {what}")
     if lam is not None:
-        lam = Fraction(lam)
+        lam = as_fraction(lam)
     if p is not None and p < 0:
         raise ValueError(f"truncation index p must be >= 0, got {p}")
     if r is not None and r < 0:

@@ -33,7 +33,8 @@ P3, P5a, T8 and S3, and each is a row function: one call returns the
 route's values for n = 0..n_max and computes every factor that depends on
 k or m alone (beta values, alternating weights, T8's inner sums, the plain
 family at x = 1) once. C-SIX calls each row function once and compares its
-rows. Route functions keep no memo of their own and read the sequences
+rows. Every finite sum of an exact route, scalar or polynomial, is one
+fps.dot or fps.lincomb call over the entries it reads. Route functions keep no memo of their own and read the sequences
 layer through its public functions, one entry at a time, so a perturbed
 public function reaches every check that reads it however warm the caches
 are (see the sequences docstring).
@@ -53,13 +54,13 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import factorial, isfinite
+from math import comb, factorial, isfinite
 
 import numpy as np
 
 from . import sequences as seq
-from .exactnum import beta_exact, binomial, deg_falling_factorial
-from .fps import Fps, Poly, apply_Dlambda, deg_exp
+from .exactnum import as_fraction, beta_exact, deg_falling_factorial
+from .fps import Fps, Poly, apply_Dlambda, deg_exp, dot, lincomb
 from .numeric import beta_moments, circle_data, contour_bracket, contour_coeffs, double_series
 
 _BRANCH_FLOOR = 1e-9
@@ -247,7 +248,7 @@ def _truncated(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
 def _stirling_sums(lam: Fraction, weights: list) -> list[Fraction]:
     """sum_k S2deg(n, k) weights[k] for n = 0..len(weights)-1, reading the
     triangle through the public function one entry at a time."""
-    return [sum((seq.stirling2_deg(n, k, lam) * weights[k] for k in range(n + 1)), Fraction(0))
+    return [dot((seq.stirling2_deg(n, k, lam), weights[k]) for k in range(n + 1))
             for n in range(len(weights))]
 
 
@@ -258,7 +259,7 @@ def _stirling_sums(lam: Fraction, weights: list) -> list[Fraction]:
 def check_T1(lam, p: int, n_max: int, order: int) -> Verdict:
     """Basis construction of the truncated family against its generating
     series, as polynomial equality for every n up to n_max."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(order >= n_max, f"order {order} must be at least n_max {n_max}")
     col = _Collector()
     for n in range(n_max + 1):
@@ -270,16 +271,14 @@ def check_T2(lam, n_max: int, order: int) -> Verdict:
     """First-truncation family written as a weighted convolution of the
     degenerate Bernoulli numbers with the plain family, checked as a
     polynomial identity and again at x = 1."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(order >= n_max + 1, f"order {order} must be at least n_max+1 = {n_max + 1}")
     col = _Collector()
     x = Poly.x()
     for n in range(n_max + 1):
         lhs = x * seq.trunc_bell_deg(n, 1, lam)
-        rhs = Poly.zero()
-        for m in range(n + 1):
-            w = binomial(n, m) * seq.deg_bernoulli_num(n - m, 1, lam) / (m + 1)
-            rhs = rhs + seq.bell_deg(m + 1, lam) * w
+        rhs = lincomb((comb(n, m) * seq.deg_bernoulli_num(n - m, 1, lam) / (m + 1),
+                       seq.bell_deg(m + 1, lam)) for m in range(n + 1))
         col.poly(n, lhs, rhs)
         col.scalar(n, lhs(Fraction(1)), rhs(Fraction(1)), note="evaluation at x = 1")
     return col.verdict("T2", _params(lam, n_max=n_max, order=order))
@@ -293,7 +292,7 @@ def _beta_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
 def check_P3(lam, p: int, n_max: int) -> Verdict:
     """Unit-interval integral of the plain polynomial family against the
     weight (1-x)^(p-1), done exactly through beta values."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     col = _Collector()
     if p == 0:
@@ -307,18 +306,16 @@ def check_P3(lam, p: int, n_max: int) -> Verdict:
 
 def _alternating_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
     """P5a for n = 0..n_max: sum_k S2deg(n, k) sum_{m<p} (m+1) C(p, m+1) (-1)^m / (k+m+1)."""
-    weights = [
-        sum(((-1) ** m * (m + 1) * binomial(p, m + 1) / (k + m + 1) for m in range(p)),
-            Fraction(0))
-        for k in range(n_max + 1)
-    ]
+    weights = [dot(((-1) ** m * (m + 1) * comb(p, m + 1), Fraction(1, k + m + 1))
+                   for m in range(p))
+               for k in range(n_max + 1)]
     return _stirling_sums(lam, weights)
 
 
 def check_P5a(lam, p: int, n_max: int) -> Verdict:
     """Alternating finite double sum for the truncated numbers, obtained by
     expanding the integral weight binomially."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 1, f"the double-sum form needs p >= 1, got {p}")
     col = _Collector()
     col.scalars(_alternating_route(lam, p, n_max), _truncated(lam, p, n_max))
@@ -352,7 +349,7 @@ def check_P5b(lam, p: int, order: int) -> Verdict:
     """Generating-series route through the closed form of the lower
     incomplete gamma at integer order, checked exactly against its defining
     integral first, then assembled as an exact series and divided out."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 1, f"the incomplete-gamma form needs p >= 1, got {p}")
     _validate_incgamma(p)
     z = deg_exp(Fraction(1), lam, order + p) - 1
@@ -374,24 +371,22 @@ def check_T6(lam, p: int, n_max: int, order: int) -> list[Verdict]:
     them. The first verdict keeps the exponent at p as stated (id T6,
     variant 'fixed'), the second lets it follow the summation index (id T6k,
     variant 'running')."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     _require(order >= n_max + p, f"order {order} must be at least n_max+p = {n_max + p}")
     cols = {"fixed": _Collector(), "running": _Collector()}
     x = Poly.x()
     for n in range(n_max + 1):
         lhs = x**p * seq.trunc_bell_deg(n, p, lam)
-        conv = Poly.zero()
-        for m in range(n + p + 1):
-            w = binomial(n + p, m) / binomial(n + p, n) * seq.deg_bernoulli_num(n + p - m, p, lam)
-            conv = conv + seq.bell_deg(m, lam) * w
+        conv = lincomb((Fraction(comb(n + p, m), comb(n + p, n))
+                        * seq.deg_bernoulli_num(n + p - m, p, lam), seq.bell_deg(m, lam))
+                       for m in range(n + p + 1))
         for variant, col in cols.items():
-            rhs = conv
-            for k in range(1, p + 1):
-                r = p if variant == "fixed" else k
-                w = binomial(p, k) / binomial(n + k, n) * seq.deg_bernoulli_num(n + k, r, lam)
-                rhs = rhs - Poly.monomial(p - k, w)
-            col.poly(n, lhs, rhs)
+            # the correction term of index k sits at power p - k
+            correction = Poly(Fraction(comb(p, k), comb(n + k, n))
+                              * seq.deg_bernoulli_num(n + k, p if variant == "fixed" else k, lam)
+                              for k in range(p, 0, -1))
+            col.poly(n, lhs, conv - correction)
     return [col.verdict(check_id, _params(lam, p=p, n_max=n_max, order=order, variant=variant))
             for check_id, (variant, col) in zip(("T6", "T6k"), cols.items())]
 
@@ -424,7 +419,7 @@ def check_T7(lam, p: int, order: int) -> Verdict:
     """Iterated weighted-derivative representation of the generating
     series; each application of the operator costs one order of depth, so
     coefficients are compared through order-(p-1)."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 1, f"the operator form needs p >= 1, got {p}")
     _require(order >= p, f"order {order} too small for p = {p}")
     series = _operator_route(lam, p, order)
@@ -439,16 +434,14 @@ def _convolution_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
     """T8 for n = 0..n_max: p * sum_m C(n, m) [sum_l (-1)^l S2deg(m, l) / (p+l)] Bell_{n-m}(1)."""
     inner = _stirling_sums(lam, [Fraction((-1) ** l, p + l) for l in range(n_max + 1)])
     bell_at_1 = [seq.bell_deg(j, lam)(Fraction(1)) for j in range(n_max + 1)]
-    return [
-        p * sum((binomial(n, m) * inner[m] * bell_at_1[n - m] for m in range(n + 1)), Fraction(0))
-        for n in range(n_max + 1)
-    ]
+    return [p * dot((comb(n, m) * inner[m], bell_at_1[n - m]) for m in range(n + 1))
+            for n in range(n_max + 1)]
 
 
 def check_T8(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     """Finite double sum mixing the degenerate Stirling triangle with plain
     family values."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 1, f"the double-sum convolution needs p >= 1, got {p}")
     col = _Collector()
     col.scalars(_convolution_route(lam, p, n_max), _truncated(lam, p, n_max))
@@ -462,7 +455,7 @@ def check_T8(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
 def check_T4(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     """Double-series representation evaluated in floating point under
     explicit cutoffs, with a per-row tail heuristic."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     ncol = _Collector(cfg)
     targets = _truncated(lam, p, n_max)
@@ -517,7 +510,7 @@ def _contour_check(check_id: str, lam: Fraction, n_max: int, cfg: NumericConfig,
 def check_L9(lam, n_max: int, k: int | None, cfg: NumericConfig) -> Verdict:
     """Contour quadrature of the degenerate Stirling triangle, one transform
     per column: k fixes a single column, None probes every k <= n."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(k is None or k >= 0, f"column index must be >= 0, got {k}")
     _require(k is None or k <= _FLOAT_FACTORIAL_MAX,
              f"column index must be <= {_FLOAT_FACTORIAL_MAX}, where k! fits in a float, got {k}")
@@ -535,7 +528,7 @@ def check_L9(lam, n_max: int, k: int | None, cfg: NumericConfig) -> Verdict:
 
 def check_C10(lam, n_max: int, cfg: NumericConfig) -> Verdict:
     """Contour quadrature of the plain family at x = 1."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
 
     def rows(c):
         return [(n, -1, c[n], seq.bell_deg(n, lam)(Fraction(1))) for n in range(1, n_max + 1)]
@@ -546,7 +539,7 @@ def check_C10(lam, n_max: int, cfg: NumericConfig) -> Verdict:
 def check_T11(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     """Contour quadrature of the truncated numbers through the entire
     series bracket, at truncation p >= 1."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 1, "the truncated contour form needs p >= 1")
 
     def rows(c):
@@ -569,7 +562,7 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     informationally, as are the out-of-range rows n in {0, 1}. For p = 0
     the rewritten corollary form with the vanishing lower-bound term is
     checked as well."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     col = _Collector()
 
@@ -584,9 +577,7 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     for n in range(n_max + 1):
         lhs = val[n + 1]
         base = (Fraction(n + 1) - Fraction(n) * lam) * val[n]
-        tail = Fraction(0)
-        for m in range(n - 1):
-            tail += binomial(n, m) * val[m + 1] * ff[n - m]
+        tail = dot((comb(n, m) * val[m + 1], ff[n - m]) for m in range(n - 1))
         r_printed = base - Fraction(p, p + 1) * val[n] - tail
         r_raised = base - Fraction(p, p + 1) * val_raised[n] - tail
         results.append((n, lhs, r_printed, r_raised))
@@ -614,11 +605,10 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     if p == 0:
         for n in range(n_max + 1):
             lhs = val[n + 1]
-            rhs = (Fraction(n + 1) - Fraction(n) * lam) * val[n]
-            for m in range(n):
-                # the m = 0 term carries a binomial at lower index -1,
-                # taken as 0 by convention
-                rhs -= binomial(n, m - 1) * val[m] * ff[n - m + 1]
+            # the m = 0 term carries a binomial at lower index -1, taken as
+            # 0 by convention, so the sum starts at m = 1
+            rhs = (Fraction(n + 1) - Fraction(n) * lam) * val[n] - dot(
+                (comb(n, m - 1) * val[m], ff[n - m + 1]) for m in range(1, n))
             note = "rewritten corollary form"
             if n < 2:
                 note += " (informational, below stated range)"
@@ -629,7 +619,7 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
 def check_T13(lam, n_max: int) -> Verdict:
     """Shifted-argument Stirling polynomials: finite-sum construction
     against the generating-series construction, for every pair l <= n."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     col = _Collector()
     for n in range(n_max + 1):
         for l in range(n + 1):
@@ -648,7 +638,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     and corrected convolution variants (T14), the double-series evaluation
     at fixed rational points against the corrected variant (T15), and the
     one-step recurrence (T16)."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     _require(order >= n_max, f"order {order} must be at least n_max {n_max}")
     if x_points is None:
@@ -666,13 +656,9 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
     for n in range(n_max + 1):
         target = mod_p[n]
         c14.poly(n, target, seq.trunc_mod_bell_deg_egf(n, p, lam, order))
-        corrected = Poly.zero()
-        literal = Poly.zero()
-        for m in range(n + 1):
-            w = binomial(n, m)
-            ff = seq.deg_falling_factorial_poly(n - m, lam)
-            corrected = corrected + ff * (w * const[m])
-            literal = literal + ff * (w * const[n])
+        ffs = [(comb(n, m), seq.deg_falling_factorial_poly(n - m, lam)) for m in range(n + 1)]
+        corrected = lincomb((w * const[m], ff) for m, (w, ff) in enumerate(ffs))
+        literal = lincomb(ffs) * const[n]
         c14.poly(n, target, corrected, note="convolution route, raised series index")
         convolutions.append(corrected)
         if literal != target:
@@ -694,15 +680,14 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
 
     c16 = _Collector()
     ff1 = [deg_falling_factorial(Fraction(1), j, lam) for j in range(n_max + 1)]
+    q = Fraction(-p, p + 1)
     for n in range(n_max + 1):
         lhs = mod_p[n + 1]
-        rhs = (Poly.x() - Fraction(n) * lam) * mod_p[n]
+        terms = [(1, (Poly.x() - Fraction(n) * lam) * mod_p[n])]
         for j in range(n + 1):
-            w = binomial(n, j) * ff1[n - j]
-            if w == 0:
-                continue
-            rhs = rhs - (mod_p1[j] * Fraction(p, p + 1) - mod_p[j]) * w
-        c16.poly(n, lhs, rhs)
+            w = comb(n, j) * ff1[n - j]
+            terms += [(w * q, mod_p1[j]), (w, mod_p[j])]
+        c16.poly(n, lhs, lincomb(terms))
     v16 = c16.verdict("T16", _params(lam, p=p, n_max=n_max))
     return [v14, v15, v16]
 
@@ -718,7 +703,7 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     """Moment identity for the unit-interval distribution with density
     p(1-x)^(p-1): exactly through beta values, then by seeded Monte Carlo
     with inverse-transform sampling and a four-standard-error band."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 1, f"the moment identity needs p >= 1, got {p}")
     targets = _truncated(lam, p, n_max)
     col = _Collector()
@@ -752,7 +737,7 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     basis construction, each route computed by the function its own check
     uses: exact routes must match exactly, numeric routes within tolerance.
     The detail k field carries the route number."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _require(p >= 1, f"the six-expression display needs p >= 1, got {p}")
     ncol = _Collector(cfg)
     contour = None
@@ -819,6 +804,11 @@ class CheckSpec:
     contour: bool = False
     counted: bool = True
     takes: tuple = ()
+
+    @property
+    def arg_names(self) -> tuple:
+        """Every argument besides lambda the entry reads: p, then takes."""
+        return self.takes if self.p_min is None else ("p",) + self.takes
 
 
 CHECKS = (
@@ -946,7 +936,7 @@ def _summarize(verdicts, skipped, grid: SuiteGrid, cfg: NumericConfig) -> dict:
 def _run_lambda(lam, ps, args: _Args) -> tuple[list[Verdict], list[dict]]:
     """One lambda slice of the suite: the verdicts and the skip records of
     every registry entry at lam, in registry order."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     verdicts: list[Verdict] = []
     skipped: list[dict] = []
     for check in CHECKS:
@@ -965,12 +955,19 @@ def _run_lambda(lam, ps, args: _Args) -> tuple[list[Verdict], list[dict]]:
 
 
 def _run_entry(check: CheckSpec, lam: Fraction, p, args: _Args) -> list[Verdict]:
-    """check.run at one point; a float overflow is a domain error naming it."""
+    """check.run at one point; a float overflow is a domain error naming the
+    point: lambda and each argument of check.arg_names that is set."""
     try:
         return check.run(lam, p, args)
     except OverflowError as exc:
+        xs = args.x_points
+        given = {"p": p, "k": args.k,
+                 "x_points": None if xs is None else ",".join(str(Fraction(x)) for x in xs)}
+        named = ", ".join(f"{name} = {given[name]}" for name in check.arg_names
+                          if given[name] is not None)
+        rest = f" (with {named})" if named else ""
         raise ValueError(f"check {'/'.join(check.ids)} at lambda = {lam} leaves the float "
-                         f"range: {exc}") from None
+                         f"range{rest}: {exc}") from None
 
 
 def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -> SuiteReport:
@@ -1026,16 +1023,15 @@ def run_check(check_id: str, lam, *, p=None, k=None, n_max=SuiteGrid.n_max,
     any other id returns only its own verdicts. A p, k or x_points the
     check does not read is an error, not silently dropped."""
     cfg = cfg or NumericConfig()
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     check = _CHECK_BY_ID.get(check_id)
     if check is None:
         raise ValueError(f"unknown identity id: {check_id}")
     if check.p_min is not None and p is None:
         raise ValueError(f"check {check_id} requires p")
     args = _Args(n_max, order, cfg, x_points, k)
-    takes = check.takes if check.p_min is None else ("p",) + check.takes
     for name, value in (("p", p), ("k", k), ("x_points", x_points)):
-        if value is not None and name not in takes:
+        if value is not None and name not in check.arg_names:
             raise ValueError(f"check {check_id} does not take {name}")
     verdicts = _run_entry(check, lam, p, args)
     if not check.counted and check_id == check.ids[0]:

@@ -29,6 +29,11 @@ EXACT_VERDICTS_SHA256 = "834ea36855f43c01f709a1f50f037b1ddd570c0f90dc412a17dfafa
 # verdict (see _shape_digest), recorded before the check registry replaced
 # the hand-written suite loop, skip list and six-route composite
 SHAPE_SHA256 = "5c0db64e4bef8c84682ca892ce7cdfceeaa2f367c5b6d2974aafbd786b8f3c61"
+# sha256 of the exact-mode verdicts of `suite --n-max 20 --order 34 --seed 42`
+# (228 of its 318 verdicts), serialised the same way: the numerators run
+# longest on this grid, so a slip in the integer sums shows here first.
+# Recorded with the Poly- and Fraction-by-term sums the kernels replaced.
+DEEP_EXACT_VERDICTS_SHA256 = "645aeede4c286be829df30f4ad3ca9edd282e28e1e731b2d83f7864e825221b7"
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -45,6 +50,16 @@ def _shape_digest(report: dict) -> str:
     ]
     text = json.dumps({"summary": report["summary"], "non_exact": shapes}, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _exact_digest(report: dict) -> str:
+    """sha256 over the exact-mode verdicts of a report, serialised by
+    verify.verdicts_to_json_text. Numeric rows are left out, as their
+    floats may differ by platform."""
+    exact = [verify.Verdict(v["id"], v["mode"], v["params"], v["status"],
+                            v["max_residual"], v["details"])
+             for v in report["verdicts"] if v["mode"] == "exact"]
+    return hashlib.sha256(verify.verdicts_to_json_text(exact).encode()).hexdigest()
 
 
 def criterion(capsys, num, label, body, budget=None):
@@ -217,15 +232,21 @@ def test_criterion_13_deterministic_reports(capsys, tmp_path):
             assert code == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
-        # golden digest: exact results must not move under a kernel change.
-        # Numeric rows are left out, as their floats may differ by platform.
-        exact = [verify.Verdict(v["id"], v["mode"], v["params"], v["status"],
-                                v["max_residual"], v["details"])
-                 for v in json.loads(f1.read_text())["verdicts"]
-                 if v["mode"] == "exact"]
-        text = verify.verdicts_to_json_text(exact)
-        assert hashlib.sha256(text.encode()).hexdigest() == EXACT_VERDICTS_SHA256
+        # golden digest: exact results must not move under a kernel change
+        assert _exact_digest(json.loads(f1.read_text())) == EXACT_VERDICTS_SHA256
         # second digest: the summary (skip list and counts included) and the
         # row structure of the numeric verdicts, which the first one leaves out
         assert _shape_digest(json.loads(f1.read_text())) == SHAPE_SHA256
     criterion(capsys, 13, "byte-identical default suite reports", body)
+
+
+def test_criterion_14_deep_grid_exact_verdicts(capsys, tmp_path):
+    def body():
+        path = tmp_path / "deep.json"
+        # exit 1: the deep grid's numeric false fails are counted
+        cli.main(["suite", "--n-max", "20", "--order", "34", "--seed", "42", "-o", str(path)])
+        capsys.readouterr()
+        report = json.loads(path.read_text())
+        assert len(report["verdicts"]) == 318
+        assert _exact_digest(report) == DEEP_EXACT_VERDICTS_SHA256
+    criterion(capsys, 14, "deep-grid exact verdicts unchanged", body, budget=20.0)

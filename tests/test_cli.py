@@ -1,7 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +302,36 @@ def test_check_beyond_the_float_range_is_usage_error(argv, capsys):
     last = err.splitlines()[-1]
     assert last.startswith("error: check ") and "leaves the float range" in last
     assert f"at lambda = {argv[3]} " in last
+
+
+BIG = "1" + "0" * 40
+
+
+@pytest.mark.parametrize("argv, point", [
+    (("--id", "T4", "--lambda", BIG, "--p", "0"), (f"T4 at lambda = {BIG}", "p = 0")),
+    (("--id", "T15", "--lambda", "0", "--p", "1", "--x-points", f"1/2,{BIG}"),
+     ("T14/T15/T16 at lambda = 0", f"p = 1, x_points = 1/2,{BIG}")),
+    (("--id", "T15", "--lambda", BIG, "--p", "2"), (f"T14/T15/T16 at lambda = {BIG}", "p = 2")),
+], ids=["T4-lambda", "T15-x-point", "T15-lambda"])
+def test_check_beyond_the_float_range_names_the_whole_point(argv, point, capsys):
+    # the x point, not lambda, leaves the float range in the second case
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (2, "")
+    where, rest = point
+    assert err.startswith(f"error: check {where} leaves the float range (with {rest}): ")
+
+
+def test_double_series_overflow_is_an_error_without_a_warning():
+    # under -W error a numpy overflow warning would end the process first
+    import truncbell
+
+    env = dict(os.environ, PYTHONPATH=str(Path(truncbell.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "truncbell", "check", "--id", "T4",
+                          "--lambda", BIG, "--p", "0"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: check T4 at lambda = {BIG} leaves the float range "
+                          "(with p = 0): double-series row n = 9 is not finite\n")
 
 
 # ---------------------------------------------------------------- suite

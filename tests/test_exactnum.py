@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from truncbell.exactnum import (
+    as_fraction,
     beta_exact,
     binomial,
     deg_falling_factorial,
@@ -82,6 +83,13 @@ def test_deg_falling_factorial_product_form(x, lam, n):
     for j in range(n):
         expected *= x - j * lam
     assert deg_falling_factorial(x, n, lam) == expected
+
+
+def test_as_fraction_passes_a_fraction_through():
+    q = Fraction(-1, 3)
+    assert as_fraction(q) is q
+    for x in (3, "1/2", Fraction(4, 2)):
+        assert type(as_fraction(x)) is Fraction and as_fraction(x) == Fraction(x)
 
 
 def test_negative_n_rejected():

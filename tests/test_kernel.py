@@ -1,7 +1,7 @@
 """The integer-numerator kernel in truncbell.fps against the Fraction
 schoolbook reference in fraction_kernel.py, exactly: Poly arithmetic,
-series arithmetic, and the one product with polynomial coefficients,
-times_deg_exp_x."""
+series arithmetic, the one product with polynomial coefficients,
+times_deg_exp_x, and the finite-sum kernels lincomb and dot."""
 
 from fractions import Fraction
 from math import gcd
@@ -19,7 +19,7 @@ from fraction_kernel import (
     series_mul,
     series_pow,
 )
-from truncbell.fps import Fps, Poly, times_deg_exp_x
+from truncbell.fps import Fps, Poly, dot, lincomb, times_deg_exp_x
 
 # mixed signs and unrelated denominators, so common denominators differ
 # between operands and reductions really happen
@@ -131,6 +131,54 @@ def test_mismatched_denominators_reduce():
     assert (s.num, s.den) == ((1,), 2)
     assert s.coeffs == (Fraction(1, 2),)
     assert ((a * 12).num, (a * 12).den) == ((2, -3), 1)
+
+
+# ---------------------------------------------------------------- lincomb and dot
+
+# weights as the sums pass them: ints (math.comb) and Fractions of either sign
+weights = st.one_of(st.integers(-10**12, 10**12), rationals, st.just(Fraction(0)))
+
+
+@given(st.lists(st.tuples(weights, polys), max_size=7))
+def test_lincomb_matches_reference(terms):
+    expected = RefPoly()
+    for c, p in terms:
+        expected = expected + ref(p) * Fraction(c)
+    lib = lincomb(iter(terms))  # the sums pass generators
+    assert_canonical(lib)
+    assert ref(lib) == expected
+
+
+@given(st.lists(st.tuples(weights, weights), max_size=9))
+def test_dot_matches_reference(terms):
+    lib = dot(iter(terms))
+    assert type(lib) is Fraction
+    assert lib.denominator > 0 and gcd(lib.numerator, lib.denominator) == 1
+    assert lib == sum((Fraction(a) * Fraction(b) for a, b in terms), Fraction(0))
+
+
+def test_lincomb_and_dot_edge_cases():
+    a = Poly((Fraction(1, 6), Fraction(-1, 4)))
+    b = Poly((Fraction(1, 10), Fraction(5, 3), 7))
+    zeros = [
+        lincomb([]),                                     # empty input
+        lincomb([(0, a), (Fraction(0), b)]),             # all-zero weights
+        lincomb([(Fraction(5, 7), Poly.zero()), (3, Poly())]),  # zero polynomials
+        lincomb([(Fraction(2, 3), a), (Fraction(-2, 3), a)]),   # cancellation
+    ]
+    for z in zeros:
+        assert_canonical(z)
+        assert (z.num, z.den) == ((), 1)
+    # int and negative weights over mismatched denominators
+    s = lincomb([(-6, a), (Fraction(10, 7), b)])
+    assert_canonical(s)
+    assert s.coeffs == (Fraction(-6, 6) + Fraction(1, 7), Fraction(6, 4) + Fraction(50, 21),
+                        Fraction(10))
+    assert lincomb([(3, Poly.x())]) == Poly((0, 3))
+    assert dot([]) == 0 and type(dot([])) is Fraction
+    assert dot([(0, Fraction(1, 3)), (Fraction(0), 5)]) == 0
+    assert dot([(-2, 3), (Fraction(1, 6), Fraction(-3, 4))]) == Fraction(-49, 8)
+    assert dot([(Fraction(1, 6), 3), (Fraction(1, 10), 5)]) == 1
 
 
 # ---------------------------------------------------------------- Fps
