@@ -51,10 +51,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_fraction(x) -> Fraction:
-    """x as a Fraction; a Fraction is returned as the same object. A memo
-    key that holds the same object matches by identity, so a hot public
-    read builds no Fraction and calls no Fraction.__eq__."""
-    return x if type(x) is Fraction else Fraction(x)
+    """x as a Fraction: the one gate through which the library takes a
+    rational. A Fraction is returned as the same object, an int is
+    converted, a string goes through parse_rational, and a float is refused,
+    since its binary value is not the decimal it was written as (0.1 would
+    enter as 3602879701896397/36028797018963968)."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, str):
+        return parse_rational(x)
+    if isinstance(x, float):
+        raise ValueError(f"{x!r} is a float, not an exact rational; "
+                         "pass a Fraction or a 'num/den' string")
+    return Fraction(x)
 
 
 def format_rational(q: Fraction) -> str:
@@ -81,8 +90,8 @@ def deg_falling_factorial(x: Fraction, n: int, lam: Fraction) -> Fraction:
     formed on the integers and reduced once."""
     if n < 0:
         raise ValueError(f"deg_falling_factorial needs n >= 0, got n={n}")
-    x, lam = Fraction(x), Fraction(lam)
-    a, b, c, d = x.numerator, x.denominator, lam.numerator, lam.denominator
+    a, b = as_fraction(x).as_integer_ratio()
+    c, d = as_fraction(lam).as_integer_ratio()
     num = 1
     for j in range(n):
         num *= a * d - j * c * b

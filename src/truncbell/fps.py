@@ -12,14 +12,16 @@ Poly, and dot(terms) returns sum a * b over pairs of rationals as one
 Fraction; each brings its terms to integer numerators over one common
 denominator, accumulates them on the integers and reduces once.
 
-Fps is a power series in t known exactly through a stated truncation order:
-coeffs has length order + 1 and every entry is a Fraction. The product,
-quotient and exp bring each operand once to integer numerators over a
-common denominator, run schoolbook integer recurrences and build each
-result coefficient once, so Fraction appears only at this API boundary.
-The one product whose coefficients are polynomials in x, g(t) times the
-degenerate exponential e_lam^x(t), is times_deg_exp_x; it returns the Poly
-coefficients of the product rather than a series.
+Fps is a power series in t known exactly through a stated truncation order,
+stored the way Poly is: a tuple `num` of order + 1 integer numerators,
+zeros kept, over one positive denominator `den` with gcd(den, *num) == 1.
+Sum, product, quotient, exp, derivative and powers run schoolbook integer
+recurrences on the numerators and reduce each result once, so Fraction
+appears only where a caller reads coefficients: `coeffs` (a view built on
+each use), `coeff` and `egf_coeff`. The one product whose coefficients
+are polynomials in x, g(t) times the degenerate exponential e_lam^x(t), is
+times_deg_exp_x; it reads g's numerators and returns the Poly coefficients
+of the product rather than a series.
 
 Arithmetic keeps the weakest truncation of its operands, so a result's
 order always says how far its coefficients can be trusted. Division
@@ -57,7 +59,7 @@ class Poly:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         # over the lcm of reduced denominators no prime divides every numerator
@@ -75,16 +77,6 @@ class Poly:
     @classmethod
     def x(cls) -> "Poly":
         return _POLY_X
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, power: int, c=1) -> "Poly":
-        if power < 0:
-            raise ValueError(f"monomial power must be >= 0, got {power}")
-        return cls((0,) * power + (c,))
 
     @property
     def coeffs(self) -> tuple:
@@ -255,59 +247,76 @@ _POLY_X = _poly((0, 1), 1)
 
 
 class Fps:
-    """Formal power series in t, exact through a fixed truncation order."""
+    """Formal power series in t, exact through a fixed truncation order.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators `num` over one denominator `den`, in
+    canonical form: den > 0, gcd(den, *num) == 1 and len(num) == order + 1,
+    zeros kept. Equal series therefore have equal (num, den).
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        cs = tuple(coeffs)
+        cs = [as_fraction(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least its constant term")
-        self.coeffs = cs
+        num, self.den = _numerators(cs)
+        self.num = tuple(num)
 
     @classmethod
     def constant(cls, c, order: int) -> "Fps":
-        return cls((Fraction(c),) + (Fraction(0),) * order)
+        c = as_fraction(c)
+        return _fps((c.numerator,) + (0,) * order, c.denominator)
 
     @classmethod
     def t(cls, order: int) -> "Fps":
         if order < 1:
             raise ValueError("the identity series t needs order >= 1")
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
+        return _fps((0, 1) + (0,) * (order - 1), 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients ascending by power, as Fractions, built on each use."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
-    def coeff(self, n: int):
+    def coeff(self, n: int) -> Fraction:
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient {n} is beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self.num[n], self.den)
 
-    def egf_coeff(self, n: int):
+    def egf_coeff(self, n: int) -> Fraction:
         """n! times the t^n coefficient: the value a series of the form
         sum a_n t^n / n! stores at index n."""
-        return self.coeff(n) * factorial(n)
+        if n < 0 or n > self.order:
+            raise IndexError(f"coefficient {n} is beyond truncation order {self.order}")
+        return Fraction(self.num[n] * factorial(n), self.den)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient; None for the zero series."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if c:
                 return i
         return None
 
     def __add__(self, other):
-        if isinstance(other, Fps):
-            n = min(self.order, other.order)
-            return Fps(tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])))
         if isinstance(other, _SCALARS):
-            return Fps((self.coeffs[0] + other,) + self.coeffs[1:])
-        return NotImplemented
+            other = Fps.constant(other, self.order)
+        if not isinstance(other, Fps):
+            return NotImplemented
+        n = min(self.order, other.order) + 1
+        g = gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        return _fps([a * sa + b * sb for a, b in zip(self.num[:n], other.num[:n])], self.den * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Fps(tuple(-c for c in self.coeffs))
+        return _fps([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (Fps,) + _SCALARS):
@@ -318,16 +327,14 @@ class Fps:
         return (-self) + other
 
     def scale(self, c) -> "Fps":
-        return Fps(tuple(a * c for a in self.coeffs))
+        return _fps([a * c.numerator for a in self.num], self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Fps):
             n = min(self.order, other.order)
-            na, da = _numerators(self.coeffs[: n + 1])
-            nb, db = _numerators(other.coeffs[: n + 1])
-            den = da * db
-            nb.reverse()
-            return Fps([Fraction(sum(map(mul, na[: m + 1], nb[n - m :])), den) for m in range(n + 1)])
+            na, nb = self.num, other.num[n::-1]  # nb[n - j] is coefficient j
+            out = [sum(map(mul, na[: m + 1], nb[n - m :])) for m in range(n + 1)]
+            return _fps(out, self.den * other.den)
         if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
@@ -338,7 +345,7 @@ class Fps:
         if k < 0:
             raise ValueError("negative series power; divide instead")
         if k == 0:
-            return Fps.constant(Fraction(1), self.order)
+            return Fps.constant(1, self.order)
         # left-to-right binary powering from the leading bit
         out = self
         for bit in bin(k)[3:]:
@@ -366,85 +373,89 @@ class Fps:
                 f"denominator valuation {v}"
             )
         if sv is None:
-            return Fps.constant(Fraction(0), out_order)
+            return Fps.constant(0, out_order)
         if sv < v:
             raise ValueError(
                 f"denominator valuation {v} exceeds numerator valuation {sv}; "
                 "the quotient would need negative powers"
             )
         k = out_order + 1
-        na, da = _numerators(self.coeffs[v : v + k])
-        nb, db = _numerators(other.coeffs[v : v + k])
-        # With a = A/da, b = B/db and B_0 = beta, q_n = Q_n / (da beta^(n+1))
-        # for Q_n = db A_n beta^n - sum_{j=1..n} B_j beta^(j-1) Q_{n-j}.
+        na, nb, db = self.num[v : v + k], list(other.num[v : v + k]), other.den
+        # With a = A/da, b = B/db and B_0 = beta, the quotient is H/(da beta^k)
+        # for H_n beta = db A_n beta^k - sum_{j=1..n} B_j H_{n-j}: the
+        # recurrence q_n b_0 = a_n - sum_j b_j q_{n-j}, multiplied through.
         beta = nb[0]
-        if beta < 0:  # keep the denominators positive: B/db = (-B)/(-db)
+        if beta < 0:  # keep the denominator positive: B/db = (-B)/(-db)
             beta, db, nb = -beta, -db, [-c for c in nb]
-        neg_b, pw = [], -1  # -B_j beta^(j-1), j = 1..k-1
-        for bj in nb[1:]:
-            neg_b.append(bj * pw)
-            pw *= beta
-        q, out, pw = [], [], 1
+        lead = db * beta**k
+        h: list = []
         for n in range(k):
-            qn = na[n] * db * pw + sum(map(mul, neg_b[:n], reversed(q)))
-            q.append(qn)
-            pw *= beta
-            out.append(Fraction(qn, da * pw))
-        return Fps(out)
+            h.append((na[n] * lead - sum(map(mul, nb[n:0:-1], h))) // beta)
+        return _fps(h, self.den * beta**k)
 
     def derivative(self) -> "Fps":
         if self.order < 1:
             raise ValueError("derivative needs order >= 1")
-        return Fps(tuple(self.coeffs[n] * n for n in range(1, self.order + 1)))
+        num = self.num
+        return _fps([num[n] * n for n in range(1, len(num))], self.den)
 
     def exp(self) -> "Fps":
-        """exp of a series with zero constant term, same order.
+        """exp of a series with zero constant term, same order N.
 
-        With f_j = F_j / d over one denominator, the m-th coefficient is
-        e_m / (m! d^m) for integers e_0 = 1,
-        e_m = sum_{j=1..m} j F_j e_{m-j} (m-1)!/(m-j)! d^(j-1):
-        the recurrence m out_m = sum_j j f_j out_{m-j}, multiplied through.
+        With f_j = F_j / d, the result is H / (N! d^N) for H_0 = N! d^N and
+        H_m m d = sum_{j=1..m} j F_j H_{m-j}: the recurrence
+        m out_m = sum_j j f_j out_{m-j}, multiplied through. Each division
+        by m d is exact.
         """
-        if self.coeffs[0]:
+        f, d = self.num, self.den
+        if f[0]:
             raise ValueError("exp needs a zero constant term")
-        f, d = _numerators(self.coeffs)
-        e = [1]
-        for m in range(1, len(f)):
-            acc = 0
-            w = 1  # (m-1)!/(m-j)! d^(j-1), from j = 1
-            for j in range(1, m + 1):
-                acc += w * j * f[j] * e[m - j]
-                w *= (m - j) * d
-            e.append(acc)
-        out, den = [], 1
-        for m, em in enumerate(e):
-            if m:
-                den *= m * d
-            out.append(Fraction(em, den))
-        return Fps(out)
+        N = len(f) - 1
+        jf = [j * c for j, c in enumerate(f)][::-1]  # jf[N - j] = j F_j
+        h = [factorial(N) * d**N]
+        for m in range(1, N + 1):
+            h.append(sum(map(mul, jf[N - m : N], h)) // (m * d))
+        return _fps(h, h[0])
 
     def __eq__(self, other):
         if not isinstance(other, Fps):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
 
-def deg_exp(x, lam: Fraction, order: int) -> Fps:
+def _fps(num, den: int) -> Fps:
+    """Fps from integer numerators over a positive denominator, brought to
+    canonical form by one gcd; zeros are kept, so the order is len(num) - 1."""
+    g = gcd(den, *num)
+    s = object.__new__(Fps)
+    s.num = tuple(c // g for c in num) if g != 1 else tuple(num)
+    s.den = den // g
+    return s
+
+
+def deg_exp(x, lam, order: int) -> Fps:
     """Degenerate exponential series at a rational x: coefficient of t^n is
     deg_falling_factorial(x, n, lam) / n!. lam = 0 yields the ordinary
-    exponential of x*t; times_deg_exp_x keeps x symbolic."""
+    exponential of x*t; times_deg_exp_x keeps x symbolic. With x = p/q and
+    lam = a/b, coefficient n is prod_{j<n} (pb - jaq) over (qb)^n n!, so the
+    numerators are one running integer product over (qb)^order order!."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    x = Fraction(x)
-    coeffs = [Fraction(1)]
-    term = coeffs[0]
-    for m in range(1, order + 1):
-        term = term * (x - (m - 1) * lam) / m
-        coeffs.append(term)
-    return Fps(tuple(coeffs))
+    x, lam = as_fraction(x), as_fraction(lam)
+    p, q, a, b = x.numerator, x.denominator, lam.numerator, lam.denominator
+    qb = q * b
+    # numerator n is P_n (qb)^(order-n) order!/n!, built from the top down
+    prods = [1]
+    for j in range(order):
+        prods.append(prods[-1] * (p * b - j * a * q))
+    num, w = [0] * (order + 1), 1
+    for n in range(order, -1, -1):
+        num[n] = prods[n] * w
+        w *= qb * n
+    return _fps(num, qb**order * factorial(order))
 
 
 def times_deg_exp_x(g: Fps, lam) -> tuple[Poly, ...]:
@@ -452,9 +463,9 @@ def times_deg_exp_x(g: Fps, lam) -> tuple[Poly, ...]:
     polynomials in x: sum_m g_m (x)_{n-m,lam} / (n-m)!. With lam = a/b and
     P_j = prod_{i<j} (b x - i a), (x)_{j,lam}/j! = P_j b^(N-j) N!/j! over
     D = b^N N!, so each result is one integer convolution, reduced once."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     a, b = lam.numerator, lam.denominator
-    ng, dg = _numerators(g.coeffs)
+    ng = g.num
     N = g.order
     D = b**N * factorial(N)
     e, pj = [], [1]
@@ -469,7 +480,7 @@ def times_deg_exp_x(g: Fps, lam) -> tuple[Poly, ...]:
         for m in range(n + 1):
             if ng[m]:
                 _mul_into(acc, (ng[m],), e[n - m])
-        out.append(_poly(acc, dg * D))
+        out.append(_poly(acc, g.den * D))
     return tuple(out)
 
 

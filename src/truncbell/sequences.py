@@ -17,11 +17,14 @@ that filled them.
 
 The basis routes accumulate on the integers: the classical rows are
 integer tuples, the monomial-to-falling rewrite multiplies a Poly's integer
-numerators by them, and the finite sums over k or i (the x-shifted entries
-and the modified truncated family) are each one fps.lincomb call with
+numerators by them and is memoized as one integer row over one
+denominator, from which the plain and truncated families build their Polys
+with one gcd, and the finite sums over k or i (the x-shifted entries and
+the modified truncated family) are each one fps.lincomb call with
 math.comb weights, so every result is one integer sum reduced by one gcd.
 Each sum keeps its terms and its index range; only the arithmetic that
-adds them up moved to the integers.
+adds them up moved to the integers. The series routes read the integer
+numerators of their Fps values the same way.
 
 The classical second-kind triangle is filled by the standard two-term
 recurrence. That recurrence is an implementation choice made here, not a
@@ -37,6 +40,9 @@ All functions memoize whole rows keyed by (family parameters, n), except
 the degenerate Bernoulli tables, which are keyed by (lambda, r) and grow in
 depth on demand; repeated lookups are cheap and referentially transparent,
 and concurrent readers at worst duplicate a computation of the same value.
+A memo key holds lambda as its integer pair (numerator, denominator) in
+lowest terms, taken through exactnum.as_fraction, so equal lambdas share an
+entry and a lookup hashes only ints.
 Every memo holds at most MEMO_MAXSIZE entries, evicting the least recently
 used, so memory stays bounded however many parameters a process sees; one
 suite run on the n_max=20, order=34 grid fills the largest to about 1000.
@@ -60,29 +66,36 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm, perm
 
 from .exactnum import as_fraction, format_rational
-from .fps import Fps, Poly, _mul_into, deg_exp, deg_log, lincomb, times_deg_exp_x
+from .fps import Fps, Poly, _mul_into, _poly, deg_exp, deg_log, lincomb, times_deg_exp_x
 
 # the entry bound of every memo in the package (verify reads it too)
 MEMO_MAXSIZE = 4096
+
+
+def _key(lam) -> tuple[int, int]:
+    """The memo key of lam: its numerator and denominator in lowest terms."""
+    return as_fraction(lam).as_integer_ratio()
+
 
 # --------------------------------------------------------------------------
 # defining products
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _deg_ff_poly(lam: Fraction, n: int) -> Poly:
-    """(x)_{n,lam} = x (x-lam) ... (x-(n-1)lam) as a Poly, (x)_n at lam = 1."""
+def _deg_ff_poly(a: int, b: int, n: int) -> Poly:
+    """(x)_{n,lam} = x (x-lam) ... (x-(n-1)lam) at lam = a/b as a Poly,
+    (x)_n at a = b = 1; each factor is (b x - (n-1) a) / b."""
     if n == 0:
         return Poly.one()
-    return _deg_ff_poly(lam, n - 1) * Poly((-(n - 1) * lam, 1))
+    return _deg_ff_poly(a, b, n - 1) * _poly((-(n - 1) * a, b), b)
 
 
 def deg_falling_factorial_poly(n: int, lam) -> Poly:
     _check_n(n)
-    return _deg_ff_poly(as_fraction(lam), n)
+    return _deg_ff_poly(*_key(lam), n)
 
 
 # --------------------------------------------------------------------------
@@ -115,24 +128,15 @@ def stirling1(n: int, k: int) -> Fraction:
     _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
-    return _deg_ff_poly(Fraction(1), n).coeff(k)
+    return _deg_ff_poly(1, 1, n).coeff(k)
 
 
 # --------------------------------------------------------------------------
 # basis conversions
 
 
-def _monomial_to_falling(poly: Poly) -> list[Fraction]:
-    """Rewrite poly = sum c_m x^m in the (x)_k basis via the classical
-    triangle: the integer numerators of poly times the integer rows."""
-    acc: list = []
-    for m, c in enumerate(poly.num):
-        _mul_into(acc, (c,), _s2_row(m))
-    return [Fraction(c, poly.den) for c in acc]
-
-
-def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
-    """Coefficients of poly in the (x)_{k,lam} basis.
+def _to_deg_falling_basis(poly: Poly, a: int, b: int) -> list[Fraction]:
+    """Coefficients of poly in the (x)_{k,lam} basis, lam = a/b.
 
     Triangular elimination: the basis element of degree d is monic, so the
     leading coefficient of the remainder is the next basis coefficient.
@@ -143,7 +147,7 @@ def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
         d = work.degree
         c = work.coeff(d)
         out[d] = c
-        work = work - _deg_ff_poly(lam, d) * c
+        work = work - _deg_ff_poly(a, b, d) * c
     return out
 
 
@@ -152,13 +156,26 @@ def _to_deg_falling_basis(poly: Poly, lam: Fraction) -> list[Fraction]:
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _s2deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
-    return tuple(_monomial_to_falling(_deg_ff_poly(lam, n)))
+def _s2deg_num(a: int, b: int, n: int) -> tuple[tuple[int, ...], int]:
+    """Row n of the degenerate second-kind triangle at lam = a/b as integer
+    numerators over one denominator: (x)_{n,lam} rewritten in the (x)_k
+    basis, its numerators times the integer rows of the classical triangle."""
+    poly = _deg_ff_poly(a, b, n)
+    acc: list = []
+    for m, c in enumerate(poly.num):
+        _mul_into(acc, (c,), _s2_row(m))
+    return tuple(acc), poly.den
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _s1deg_row(lam: Fraction, n: int) -> tuple[Fraction, ...]:
-    return tuple(_to_deg_falling_basis(_deg_ff_poly(Fraction(1), n), lam))
+def _s2deg_row(a: int, b: int, n: int) -> tuple[Fraction, ...]:
+    num, den = _s2deg_num(a, b, n)
+    return tuple(Fraction(c, den) for c in num)
+
+
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def _s1deg_row(a: int, b: int, n: int) -> tuple[Fraction, ...]:
+    return tuple(_to_deg_falling_basis(_deg_ff_poly(1, 1, n), a, b))
 
 
 def stirling2_deg(n: int, k: int, lam) -> Fraction:
@@ -166,7 +183,7 @@ def stirling2_deg(n: int, k: int, lam) -> Fraction:
     _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
-    return _s2deg_row(as_fraction(lam), n)[k]
+    return _s2deg_row(*_key(lam), n)[k]
 
 
 def stirling1_deg(n: int, k: int, lam) -> Fraction:
@@ -174,12 +191,12 @@ def stirling1_deg(n: int, k: int, lam) -> Fraction:
     _check_n(n)
     if k < 0 or k > n:
         return Fraction(0)
-    return _s1deg_row(as_fraction(lam), n)[k]
+    return _s1deg_row(*_key(lam), n)[k]
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _s2deg_poly(lam: Fraction, n: int, l: int) -> Poly:
-    return lincomb((comb(n, i) * _s2deg_row(lam, i)[l], _deg_ff_poly(lam, n - i))
+def _s2deg_poly(a: int, b: int, n: int, l: int) -> Poly:
+    return lincomb((comb(n, i) * _s2deg_row(a, b, i)[l], _deg_ff_poly(a, b, n - i))
                    for i in range(l, n + 1))
 
 
@@ -190,7 +207,7 @@ def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
     _check_n(n)
     if l < 0 or l > n:
         return Poly.zero()
-    return _s2deg_poly(as_fraction(lam), n, l)
+    return _s2deg_poly(*_key(lam), n, l)
 
 
 # --------------------------------------------------------------------------
@@ -198,14 +215,14 @@ def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _bell_deg_poly(lam: Fraction, n: int) -> Poly:
-    return Poly(_s2deg_row(lam, n))
+def _bell_deg_poly(a: int, b: int, n: int) -> Poly:
+    return _poly(*_s2deg_num(a, b, n))
 
 
 def bell_deg(n: int, lam) -> Poly:
     """sum_k stirling2_deg(n,k,lam) x^k."""
     _check_n(n)
-    return _bell_deg_poly(as_fraction(lam), n)
+    return _bell_deg_poly(*_key(lam), n)
 
 
 def bell_classical(n: int) -> Fraction:
@@ -216,25 +233,29 @@ def bell_classical(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _trunc_poly(lam: Fraction, p: int, n: int) -> Poly:
-    return Poly(c / comb(k + p, k) for k, c in enumerate(_s2deg_row(lam, n)))
+def _trunc_poly(a: int, b: int, p: int, n: int) -> Poly:
+    # entry k over C(k+p,k): one integer row over den times the lcm of the binomials
+    num, den = _s2deg_num(a, b, n)
+    weights = [comb(k + p, k) for k in range(n + 1)]
+    common = lcm(*weights)
+    return _poly([c * (common // w) for c, w in zip(num, weights)], den * common)
 
 
 def trunc_bell_deg(n: int, p: int, lam) -> Poly:
     """sum_k stirling2_deg(n,k,lam) / C(k+p,k) * x^k."""
     _check_np(n, p)
-    return _trunc_poly(as_fraction(lam), p, n)
+    return _trunc_poly(*_key(lam), p, n)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _trunc_mod_poly(lam: Fraction, p: int, n: int) -> Poly:
-    return lincomb((Fraction(1, comb(k + p, p)), _s2deg_poly(lam, n, k)) for k in range(n + 1))
+def _trunc_mod_poly(a: int, b: int, p: int, n: int) -> Poly:
+    return lincomb((Fraction(1, comb(k + p, p)), _s2deg_poly(a, b, n, k)) for k in range(n + 1))
 
 
 def trunc_mod_bell_deg(n: int, p: int, lam) -> Poly:
     """sum_k stirling2_deg_poly(n,k,lam) / C(k+p,p)."""
     _check_np(n, p)
-    return _trunc_mod_poly(as_fraction(lam), p, n)
+    return _trunc_mod_poly(*_key(lam), p, n)
 
 
 def _check_n(n: int) -> None:
@@ -255,7 +276,7 @@ def _check_np(n: int, p: int) -> None:
 
 def _bern_base_pow(lam: Fraction, r: int, depth: int) -> Fps:
     """(t / (deformed exp - 1))**r through t^depth."""
-    base = Fps.t(depth + 1) / (deg_exp(Fraction(1), lam, depth + 1) - 1)
+    base = Fps.t(depth + 1) / (deg_exp(1, lam, depth + 1) - 1)
     return base**r
 
 
@@ -267,13 +288,13 @@ def _deeper(table: list, n: int) -> int:
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _bern_num_table(lam: Fraction, r: int) -> list:
+def _bern_num_table(a: int, b: int, r: int) -> list:
     # one list per (lam, r), extended in place when a deeper n is asked for
     return []
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _bern_poly_table(lam: Fraction, r: int) -> list:
+def _bern_poly_table(a: int, b: int, r: int) -> list:
     return []
 
 
@@ -282,7 +303,7 @@ def deg_bernoulli_num(n: int, r: int, lam) -> Fraction:
     if n < 0 or r < 0:
         raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
     lam = as_fraction(lam)
-    table = _bern_num_table(lam, r)
+    table = _bern_num_table(lam.numerator, lam.denominator, r)
     if n >= len(table):
         s = _bern_base_pow(lam, r, _deeper(table, n))
         table[:] = [s.egf_coeff(m) for m in range(s.order + 1)]
@@ -295,7 +316,7 @@ def deg_bernoulli(n: int, r: int, lam) -> Poly:
     if n < 0 or r < 0:
         raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
     lam = as_fraction(lam)
-    table = _bern_poly_table(lam, r)
+    table = _bern_poly_table(lam.numerator, lam.denominator, r)
     if n >= len(table):
         depth = _deeper(table, n)
         gf = times_deg_exp_x(_bern_base_pow(lam, r, depth), lam)
@@ -308,22 +329,22 @@ def deg_bernoulli(n: int, r: int, lam) -> Poly:
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _z_series(lam: Fraction, order: int) -> Fps:
-    return deg_exp(Fraction(1), lam, order) - 1
+def _z_series(a: int, b: int, order: int) -> Fps:
+    return deg_exp(1, Fraction(a, b), order) - 1
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _z_pow(lam: Fraction, k: int, order: int) -> Fps:
+def _z_pow(a: int, b: int, k: int, order: int) -> Fps:
     if k == 0:
-        return Fps.constant(Fraction(1), order)
-    return _z_pow(lam, k - 1, order) * _z_series(lam, order)
+        return Fps.constant(1, order)
+    return _z_pow(a, b, k - 1, order) * _z_series(a, b, order)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _log_pow(lam: Fraction, k: int, order: int) -> Fps:
+def _log_pow(a: int, b: int, k: int, order: int) -> Fps:
     if k == 0:
-        return Fps.constant(Fraction(1), order)
-    return _log_pow(lam, k - 1, order) * deg_log(lam, order)
+        return Fps.constant(1, order)
+    return _log_pow(a, b, k - 1, order) * deg_log(Fraction(a, b), order)
 
 
 def _series_depth(n: int, order) -> int:
@@ -341,7 +362,7 @@ def stirling2_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction
     if k < 0 or k > n:
         return Fraction(0)
     depth = _series_depth(n, order)
-    return _z_pow(as_fraction(lam), k, depth).egf_coeff(n) / factorial(k)
+    return _z_pow(*_key(lam), k, depth).egf_coeff(n) / factorial(k)
 
 
 def stirling1_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction:
@@ -350,60 +371,64 @@ def stirling1_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction
     if k < 0 or k > n:
         return Fraction(0)
     depth = _series_depth(n, order)
-    return _log_pow(as_fraction(lam), k, depth).egf_coeff(n) / factorial(k)
+    return _log_pow(*_key(lam), k, depth).egf_coeff(n) / factorial(k)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _trunc_gf(lam: Fraction, p: int, order: int) -> tuple[Poly, ...]:
+def _trunc_gf(a: int, b: int, p: int, order: int) -> tuple[Poly, ...]:
     """t^m coefficients, as polynomials in x, of the truncated family's
     generating series p! * sum_k x^k (deformed exp - 1)^k / (k+p)!; the
     k-sum is finite at each order because the k-th term has valuation k.
-    At p = 0 this is exp(x z), the plain family's series."""
-    pows = [_z_pow(lam, k, order) for k in range(order + 1)]
-    weights = [Fraction(factorial(p), factorial(k + p)) for k in range(order + 1)]
-    return tuple(Poly(pows[k].coeff(m) * weights[k] for k in range(m + 1))
+    At p = 0 this is exp(x z), the plain family's series. The x^k
+    coefficient of t^m is z^k.num[m] over z^k.den (k+p)!/p!, so every t^m
+    coefficient is one set of integers over the lcm of those denominators."""
+    pows = [_z_pow(a, b, k, order) for k in range(order + 1)]
+    dens = [z.den * perm(k + p, k) for k, z in enumerate(pows)]
+    common = lcm(*dens)
+    scales = [common // d for d in dens]
+    return tuple(_poly([pows[k].num[m] * scales[k] for k in range(m + 1)], common)
                  for m in range(order + 1))
 
 
 def bell_deg_egf(n: int, lam, order: int | None = None) -> Poly:
     _check_n(n)
-    return _trunc_gf(as_fraction(lam), 0, _series_depth(n, order))[n] * factorial(n)
+    return _trunc_gf(*_key(lam), 0, _series_depth(n, order))[n] * factorial(n)
 
 
 def trunc_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
     _check_np(n, p)
-    return _trunc_gf(as_fraction(lam), p, _series_depth(n, order))[n] * factorial(n)
+    return _trunc_gf(*_key(lam), p, _series_depth(n, order))[n] * factorial(n)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _mod_gf(lam: Fraction, p: int, order: int) -> tuple[Poly, ...]:
+def _mod_gf(a: int, b: int, p: int, order: int) -> tuple[Poly, ...]:
     """t^m coefficients of the modified truncated family's generating
     series, built by the division pipeline: p! (exp(z) - partial sum) / z^p
     times the deformed exponential of x, with z the deformed exp minus 1."""
     deep = order + p
-    z = _z_series(lam, deep)
+    z = _z_series(a, b, deep)
     num = z.exp()
     for l in range(p):
-        num = num - _z_pow(lam, l, deep) * Fraction(1, factorial(l))
-    return times_deg_exp_x((num * factorial(p)) / _z_pow(lam, p, deep), lam)
+        num = num - _z_pow(a, b, l, deep) * Fraction(1, factorial(l))
+    return times_deg_exp_x((num * factorial(p)) / _z_pow(a, b, p, deep), Fraction(a, b))
 
 
 def trunc_mod_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
     _check_np(n, p)
-    return _mod_gf(as_fraction(lam), p, _series_depth(n, order))[n] * factorial(n)
+    return _mod_gf(*_key(lam), p, _series_depth(n, order))[n] * factorial(n)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _s2degpoly_gf(lam: Fraction, l: int, order: int) -> tuple[Poly, ...]:
+def _s2degpoly_gf(a: int, b: int, l: int, order: int) -> tuple[Poly, ...]:
     """t^m coefficients of z^l / l! times the deformed exponential of x."""
-    return times_deg_exp_x(_z_pow(lam, l, order) * Fraction(1, factorial(l)), lam)
+    return times_deg_exp_x(_z_pow(a, b, l, order) * Fraction(1, factorial(l)), Fraction(a, b))
 
 
 def stirling2_deg_poly_egf(n: int, l: int, lam, order: int | None = None) -> Poly:
     _check_n(n)
     if l < 0 or l > n:
         return Poly.zero()
-    return _s2degpoly_gf(as_fraction(lam), l, _series_depth(n, order))[n] * factorial(n)
+    return _s2degpoly_gf(*_key(lam), l, _series_depth(n, order))[n] * factorial(n)
 
 
 # --------------------------------------------------------------------------
@@ -566,18 +591,17 @@ def build_table(
         if (given[name] is not None) != takes:
             need = "requires" if takes else "does not take"
             raise ValueError(f"family {family.value} {need} {what}")
-    if lam is not None:
-        lam = as_fraction(lam)
     if p is not None and p < 0:
         raise ValueError(f"truncation index p must be >= 0, got {p}")
     if r is not None and r < 0:
         raise ValueError(f"order r must be >= 0, got {r}")
-    return _table_cached(family, n_max, lam, p, r)
+    return _table_cached(family, n_max, None if lam is None else _key(lam), p, r)
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _table_cached(family: Family, n_max: int, lam, p, r) -> SequenceTable:
+def _table_cached(family: Family, n_max: int, lam_key, p, r) -> SequenceTable:
     spec = FAMILIES[family]
+    lam = None if lam_key is None else Fraction(*lam_key)
     # looked up by name on each build, so the table follows the module's
     # current binding of the function
     fn = globals()[spec.source]

@@ -392,12 +392,13 @@ def check_T6(lam, p: int, n_max: int, order: int) -> list[Verdict]:
 
 
 @lru_cache(maxsize=seq.MEMO_MAXSIZE)
-def _operator_core(lam: Fraction, order: int) -> tuple[Fps, Fps]:
-    """The p-independent part of the operator route: exp(z) and the entire
-    series sum_m (-1)^m z^m/(m+1)!, z the deformed exponential minus one."""
-    z = deg_exp(Fraction(1), lam, order) - 1
-    core = Fps.constant(Fraction(0), order)
-    zpow = Fps.constant(Fraction(1), order)
+def _operator_core(a: int, b: int, order: int) -> tuple[Fps, Fps]:
+    """The p-independent part of the operator route at lam = a/b: exp(z) and
+    the entire series sum_m (-1)^m z^m/(m+1)!, z the deformed exponential
+    minus one."""
+    z = deg_exp(1, Fraction(a, b), order) - 1
+    core = Fps.constant(0, order)
+    zpow = Fps.constant(1, order)
     for m in range(order + 1):
         core = core + zpow.scale(Fraction((-1) ** m, factorial(m + 1)))
         if m < order:
@@ -409,7 +410,7 @@ def _operator_route(lam: Fraction, p: int, order: int) -> Fps:
     """Right side of the differential-operator representation: the core
     series hit p-1 times with the weighted derivative, then multiplied by
     exp(z) and signed."""
-    exp_z, cur = _operator_core(lam, order)
+    exp_z, cur = _operator_core(lam.numerator, lam.denominator, order)
     for _ in range(p - 1):
         cur = apply_Dlambda(cur, lam)
     return (exp_z * cur).scale(Fraction((-1) ** (p - 1) * p))

@@ -92,6 +92,32 @@ def test_as_fraction_passes_a_fraction_through():
         assert type(as_fraction(x)) is Fraction and as_fraction(x) == Fraction(x)
 
 
+@pytest.mark.parametrize("x", [0.1, 0.5, -2.0, float("nan")])
+def test_as_fraction_refuses_floats(x):
+    with pytest.raises(ValueError, match=r"is a float.*Fraction or a 'num/den' string"):
+        as_fraction(x)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1/2.0"])
+def test_as_fraction_reads_strings_as_parse_rational_does(text):
+    # Fraction("0.5") and Fraction("1e-3") would accept decimal notation
+    with pytest.raises(ValueError, match="unexpected character"):
+        as_fraction(text)
+    assert as_fraction(" -6/4 ") == parse_rational(" -6/4 ") == Fraction(-3, 2)
+
+
+def test_library_calls_refuse_a_float_lambda():
+    from truncbell.sequences import Family, build_table, stirling2_deg
+
+    with pytest.raises(ValueError, match="0.1 is a float"):
+        stirling2_deg(3, 1, 0.1)
+    with pytest.raises(ValueError, match="0.1 is a float"):
+        build_table(Family.TruncBellDeg, 2, lam=0.1, p=1)
+    with pytest.raises(ValueError, match="unexpected character"):
+        build_table(Family.TruncBellDeg, 2, lam="0.1", p=1)
+    assert build_table(Family.TruncBellDeg, 2, lam="1/10", p=1).lam == Fraction(1, 10)
+
+
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         deg_falling_factorial(Fraction(1), -2, Fraction(1, 2))

@@ -48,16 +48,23 @@ def test_poly_coeff_beyond_degree_is_zero():
 
 
 def test_poly_scalar_equality_and_mixing():
-    assert Poly.constant(Fraction(3)) == 3
+    assert Poly((Fraction(3),)) == 3
     assert Poly.zero() == 0
     p = Poly.x()
     assert 2 * p == p + p
     assert p - p == 0
 
 
+def test_constructors_refuse_floats():
+    for build in (lambda: Poly((0, 0.1)), lambda: Fps([Fraction(1), 0.5]),
+                  lambda: Fps.constant(0.1, 2)):
+        with pytest.raises(ValueError, match="is a float"):
+            build()
+
+
 def test_poly_monomial_and_pow():
-    assert Poly.monomial(3, Fraction(1, 2)) == Poly((0, 0, 0, Fraction(1, 2)))
-    assert Poly.x() ** 3 == Poly.monomial(3)
+    assert Poly((0,) * 3 + (Fraction(1, 2),)) == Poly((0, 0, 0, Fraction(1, 2)))
+    assert Poly.x() ** 3 == Poly((0,) * 3 + (1,))
 
 
 @given(polys, polys, polys)

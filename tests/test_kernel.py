@@ -114,6 +114,47 @@ def test_poly_hash_agrees_with_equality(a, b):
         assert hash(a) == hash(b)
 
 
+def assert_canonical_series(s: Fps, order: int) -> None:
+    assert s.den > 0
+    assert gcd(s.den, *s.num) == 1
+    assert len(s.num) == s.order + 1 == order + 1  # zeros kept, trailing ones too
+    assert all(type(c) is int for c in s.num)
+    assert s.coeffs == tuple(Fraction(c, s.den) for c in s.num)
+
+
+@reference_settings
+@given(data=st.data())
+def test_series_hash_agrees_with_equality(data):
+    order = data.draw(st.integers(0, 6), label="order")
+    a = data.draw(series(order=order), label="a")
+    b = data.draw(series(order=order), label="b")
+    assert_canonical_series(a, order)
+    for same in ((a + b) - b, a * Fps.constant(1, a.order), Fps(a.coeffs)):
+        assert_canonical_series(same, order)
+        assert same == a
+        assert hash(same) == hash(a)
+    assert (a == b) == (ref(a) == ref(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    # the zero series is one value at each order, and its order is kept
+    zeros = [a - a, Fps.constant(0, order), Fps([Fraction(0, 7)] * (order + 1)), a * 0]
+    for z in zeros:
+        assert_canonical_series(z, order)
+        assert (z.num, z.den) == ((0,) * (order + 1), 1)
+        assert hash(z) == hash(zeros[0])
+    assert Fps.constant(0, order + 1) != zeros[0]
+    # a quotient by a series whose first nonzero coefficient is negative
+    # still has a positive denominator
+    d = data.draw(series(max_val=2), label="d")
+    v = d.valuation()
+    if d.num[v] > 0:
+        d = -d
+    n = data.draw(series(min_val=v, max_val=v + 1), label="n")
+    q = n / d
+    assert_canonical_series(q, 5 - v)
+    assert ref(q) == series_div(ref(n), ref(d))
+
+
 def test_zero_polynomials_are_one_value():
     zeros = [Poly(), Poly((0, 0)), Poly.x() - Poly.x(), Poly.x() * 0, Poly((Fraction(0, 7),))]
     for z in zeros:

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import pkgutil
 from fractions import Fraction
@@ -83,7 +84,7 @@ def test_falling_factorial_polys_specialize():
     falling = Poly.one()  # x (x-1) ... (x-n+1)
     for n in range(9):
         assert deg_falling_factorial_poly(n, Fraction(1)) == falling
-        assert deg_falling_factorial_poly(n, Fraction(0)) == Poly.monomial(n)
+        assert deg_falling_factorial_poly(n, Fraction(0)) == Poly.x() ** n
         falling = falling * Poly((-n, 1))
 
 
@@ -368,3 +369,68 @@ def test_every_memo_is_bounded():
     assert memos
     for module_name, name, memo in memos:
         assert memo.cache_parameters()["maxsize"] == sequences.MEMO_MAXSIZE, (module_name, name)
+
+
+# every memo whose key holds a lambda, keyed by its (numerator, denominator)
+LAMBDA_MEMOS = {
+    "sequences": ["_deg_ff_poly", "_s2deg_num", "_s2deg_row", "_s1deg_row", "_s2deg_poly",
+                  "_bell_deg_poly", "_trunc_poly", "_trunc_mod_poly", "_bern_num_table",
+                  "_bern_poly_table", "_z_series", "_z_pow", "_log_pow", "_trunc_gf",
+                  "_mod_gf", "_s2degpoly_gf"],
+    "verify": ["_operator_core"],
+}
+
+
+def test_lambda_memos_are_bounded_and_keyed_by_integers():
+    for module_name, names in LAMBDA_MEMOS.items():
+        module = importlib.import_module(f"truncbell.{module_name}")
+        for name in names:
+            memo = getattr(module, name)
+            assert callable(memo.cache_info), name
+            assert memo.cache_parameters()["maxsize"] == sequences.MEMO_MAXSIZE, name
+            assert list(inspect.signature(memo).parameters)[:2] == ["a", "b"], name
+    # the list is complete: the other memos of sequences hold no lambda
+    # (_table_cached keys by the same integer pair, as one argument)
+    memos = {name for name, v in vars(sequences).items() if hasattr(v, "cache_parameters")}
+    assert memos == set(LAMBDA_MEMOS["sequences"]) | {"_s2_row", "_table_cached"}
+
+
+def test_equal_lambdas_share_one_memo_entry():
+    # a lambda no other test uses, so the entries start cold
+    first, second = Fraction(7, 13), Fraction(14, 26)
+    assert first == second and first is not second
+    memo = sequences._s2deg_row
+    value = stirling2_deg(6, 2, first)
+    before = memo.cache_info()
+    assert stirling2_deg(6, 2, second) == value
+    assert stirling2_deg(6, 2, "21/39") == value
+    after = memo.cache_info()
+    assert after.hits == before.hits + 2
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert build_table(Family.S2deg, 3, lam="2/4") is build_table(Family.S2deg, 3,
+                                                                  lam=Fraction(1, 2))
+
+
+def test_warm_reads_hash_no_fraction(monkeypatch):
+    lam = Fraction(-3, 17)
+    reads = [
+        lambda: stirling2_deg(9, 4, lam),
+        lambda: bell_deg(9, lam),
+        lambda: trunc_bell_deg(9, 2, lam),
+        lambda: trunc_bell_deg_egf(9, 2, lam, 12),
+        lambda: trunc_mod_bell_deg_egf(9, 2, lam, 12),
+        lambda: deg_bernoulli_num(9, 2, lam),
+    ]
+    warm = [read() for read in reads]
+    hashes = []
+    real = Fraction.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    hash(Fraction(1, 3))  # the counter sees a Fraction hash
+    assert len(hashes) == 1
+    assert [read() for read in reads] == warm
+    assert len(hashes) == 1
