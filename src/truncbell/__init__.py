@@ -3,10 +3,10 @@ truncated Bell-type sequence families.
 
 The package has five layers: exact scalar arithmetic (exactnum),
 truncated formal power series and polynomials over the rationals (fps),
-the sequence families themselves with dual constructions (sequences),
-the double-precision quadrature, series and sampling kernels (numeric),
-and the identity-verification engine plus suite runner (verify). The
-command line lives in cli.
+the sequence families themselves (sequences), the double-precision
+quadrature, series and sampling kernels (numeric), and the
+identity-verification engine plus suite runner (verify). The command line
+lives in cli.
 
 Importing the package loads the three exact layers only, and no numpy.
 The attribute verify and the names the package re-exports from it
@@ -18,29 +18,25 @@ import importlib
 
 from .exactnum import (
     beta_exact,
-    binomial,
     deg_falling_factorial,
     format_rational,
     parse_rational,
 )
-from .fps import Fps, Poly, apply_Dlambda, deg_exp, deg_log, times_deg_exp_x
+from .fps import Fps, Poly, apply_Dlambda, deg_exp, times_deg_exp_x
 from .sequences import (
     CONSTRUCTION,
     Family,
     SequenceTable,
     bell_classical,
     bell_deg,
-    bell_deg_egf,
     build_table,
     deg_bernoulli,
     deg_bernoulli_num,
     deg_falling_factorial_poly,
     stirling1,
     stirling1_deg,
-    stirling1_deg_egf,
     stirling2,
     stirling2_deg,
-    stirling2_deg_egf,
     stirling2_deg_poly,
     stirling2_deg_poly_egf,
     trunc_bell_deg,

@@ -7,8 +7,6 @@ inside these routines.
 
 Conventions:
 
-* binomial(n, k) vanishes outside 0 <= k <= n, so sums written against
-  binomial weights need no explicit range guards.
 * deg_falling_factorial(x, n, lam) is the product
   x * (x - lam) * (x - 2*lam) * ... * (x - (n-1)*lam).
   lam = 0 recovers the plain power x**n and lam = 1 the ordinary falling
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 _RATIONAL_CHARS = set("0123456789/+-")
@@ -69,19 +67,6 @@ def as_fraction(x) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical "num/den" form, "num" alone when the denominator is 1."""
     return str(q)
-
-
-def binomial(n: int, k: int) -> Fraction:
-    """C(n, k) for integer n >= 0, zero outside 0 <= k <= n.
-
-    The vanishing convention at k < 0 matters: some recurrences are probed
-    with a C(n, -1) term that must drop out silently.
-    """
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(comb(n, k))
 
 
 def deg_falling_factorial(x: Fraction, n: int, lam: Fraction) -> Fraction:

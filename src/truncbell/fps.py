@@ -18,8 +18,8 @@ zeros kept, over one positive denominator `den` with gcd(den, *num) == 1.
 Sum, product, quotient, exp, derivative and powers run schoolbook integer
 recurrences on the numerators and reduce each result once, so Fraction
 appears only where a caller reads coefficients: `coeffs` (a view built on
-each use), `coeff` and `egf_coeff`. The one product whose coefficients
-are polynomials in x, g(t) times the degenerate exponential e_lam^x(t), is
+each use) and `egf_coeff`. The one product whose coefficients are
+polynomials in x, g(t) times the degenerate exponential e_lam^x(t), is
 times_deg_exp_x; it reads g's numerators and returns the Poly coefficients
 of the product rather than a series.
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul
 
-from .exactnum import as_fraction, deg_falling_factorial
+from .exactnum import as_fraction
 
 _SCALARS = (int, Fraction)
 
@@ -67,10 +67,6 @@ class Poly:
         self.num = tuple(num)
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return _POLY_ZERO
-
-    @classmethod
     def one(cls) -> "Poly":
         return _POLY_ONE
 
@@ -88,12 +84,8 @@ class Poly:
     def degree(self) -> int:
         return len(self.num) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.num)
 
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.num):
@@ -130,9 +122,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return _poly([c * other.numerator for c in self.num], self.den * other.denominator)
@@ -168,9 +157,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"Poly[{self.to_string()}]"
@@ -241,7 +227,6 @@ def dot(terms) -> Fraction:
     return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
-_POLY_ZERO = _poly((), 1)
 _POLY_ONE = _poly((1,), 1)
 _POLY_X = _poly((0, 1), 1)
 
@@ -283,11 +268,6 @@ class Fps:
     @property
     def order(self) -> int:
         return len(self.num) - 1
-
-    def coeff(self, n: int) -> Fraction:
-        if n < 0 or n > self.order:
-            raise IndexError(f"coefficient {n} is beyond truncation order {self.order}")
-        return Fraction(self.num[n], self.den)
 
     def egf_coeff(self, n: int) -> Fraction:
         """n! times the t^n coefficient: the value a series of the form
@@ -422,9 +402,6 @@ class Fps:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
 
 def _fps(num, den: int) -> Fps:
     """Fps from integer numerators over a positive denominator, brought to
@@ -482,26 +459,6 @@ def times_deg_exp_x(g: Fps, lam) -> tuple[Poly, ...]:
                 _mul_into(acc, (ng[m],), e[n - m])
         out.append(_poly(acc, g.den * D))
     return tuple(out)
-
-
-def deg_log(lam: Fraction, order: int) -> Fps:
-    """Compositional inverse of deg_exp(1, lam, .) - 1, in closed form.
-
-    For lam != 0 this is the binomial series ((1+t)**lam - 1) / lam; at
-    lam = 0 it is log(1+t). The tests cross-check it against series
-    reversion and composition in the Fraction reference kernel
-    (tests/fraction_kernel.py), which shares no code with this module.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeffs = [Fraction(0)]
-    if lam:
-        for n in range(1, order + 1):
-            coeffs.append(deg_falling_factorial(lam, n, 1) / (factorial(n) * lam))
-    else:
-        for n in range(1, order + 1):
-            coeffs.append(Fraction((-1) ** (n + 1), n))
-    return Fps(tuple(coeffs))
 
 
 def apply_Dlambda(f: Fps, lam: Fraction) -> Fps:

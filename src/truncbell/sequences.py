@@ -1,6 +1,9 @@
 """Stirling-type triangles and Bell-type polynomial families, exactly.
 
-Two constructions run side by side for every family that admits them:
+Two constructions run side by side for the three families whose
+generating-function identity a check compares, TruncBellDeg (T1),
+TruncModBellDeg (T14) and S2degPoly (T13); every other family has one
+construction, which for the degenerate Bernoulli family is its series:
 
 * a basis route: expand the defining product as a Poly and rewrite it in
   the target basis by exact triangular elimination (or, for the
@@ -69,7 +72,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm, perm
 
 from .exactnum import as_fraction, format_rational
-from .fps import Fps, Poly, _mul_into, _poly, deg_exp, deg_log, lincomb, times_deg_exp_x
+from .fps import Fps, Poly, _mul_into, _poly, deg_exp, lincomb, times_deg_exp_x
 
 # the entry bound of every memo in the package (verify reads it too)
 MEMO_MAXSIZE = 4096
@@ -143,7 +146,7 @@ def _to_deg_falling_basis(poly: Poly, a: int, b: int) -> list[Fraction]:
     """
     out = [Fraction(0)] * (poly.degree + 1)
     work = poly
-    while not work.is_zero:
+    while work:
         d = work.degree
         c = work.coeff(d)
         out[d] = c
@@ -206,7 +209,7 @@ def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
     deformed falling factorials of x."""
     _check_n(n)
     if l < 0 or l > n:
-        return Poly.zero()
+        return Poly()
     return _s2deg_poly(*_key(lam), n, l)
 
 
@@ -340,38 +343,11 @@ def _z_pow(a: int, b: int, k: int, order: int) -> Fps:
     return _z_pow(a, b, k - 1, order) * _z_series(a, b, order)
 
 
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _log_pow(a: int, b: int, k: int, order: int) -> Fps:
-    if k == 0:
-        return Fps.constant(1, order)
-    return _log_pow(a, b, k - 1, order) * deg_log(Fraction(a, b), order)
-
-
-def _series_depth(n: int, order) -> int:
+def _series_depth(n: int, order: int) -> int:
     # callers may share one deeper series across many n values
-    depth = n if order is None else order
-    if depth < n:
-        raise ValueError(f"series order {depth} cannot resolve coefficient {n}")
-    return depth
-
-
-def stirling2_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction:
-    """Series route: n-th factorial-normalized coefficient of the k-th
-    power of the deformed exponential minus one, over k!."""
-    _check_n(n)
-    if k < 0 or k > n:
-        return Fraction(0)
-    depth = _series_depth(n, order)
-    return _z_pow(*_key(lam), k, depth).egf_coeff(n) / factorial(k)
-
-
-def stirling1_deg_egf(n: int, k: int, lam, order: int | None = None) -> Fraction:
-    """Series route via powers of the deformed logarithm."""
-    _check_n(n)
-    if k < 0 or k > n:
-        return Fraction(0)
-    depth = _series_depth(n, order)
-    return _log_pow(*_key(lam), k, depth).egf_coeff(n) / factorial(k)
+    if order < n:
+        raise ValueError(f"series order {order} cannot resolve coefficient {n}")
+    return order
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
@@ -390,12 +366,7 @@ def _trunc_gf(a: int, b: int, p: int, order: int) -> tuple[Poly, ...]:
                  for m in range(order + 1))
 
 
-def bell_deg_egf(n: int, lam, order: int | None = None) -> Poly:
-    _check_n(n)
-    return _trunc_gf(*_key(lam), 0, _series_depth(n, order))[n] * factorial(n)
-
-
-def trunc_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
+def trunc_bell_deg_egf(n: int, p: int, lam, order: int) -> Poly:
     _check_np(n, p)
     return _trunc_gf(*_key(lam), p, _series_depth(n, order))[n] * factorial(n)
 
@@ -413,7 +384,7 @@ def _mod_gf(a: int, b: int, p: int, order: int) -> tuple[Poly, ...]:
     return times_deg_exp_x((num * factorial(p)) / _z_pow(a, b, p, deep), Fraction(a, b))
 
 
-def trunc_mod_bell_deg_egf(n: int, p: int, lam, order: int | None = None) -> Poly:
+def trunc_mod_bell_deg_egf(n: int, p: int, lam, order: int) -> Poly:
     _check_np(n, p)
     return _mod_gf(*_key(lam), p, _series_depth(n, order))[n] * factorial(n)
 
@@ -424,10 +395,10 @@ def _s2degpoly_gf(a: int, b: int, l: int, order: int) -> tuple[Poly, ...]:
     return times_deg_exp_x(_z_pow(a, b, l, order) * Fraction(1, factorial(l)), Fraction(a, b))
 
 
-def stirling2_deg_poly_egf(n: int, l: int, lam, order: int | None = None) -> Poly:
+def stirling2_deg_poly_egf(n: int, l: int, lam, order: int) -> Poly:
     _check_n(n)
     if l < 0 or l > n:
-        return Poly.zero()
+        return Poly()
     return _s2degpoly_gf(*_key(lam), l, _series_depth(n, order))[n] * factorial(n)
 
 
@@ -447,10 +418,7 @@ CONSTRUCTION = {
     "trunc_mod_bell_deg": "finite-sum",
     "deg_bernoulli": "series-extraction",
     "deg_bernoulli_num": "series-extraction",
-    "stirling1_deg_egf": "series-extraction",
-    "stirling2_deg_egf": "series-extraction",
     "stirling2_deg_poly_egf": "series-extraction",
-    "bell_deg_egf": "series-extraction",
     "trunc_bell_deg_egf": "series-extraction",
     "trunc_mod_bell_deg_egf": "series-extraction",
 }

@@ -6,11 +6,10 @@ This is the per-coefficient `fractions.Fraction` implementation that
 denominator. Both routes of every identity check now run on the library
 kernel, so a kernel bug could make both sides wrong in the same way; the
 property tests in test_kernel.py compare the library against this code
-exactly, and test_fps.py checks `deg_log` against its composition and
-reversion, which the library does not have. read_poly reads back the
-text `Poly.to_string` writes, for the round-trip tests, as the library
-has no reader either. It is deliberately plain and slow; keep it
-independent of `truncbell`.
+exactly, and test_fps.py uses its series composition, which the library
+does not have. read_poly reads back the text `Poly.to_string` writes, for
+the round-trip tests, as the library has no reader either. It is
+deliberately plain and slow; keep it independent of `truncbell`.
 
 Polynomials are RefPoly values; a series is a tuple of coefficients
 (Fraction or RefPoly, one ring per series) through its truncation order.
@@ -194,13 +193,3 @@ def series_compose(f, g) -> tuple:
         out = (out[0] + f[m],) + out[1:]
     return out
 
-
-def series_reversion(f) -> tuple:
-    """Compositional inverse g of a Fraction series f with zero constant
-    term and nonzero linear coefficient: f(g(t)) = t through the order of f.
-    Each step fixes g_m by cancelling the t^m coefficient of f(g)."""
-    inv1 = 1 / f[1]
-    g = [Fraction(0), inv1] + [Fraction(0)] * (len(f) - 2)
-    for m in range(2, len(f)):
-        g[m] = -series_compose(f, tuple(g))[m] * inv1
-    return tuple(g)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from truncbell.exactnum import (
     as_fraction,
     beta_exact,
-    binomial,
     deg_falling_factorial,
     format_rational,
     parse_rational,
@@ -56,20 +56,6 @@ def test_parse_rejects_malformed(bad):
 def test_format_omits_unit_denominator():
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(-1, 3)) == "-1/3"
-
-
-def test_binomial_values_and_conventions():
-    assert binomial(5, 2) == 10
-    assert binomial(0, 0) == 1
-    assert binomial(4, -1) == 0
-    assert binomial(4, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(st.integers(0, 30), st.integers(-2, 32))
-def test_binomial_pascal_rule(n, k):
-    assert binomial(n + 1, k) == binomial(n, k) + binomial(n, k - 1)
 
 
 @given(small_rationals, st.integers(0, 8))
@@ -139,7 +125,7 @@ def test_beta_exact_symmetry_and_recursion(a, b):
 @given(st.integers(0, 14), st.integers(1, 10))
 def test_beta_exact_against_binomial_reciprocal(k, p):
     # p * B(k+1, p) = 1 / C(k+p, k): the weight the truncated family uses
-    assert p * beta_exact(k + 1, p) == 1 / binomial(k + p, k)
+    assert p * beta_exact(k + 1, p) == Fraction(1, comb(k + p, k))
 
 
 def test_beta_exact_rejects_nonpositive():

@@ -105,13 +105,10 @@ def test_poly_construction_is_canonical(a):
 
 
 @given(polys, polys)
-def test_poly_hash_agrees_with_equality(a, b):
+def test_poly_equality_agrees_with_reference(a, b):
     for same in ((a + b) - b, a * Poly.one(), Poly(a.coeffs)):
         assert same == a
-        assert hash(same) == hash(a)
     assert (a == b) == (ref(a) == ref(b))
-    if a == b:
-        assert hash(a) == hash(b)
 
 
 def assert_canonical_series(s: Fps, order: int) -> None:
@@ -124,7 +121,7 @@ def assert_canonical_series(s: Fps, order: int) -> None:
 
 @reference_settings
 @given(data=st.data())
-def test_series_hash_agrees_with_equality(data):
+def test_series_equality_agrees_with_reference(data):
     order = data.draw(st.integers(0, 6), label="order")
     a = data.draw(series(order=order), label="a")
     b = data.draw(series(order=order), label="b")
@@ -132,16 +129,12 @@ def test_series_hash_agrees_with_equality(data):
     for same in ((a + b) - b, a * Fps.constant(1, a.order), Fps(a.coeffs)):
         assert_canonical_series(same, order)
         assert same == a
-        assert hash(same) == hash(a)
     assert (a == b) == (ref(a) == ref(b))
-    if a == b:
-        assert hash(a) == hash(b)
     # the zero series is one value at each order, and its order is kept
     zeros = [a - a, Fps.constant(0, order), Fps([Fraction(0, 7)] * (order + 1)), a * 0]
     for z in zeros:
         assert_canonical_series(z, order)
         assert (z.num, z.den) == ((0,) * (order + 1), 1)
-        assert hash(z) == hash(zeros[0])
     assert Fps.constant(0, order + 1) != zeros[0]
     # a quotient by a series whose first nonzero coefficient is negative
     # still has a positive denominator
@@ -159,8 +152,7 @@ def test_zero_polynomials_are_one_value():
     zeros = [Poly(), Poly((0, 0)), Poly.x() - Poly.x(), Poly.x() * 0, Poly((Fraction(0, 7),))]
     for z in zeros:
         assert_canonical(z)
-        assert z == Poly.zero() == 0
-        assert hash(z) == hash(Poly.zero())
+        assert z == Poly() == 0
         assert (z.num, z.den) == ((), 1)
         assert z(Fraction(3, 4)) == 0
 
@@ -204,7 +196,7 @@ def test_lincomb_and_dot_edge_cases():
     zeros = [
         lincomb([]),                                     # empty input
         lincomb([(0, a), (Fraction(0), b)]),             # all-zero weights
-        lincomb([(Fraction(5, 7), Poly.zero()), (3, Poly())]),  # zero polynomials
+        lincomb([(Fraction(5, 7), Poly()), (3, Poly((0, 0)))]),  # zero polynomials
         lincomb([(Fraction(2, 3), a), (Fraction(-2, 3), a)]),   # cancellation
     ]
     for z in zeros:

@@ -3,7 +3,7 @@ import inspect
 import json
 import pkgutil
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fraction_kernel import read_poly
 from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
 import truncbell
-from truncbell.exactnum import binomial
 from truncbell import sequences
 from truncbell.fps import Poly, times_deg_exp_x
 from truncbell.sequences import (
@@ -20,17 +19,14 @@ from truncbell.sequences import (
     Family,
     bell_classical,
     bell_deg,
-    bell_deg_egf,
     build_table,
     deg_bernoulli,
     deg_bernoulli_num,
     deg_falling_factorial_poly,
     stirling1,
     stirling1_deg,
-    stirling1_deg_egf,
     stirling2,
     stirling2_deg,
-    stirling2_deg_egf,
     stirling2_deg_poly,
     stirling2_deg_poly_egf,
     trunc_bell_deg,
@@ -118,16 +114,15 @@ def test_triangles_vanish_above_diagonal_and_normalize(lam):
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_stirling_egf_routes_agree(lam):
+    # at x = 0 the x-shifted series z^k / k! * e_lam^x(t) is z^k / k!, the
+    # generating series of column k of the degenerate second-kind triangle
     for n in range(9):
         for k in range(n + 1):
-            assert stirling2_deg_egf(n, k, lam, order=8) == stirling2_deg(n, k, lam)
-            assert stirling1_deg_egf(n, k, lam, order=8) == stirling1_deg(n, k, lam)
+            assert stirling2_deg_poly_egf(n, k, lam, order=8)(0) == stirling2_deg(n, k, lam)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_bell_family_egf_routes_agree(lam):
-    for n in range(9):
-        assert bell_deg_egf(n, lam, order=8) == bell_deg(n, lam)
     for p in range(5):
         for n in range(9):
             assert trunc_bell_deg_egf(n, p, lam, order=8) == trunc_bell_deg(n, p, lam)
@@ -141,6 +136,12 @@ def test_shifted_stirling_poly_egf_route_agrees(lam):
             assert stirling2_deg_poly_egf(n, l, lam, order=6) == stirling2_deg_poly(n, l, lam)
 
 
+@pytest.mark.parametrize("l", [-1, 5])
+def test_shifted_stirling_poly_is_zero_off_the_triangle(l):
+    assert stirling2_deg_poly(4, l, Fraction(1, 2)) == Poly()
+    assert stirling2_deg_poly_egf(4, l, Fraction(1, 2), order=6) == Poly()
+
+
 def test_shifted_stirling_poly_at_zero_reduces_to_plain():
     for lam in LAMBDAS:
         for n in range(8):
@@ -152,14 +153,11 @@ def test_series_order_too_small_raises():
     with pytest.raises(ValueError):
         trunc_bell_deg_egf(5, 1, Fraction(1, 2), order=3)
     with pytest.raises(ValueError):
-        stirling2_deg_egf(5, 2, Fraction(1, 2), order=4)
+        stirling2_deg_poly_egf(5, 2, Fraction(1, 2), order=4)
 
 
 def test_construction_tags_distinguish_dual_routes():
     pairs = [
-        ("stirling2_deg", "stirling2_deg_egf"),
-        ("stirling1_deg", "stirling1_deg_egf"),
-        ("bell_deg", "bell_deg_egf"),
         ("trunc_bell_deg", "trunc_bell_deg_egf"),
         ("trunc_mod_bell_deg", "trunc_mod_bell_deg_egf"),
         ("stirling2_deg_poly", "stirling2_deg_poly_egf"),
@@ -174,7 +172,7 @@ def test_construction_tags_distinguish_dual_routes():
 @given(lam_st, st.integers(0, 7), st.integers(0, 4))
 def test_row_sum_identity_at_x_one(lam, n, p):
     total = sum(
-        stirling2_deg(n, k, lam) / binomial(k + p, k) for k in range(n + 1)
+        stirling2_deg(n, k, lam) / comb(k + p, k) for k in range(n + 1)
     )
     assert trunc_bell_deg(n, p, lam)(Fraction(1)) == total
 
@@ -375,7 +373,7 @@ def test_every_memo_is_bounded():
 LAMBDA_MEMOS = {
     "sequences": ["_deg_ff_poly", "_s2deg_num", "_s2deg_row", "_s1deg_row", "_s2deg_poly",
                   "_bell_deg_poly", "_trunc_poly", "_trunc_mod_poly", "_bern_num_table",
-                  "_bern_poly_table", "_z_series", "_z_pow", "_log_pow", "_trunc_gf",
+                  "_bern_poly_table", "_z_series", "_z_pow", "_trunc_gf",
                   "_mod_gf", "_s2degpoly_gf"],
     "verify": ["_operator_core"],
 }
