@@ -6,11 +6,14 @@ trailing zeros trimmed and gcd(den, *num) == 1. The zero polynomial is the
 empty tuple over 1 (its degree reports -1). Instances are treated as
 immutable. Arithmetic works on the integers and reduces each result by one
 gcd; the Fraction view `coeffs` is built only when asked for. The finite
-sums of the package go through two kernels that work the same way:
-lincomb(terms) returns sum c * P over (rational c, Poly P) pairs as one
-Poly, and dot(terms) returns sum a * b over pairs of rationals as one
-Fraction; each brings its terms to integer numerators over one common
-denominator, accumulates them on the integers and reduces once.
+sums of the package go through two kernels that work the same way. A term
+is a tuple of factors, each an int or a Fraction: lincomb(terms) returns
+sum c1 * ... * ck * P over terms (c1, ..., ck, P) as one Poly, and
+dot(terms) returns sum c1 * ... * ck over terms (c1, ..., ck) as one
+Fraction. A term's weight is the product of its numerators over the
+product of its denominators, so callers pass factors rather than build
+Fraction products; the weights go to one common denominator, each result
+coefficient is one integer dot product, and the result is reduced once.
 
 Fps is a power series in t known exactly through a stated truncation order,
 stored the way Poly is: a tuple `num` of order + 1 integer numerators,
@@ -21,7 +24,8 @@ appears only where a caller reads coefficients: `coeffs` (a view built on
 each use) and `egf_coeff`. The one product whose coefficients are
 polynomials in x, g(t) times the degenerate exponential e_lam^x(t), is
 times_deg_exp_x; it reads g's numerators and returns the Poly coefficients
-of the product rather than a series.
+of the product rather than a series, each coefficient one integer dot
+product that starts at g's valuation.
 
 Arithmetic keeps the weakest truncation of its operands, so a result's
 order always says how far its coefficients can be trusted. Division
@@ -34,6 +38,7 @@ which is exactly what makes it well defined on truncations.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, gcd, lcm
 from operator import add, mul
 
@@ -127,8 +132,15 @@ class Poly:
             return _poly([c * other.numerator for c in self.num], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        acc: list = []
-        _mul_into(acc, self.num, other.num)
+        # schoolbook, with the inner loop over the longer operand
+        a, b = self.num, other.num
+        if len(a) > len(b):
+            a, b = b, a
+        lb = len(b)
+        acc = [0] * (len(a) + lb - 1)
+        for i, c in enumerate(a):
+            if c:
+                acc[i : i + lb] = map(add, acc[i : i + lb], map(c.__mul__, b))
         return _poly(acc, self.den * other.den)
 
     __rmul__ = __mul__
@@ -191,38 +203,44 @@ def _poly(num, den: int) -> Poly:
     return p
 
 
-def _mul_into(acc: list, a, b) -> None:
-    """acc += a * b for integer coefficient sequences (schoolbook, with the
-    inner loop over the longer operand); acc grows as needed."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return
-    lb = len(b)
-    short = len(a) + lb - 1 - len(acc)
-    if short > 0:
-        acc.extend([0] * short)
-    for i, c in enumerate(a):
-        if c:
-            acc[i : i + lb] = map(add, acc[i : i + lb], map(c.__mul__, b))
+def _combine(weights, rows) -> list:
+    """sum_j weights[j] * rows[j] for integer weights and integer coefficient
+    rows of any lengths: coefficient i is one integer dot product."""
+    return [sum(map(mul, weights, col)) for col in zip_longest(*rows, fillvalue=0)]
+
+
+def _ratio(factors) -> tuple[int, int]:
+    """The product of ints and Fractions as (numerator, denominator), unreduced."""
+    n = d = 1
+    for c in factors:
+        n *= c.numerator
+        d *= c.denominator
+    return n, d
 
 
 def lincomb(terms) -> Poly:
-    """sum c * P over (c, P) pairs, c an int or Fraction, as one Poly: every
-    term is brought to integer numerators over the lcm of the c.den * P.den,
-    accumulated on the integers and reduced once."""
-    terms = [(c.numerator, c.denominator * p.den, p.num) for c, p in terms]
-    den = lcm(*(d for _, d, _ in terms))
-    acc: list = []
-    for c, d, num in terms:
-        _mul_into(acc, (c * (den // d),), num)
-    return _poly(acc, den)
+    """sum c1 * ... * ck * P over terms (c1, ..., ck, P), each c an int or a
+    Fraction, as one Poly: the integer weights over the lcm of the terms'
+    denominators (P.den included), one dot product per coefficient."""
+    nums, dens, polys = [], [], []
+    for *factors, p in terms:
+        n, d = _ratio(factors)
+        if n and p.num:
+            nums.append(n)
+            dens.append(d * p.den)
+            polys.append(p.num)
+    den = lcm(*dens)
+    return _poly(_combine([n * (den // d) for n, d in zip(nums, dens)], polys), den)
 
 
 def dot(terms) -> Fraction:
-    """sum a * b over (a, b) pairs of ints or Fractions, as one Fraction
-    from one integer sum over the lcm of the a.den * b.den."""
-    terms = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in terms]
+    """sum c1 * ... * ck over terms (c1, ..., ck) of ints or Fractions, as one
+    Fraction from one integer sum over the lcm of the terms' denominators."""
+    terms = list(terms)
+    try:  # pairs, the common case, without a call per term
+        terms = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in terms]
+    except ValueError:  # a term that is not a pair
+        terms = [_ratio(t) for t in terms]
     den = lcm(*(d for _, d in terms))
     return Fraction(sum(n * (den // d) for n, d in terms), den)
 
@@ -439,11 +457,15 @@ def times_deg_exp_x(g: Fps, lam) -> tuple[Poly, ...]:
     """t^n coefficients of g(t) e_lam^x(t) through the order N of g, as
     polynomials in x: sum_m g_m (x)_{n-m,lam} / (n-m)!. With lam = a/b and
     P_j = prod_{i<j} (b x - i a), (x)_{j,lam}/j! = P_j b^(N-j) N!/j! over
-    D = b^N N!, so each result is one integer convolution, reduced once."""
+    D = b^N N!, so the x^i coefficient of result n is the integer dot
+    product sum_{m=v..n-i} g_m e_{n-m,i} over g.den D, where e_j holds the
+    numerators of P_j b^(N-j) N!/j! and v is g's valuation."""
     lam = as_fraction(lam)
     a, b = lam.numerator, lam.denominator
-    ng = g.num
     N = g.order
+    v = g.valuation()
+    if v is None:
+        return (Poly(),) * (N + 1)
     D = b**N * factorial(N)
     e, pj = [], [1]
     for j in range(N + 1):
@@ -451,13 +473,15 @@ def times_deg_exp_x(g: Fps, lam) -> tuple[Poly, ...]:
         e.append([w * c for c in pj])
         # P_{j+1} = P_j (b x - j a)
         pj = [s - j * a * c for s, c in zip([0] + [b * c for c in pj], pj + [0])]
+    # cols[i][k] = e_{i+k,i}; the x^i coefficient of result n pairs cols[i]
+    # with g_{n-i}, g_{n-i-1}, ..., g_v, and map stops at the shorter one
+    cols = [col[i:] for i, col in enumerate(zip_longest(*e, fillvalue=0))]
+    rev = g.num[::-1]  # rev[N - m] = g_m
+    den = g.den * D
     out = []
     for n in range(N + 1):
-        acc: list = []
-        for m in range(n + 1):
-            if ng[m]:
-                _mul_into(acc, (ng[m],), e[n - m])
-        out.append(_poly(acc, g.den * D))
+        gn = rev[N - n : N - v + 1]  # g_n, g_{n-1}, ..., g_v
+        out.append(_poly([sum(map(mul, cols[i], gn[i:])) for i in range(n - v + 1)], den))
     return tuple(out)
 
 

@@ -23,10 +23,10 @@ integer tuples, the monomial-to-falling rewrite multiplies a Poly's integer
 numerators by them and is memoized as one integer row over one
 denominator, from which the plain and truncated families build their Polys
 with one gcd, and the finite sums over k or i (the x-shifted entries and
-the modified truncated family) are each one fps.lincomb call with
-math.comb weights, so every result is one integer sum reduced by one gcd.
-Each sum keeps its terms and its index range; only the arithmetic that
-adds them up moved to the integers. The series routes read the integer
+the modified truncated family) are each one fps.lincomb call with integer
+weights over one lcm, so every result is one integer sum reduced by one
+gcd. Each sum keeps its terms and its index range; only the arithmetic
+that adds them up moved to the integers. The series routes read the integer
 numerators of their Fps values the same way.
 
 The classical second-kind triangle is filled by the standard two-term
@@ -72,7 +72,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm, perm
 
 from .exactnum import as_fraction, format_rational
-from .fps import Fps, Poly, _mul_into, _poly, deg_exp, lincomb, times_deg_exp_x
+from .fps import Fps, Poly, _combine, _poly, deg_exp, lincomb, times_deg_exp_x
 
 # the entry bound of every memo in the package (verify reads it too)
 MEMO_MAXSIZE = 4096
@@ -164,10 +164,7 @@ def _s2deg_num(a: int, b: int, n: int) -> tuple[tuple[int, ...], int]:
     numerators over one denominator: (x)_{n,lam} rewritten in the (x)_k
     basis, its numerators times the integer rows of the classical triangle."""
     poly = _deg_ff_poly(a, b, n)
-    acc: list = []
-    for m, c in enumerate(poly.num):
-        _mul_into(acc, (c,), _s2_row(m))
-    return tuple(acc), poly.den
+    return tuple(_combine(poly.num, [_s2_row(m) for m in range(len(poly.num))])), poly.den
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
@@ -199,8 +196,12 @@ def stirling1_deg(n: int, k: int, lam) -> Fraction:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2deg_poly(a: int, b: int, n: int, l: int) -> Poly:
-    return lincomb((comb(n, i) * _s2deg_row(a, b, i)[l], _deg_ff_poly(a, b, n - i))
-                   for i in range(l, n + 1))
+    # entry (i, l) is num[l] / den of row i: integer weights over the lcm of the dens
+    rows = [_s2deg_num(a, b, i) for i in range(l, n + 1)]
+    common = lcm(*(den for _, den in rows))
+    inv = Fraction(1, common)
+    return lincomb((comb(n, i), num[l] * (common // den), inv, _deg_ff_poly(a, b, n - i))
+                   for i, (num, den) in enumerate(rows, l))
 
 
 def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
@@ -252,7 +253,11 @@ def trunc_bell_deg(n: int, p: int, lam) -> Poly:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _trunc_mod_poly(a: int, b: int, p: int, n: int) -> Poly:
-    return lincomb((Fraction(1, comb(k + p, p)), _s2deg_poly(a, b, n, k)) for k in range(n + 1))
+    # the weights 1/C(k+p,p) as integers over the lcm of the binomials, as in _trunc_poly
+    weights = [comb(k + p, p) for k in range(n + 1)]
+    common = lcm(*weights)
+    inv = Fraction(1, common)
+    return lincomb((common // w, inv, _s2deg_poly(a, b, n, k)) for k, w in enumerate(weights))
 
 
 def trunc_mod_bell_deg(n: int, p: int, lam) -> Poly:

@@ -34,10 +34,12 @@ route's values for n = 0..n_max and computes every factor that depends on
 k or m alone (beta values, alternating weights, T8's inner sums, the plain
 family at x = 1) once. C-SIX calls each row function once and compares its
 rows. Every finite sum of an exact route, scalar or polynomial, is one
-fps.dot or fps.lincomb call over the entries it reads. Route functions keep no memo of their own and read the sequences
-layer through its public functions, one entry at a time, so a perturbed
-public function reaches every check that reads it however warm the caches
-are (see the sequences docstring).
+fps.dot or fps.lincomb call over the entries it reads, each term passed as
+its factors (binomials, entries, weights) rather than as their product, so
+no Fraction product is formed per term. Route functions keep no memo of
+their own and read the sequences layer through its public functions, one
+entry at a time, so a perturbed public function reaches every check that
+reads it however warm the caches are (see the sequences docstring).
 
 On Linux, run_suite runs its lambda slices in min(#lambdas, usable CPUs)
 forked workers, with a report byte-identical to the serial loop's; the
@@ -275,9 +277,10 @@ def check_T2(lam, n_max: int, order: int) -> Verdict:
     _require(order >= n_max + 1, f"order {order} must be at least n_max+1 = {n_max + 1}")
     col = _Collector()
     x = Poly.x()
+    inv = [Fraction(1, m + 1) for m in range(n_max + 1)]
     for n in range(n_max + 1):
         lhs = x * seq.trunc_bell_deg(n, 1, lam)
-        rhs = lincomb((comb(n, m) * seq.deg_bernoulli_num(n - m, 1, lam) / (m + 1),
+        rhs = lincomb((comb(n, m), seq.deg_bernoulli_num(n - m, 1, lam), inv[m],
                        seq.bell_deg(m + 1, lam)) for m in range(n + 1))
         col.poly(n, lhs, rhs)
         col.scalar(n, lhs(Fraction(1)), rhs(Fraction(1)), note="evaluation at x = 1")
@@ -378,9 +381,9 @@ def check_T6(lam, p: int, n_max: int, order: int) -> list[Verdict]:
     x = Poly.x()
     for n in range(n_max + 1):
         lhs = x**p * seq.trunc_bell_deg(n, p, lam)
-        conv = lincomb((Fraction(comb(n + p, m), comb(n + p, n))
-                        * seq.deg_bernoulli_num(n + p - m, p, lam), seq.bell_deg(m, lam))
-                       for m in range(n + p + 1))
+        inv = Fraction(1, comb(n + p, n))
+        conv = lincomb((comb(n + p, m), inv, seq.deg_bernoulli_num(n + p - m, p, lam),
+                        seq.bell_deg(m, lam)) for m in range(n + p + 1))
         for variant, col in cols.items():
             # the correction term of index k sits at power p - k
             correction = Poly(Fraction(comb(p, k), comb(n + k, n))
@@ -435,7 +438,7 @@ def _convolution_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
     """T8 for n = 0..n_max: p * sum_m C(n, m) [sum_l (-1)^l S2deg(m, l) / (p+l)] Bell_{n-m}(1)."""
     inner = _stirling_sums(lam, [Fraction((-1) ** l, p + l) for l in range(n_max + 1)])
     bell_at_1 = [seq.bell_deg(j, lam)(Fraction(1)) for j in range(n_max + 1)]
-    return [p * dot((comb(n, m) * inner[m], bell_at_1[n - m]) for m in range(n + 1))
+    return [dot((p, comb(n, m), inner[m], bell_at_1[n - m]) for m in range(n + 1))
             for n in range(n_max + 1)]
 
 
@@ -578,7 +581,7 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     for n in range(n_max + 1):
         lhs = val[n + 1]
         base = (Fraction(n + 1) - Fraction(n) * lam) * val[n]
-        tail = dot((comb(n, m) * val[m + 1], ff[n - m]) for m in range(n - 1))
+        tail = dot((comb(n, m), val[m + 1], ff[n - m]) for m in range(n - 1))
         r_printed = base - Fraction(p, p + 1) * val[n] - tail
         r_raised = base - Fraction(p, p + 1) * val_raised[n] - tail
         results.append((n, lhs, r_printed, r_raised))
@@ -609,7 +612,7 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
             # the m = 0 term carries a binomial at lower index -1, taken as
             # 0 by convention, so the sum starts at m = 1
             rhs = (Fraction(n + 1) - Fraction(n) * lam) * val[n] - dot(
-                (comb(n, m - 1) * val[m], ff[n - m + 1]) for m in range(1, n))
+                (comb(n, m - 1), val[m], ff[n - m + 1]) for m in range(1, n))
             note = "rewritten corollary form"
             if n < 2:
                 note += " (informational, below stated range)"
@@ -658,7 +661,7 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
         target = mod_p[n]
         c14.poly(n, target, seq.trunc_mod_bell_deg_egf(n, p, lam, order))
         ffs = [(comb(n, m), seq.deg_falling_factorial_poly(n - m, lam)) for m in range(n + 1)]
-        corrected = lincomb((w * const[m], ff) for m, (w, ff) in enumerate(ffs))
+        corrected = lincomb((w, const[m], ff) for m, (w, ff) in enumerate(ffs))
         literal = lincomb(ffs) * const[n]
         c14.poly(n, target, corrected, note="convolution route, raised series index")
         convolutions.append(corrected)
@@ -686,8 +689,8 @@ def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
         lhs = mod_p[n + 1]
         terms = [(1, (Poly.x() - Fraction(n) * lam) * mod_p[n])]
         for j in range(n + 1):
-            w = comb(n, j) * ff1[n - j]
-            terms += [(w * q, mod_p1[j]), (w, mod_p[j])]
+            w = comb(n, j)
+            terms += [(w, ff1[n - j], q, mod_p1[j]), (w, ff1[n - j], mod_p[j])]
         c16.poly(n, lhs, lincomb(terms))
     v16 = c16.verdict("T16", _params(lam, p=p, n_max=n_max))
     return [v14, v15, v16]

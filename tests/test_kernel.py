@@ -4,7 +4,7 @@ series arithmetic, the one product with polynomial coefficients,
 times_deg_exp_x, and the finite-sum kernels lincomb and dot."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +190,28 @@ def test_dot_matches_reference(terms):
     assert lib == sum((Fraction(a) * Fraction(b) for a, b in terms), Fraction(0))
 
 
+# a term as the sums pass it: one to three factors, then (for lincomb) the Poly
+factors = st.lists(weights, min_size=1, max_size=3).map(tuple)
+
+
+@given(st.lists(st.tuples(factors, polys), max_size=7))
+def test_lincomb_of_factor_tuples_matches_reference(terms):
+    expected = RefPoly()
+    for cs, p in terms:
+        expected = expected + ref(p) * prod(map(Fraction, cs))
+    lib = lincomb(cs + (p,) for cs, p in terms)
+    assert_canonical(lib)
+    assert ref(lib) == expected
+
+
+@given(st.lists(factors, max_size=9))
+def test_dot_of_factor_tuples_matches_reference(terms):
+    lib = dot(cs for cs in terms)
+    assert type(lib) is Fraction
+    assert lib.denominator > 0 and gcd(lib.numerator, lib.denominator) == 1
+    assert lib == sum((prod(map(Fraction, cs)) for cs in terms), Fraction(0))
+
+
 def test_lincomb_and_dot_edge_cases():
     a = Poly((Fraction(1, 6), Fraction(-1, 4)))
     b = Poly((Fraction(1, 10), Fraction(5, 3), 7))
@@ -268,6 +290,37 @@ def test_times_deg_exp_x_matches_reference(data):
     assert tuple(ref(c) for c in lib) == series_mul(lifted, deg_exp_x(lam, g.order))
     for c in lib:
         assert_canonical(c)
+
+
+@pytest.mark.parametrize("order", [12, 20])
+@pytest.mark.parametrize("v", [0, 1, 5])
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_times_deg_exp_x_at_depth_matches_reference(order, v, data):
+    # the sums start at g's valuation v, so results below it are zero
+    g = data.draw(series(order=order, min_val=v, max_val=v), label="g")
+    lam = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=12), label="lam")
+    lib = times_deg_exp_x(g, lam)
+    lifted = tuple(RefPoly((c,)) for c in g.coeffs)
+    assert tuple(ref(c) for c in lib) == series_mul(lifted, deg_exp_x(lam, order))
+    for c in lib:
+        assert_canonical(c)
+    assert all((c.num, c.den) == ((), 1) for c in lib[:v])
+
+
+@pytest.mark.parametrize("order", [12, 20])
+def test_times_deg_exp_x_of_monomials_and_zero_at_depth(order):
+    lam = Fraction(-2, 5)
+    reference = deg_exp_x(lam, order)
+    zero = times_deg_exp_x(Fps.constant(0, order), lam)
+    assert len(zero) == order + 1
+    assert all((c.num, c.den) == ((), 1) for c in zero)
+    for v in (0, 1, 5):
+        # c t^v times the exponential is the exponential shifted by v
+        g = Fps([Fraction(0)] * v + [Fraction(3, 7)] + [Fraction(0)] * (order - v))
+        lib = times_deg_exp_x(g, lam)
+        assert [ref(c) for c in lib] == [RefPoly()] * v + [e * Fraction(3, 7)
+                                                            for e in reference[: order + 1 - v]]
 
 
 def test_zero_series_results_stay_canonical():

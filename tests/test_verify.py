@@ -277,6 +277,37 @@ def test_t6_entry_builds_the_shared_sides_once(monkeypatch):
     assert counts == {"trunc_bell_deg": 7, "bell_deg": sum(n + 3 for n in range(7))}
 
 
+def test_cold_finite_sums_do_no_fraction_arithmetic(monkeypatch):
+    # the finite sums hand fps.lincomb and fps.dot their factors, so building
+    # the x-shifted and modified families and the T8 route from cold memos
+    # multiplies and divides no Fraction
+    names = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+    calls = []
+    for name in names:
+        real = getattr(Fraction, name)
+
+        def counted(self, other, name=name, real=real):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert (THIRD * 2, 2 * THIRD, THIRD / 2, 2 / THIRD) == (Fraction(2, 3), Fraction(2, 3),
+                                                            Fraction(1, 6), 6)
+    assert calls == list(names)  # the counters see each method
+    calls.clear()
+    for memo in vars(sequences).values():
+        if callable(getattr(memo, "cache_clear", None)):
+            memo.cache_clear()
+    for lam in (HALF, -THIRD):
+        for n in range(13):
+            for p in range(4):
+                sequences.trunc_mod_bell_deg(n, p, lam)
+            for l in range(n + 1):
+                sequences.stirling2_deg_poly(n, l, lam)
+        verify._convolution_route(lam, 2, 12)
+    assert calls == []
+
+
 # ---------------------------------------------------------------- diagnostics
 
 
