@@ -21,12 +21,14 @@ that filled them.
 The basis routes accumulate on the integers: the classical rows are
 integer tuples, the monomial-to-falling rewrite multiplies a Poly's integer
 numerators by them and is memoized as one integer row over one
-denominator, from which the plain and truncated families build their Polys
-with one gcd, and the finite sums over k or i (the x-shifted entries and
-the modified truncated family) are each one fps.lincomb call with integer
-weights over one lcm, so every result is one integer sum reduced by one
-gcd. Each sum keeps its terms and its index range; only the arithmetic
-that adds them up moved to the integers. The series routes read the integer
+denominator, from which the truncated family (and the plain one, its p = 0
+case) builds its Poly with one gcd, and the finite sums over k or i (the
+x-shifted entries and the modified truncated family) are each one
+fps.lincomb call whose terms pass their factors (binomials, reciprocal
+binomials, memoized entries) as they are; lincomb brings them to integer
+weights over their common denominator, so every result is one integer sum
+reduced by one gcd. Each sum keeps its terms and its index range; only the
+arithmetic that adds them up moved to the integers. The series routes read the integer
 numerators of their Fps values the same way.
 
 The classical second-kind triangle is filled by the standard two-term
@@ -39,16 +41,24 @@ Each table family is one FAMILIES entry (plus its Family member): the
 entry names the function that fills the table, the parameters it takes,
 and its shape, so adding a family means adding one entry.
 
-All functions memoize whole rows keyed by (family parameters, n), except
-the degenerate Bernoulli tables, which are keyed by (lambda, r) and grow in
-depth on demand; repeated lookups are cheap and referentially transparent,
+All functions memoize whole rows keyed by (family parameters, n), and
+every memo holds one immutable value, built of tuples, ints, Fractions,
+Polys and Fps series, that no later read changes. The degenerate Bernoulli
+memos hold a whole series keyed by (lambda, r, depth); the public functions
+read coefficient n at depth n | 15, so one series serves every n <= 15 and
+one more each further block of 16. No memo stores again a value another
+memo already holds: the plain Bell-type family reads the truncated one at
+p = 0, and the series routes read z as _z_pow at k = 1. Repeated lookups are cheap and referentially transparent,
 and concurrent readers at worst duplicate a computation of the same value.
 A memo key holds lambda as its integer pair (numerator, denominator) in
 lowest terms, taken through exactnum.as_fraction, so equal lambdas share an
 entry and a lookup hashes only ints.
 Every memo holds at most MEMO_MAXSIZE entries, evicting the least recently
-used, so memory stays bounded however many parameters a process sees; one
-suite run on the n_max=20, order=34 grid fills the largest to about 1000.
+used. That bounds entries, not bytes: an entry grows with the series order,
+and reading the truncated families at many lambdas costs about 168 KB per
+lambda at order 40 and about 554 KB at order 80 (ROADMAP open item 8 plans
+a byte budget). One suite run on the n_max=20, order=34 grid fills the
+largest memo to about 1000 entries.
 
 Memos sit below the public functions, never above them: a public function
 validates its arguments and reads a private memoized helper, helpers read
@@ -196,12 +206,8 @@ def stirling1_deg(n: int, k: int, lam) -> Fraction:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _s2deg_poly(a: int, b: int, n: int, l: int) -> Poly:
-    # entry (i, l) is num[l] / den of row i: integer weights over the lcm of the dens
-    rows = [_s2deg_num(a, b, i) for i in range(l, n + 1)]
-    common = lcm(*(den for _, den in rows))
-    inv = Fraction(1, common)
-    return lincomb((comb(n, i), num[l] * (common // den), inv, _deg_ff_poly(a, b, n - i))
-                   for i, (num, den) in enumerate(rows, l))
+    return lincomb((comb(n, i), _s2deg_row(a, b, i)[l], _deg_ff_poly(a, b, n - i))
+                   for i in range(l, n + 1))
 
 
 def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
@@ -218,15 +224,11 @@ def stirling2_deg_poly(n: int, l: int, lam) -> Poly:
 # Bell-type families (basis route)
 
 
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _bell_deg_poly(a: int, b: int, n: int) -> Poly:
-    return _poly(*_s2deg_num(a, b, n))
-
-
 def bell_deg(n: int, lam) -> Poly:
-    """sum_k stirling2_deg(n,k,lam) x^k."""
+    """sum_k stirling2_deg(n,k,lam) x^k: the truncated family at p = 0,
+    where every weight C(k, k) is 1."""
     _check_n(n)
-    return _bell_deg_poly(*_key(lam), n)
+    return _trunc_poly(*_key(lam), 0, n)
 
 
 def bell_classical(n: int) -> Fraction:
@@ -253,11 +255,7 @@ def trunc_bell_deg(n: int, p: int, lam) -> Poly:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _trunc_mod_poly(a: int, b: int, p: int, n: int) -> Poly:
-    # the weights 1/C(k+p,p) as integers over the lcm of the binomials, as in _trunc_poly
-    weights = [comb(k + p, p) for k in range(n + 1)]
-    common = lcm(*weights)
-    inv = Fraction(1, common)
-    return lincomb((common // w, inv, _s2deg_poly(a, b, n, k)) for k, w in enumerate(weights))
+    return lincomb((Fraction(1, comb(k + p, p)), _s2deg_poly(a, b, n, k)) for k in range(n + 1))
 
 
 def trunc_mod_bell_deg(n: int, p: int, lam) -> Poly:
@@ -277,6 +275,11 @@ def _check_np(n: int, p: int) -> None:
         raise ValueError(f"truncation index p must be >= 0, got {p}")
 
 
+def _check_nr(n: int, r: int) -> None:
+    if n < 0 or r < 0:
+        raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
+
+
 # --------------------------------------------------------------------------
 # degenerate Bernoulli (series route; this family is defined by its
 # generating function, so there is no separate basis construction)
@@ -288,48 +291,32 @@ def _bern_base_pow(lam: Fraction, r: int, depth: int) -> Fps:
     return base**r
 
 
-def _deeper(table: list, n: int) -> int:
-    """Depth to rebuild a coefficient table at so that it reaches n.
-    Coefficient n is the same at every depth >= n, so a table only grows;
-    doubling keeps a run of increasing n to a few rebuilds."""
-    return max(n, 2 * len(table) - 1)
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def _bern_nums(a: int, b: int, r: int, depth: int) -> tuple[Fraction, ...]:
+    s = _bern_base_pow(Fraction(a, b), r, depth)
+    return tuple(s.egf_coeff(m) for m in range(s.order + 1))
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _bern_num_table(a: int, b: int, r: int) -> list:
-    # one list per (lam, r), extended in place when a deeper n is asked for
-    return []
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _bern_poly_table(a: int, b: int, r: int) -> list:
-    return []
+def _bern_polys(a: int, b: int, r: int, depth: int) -> tuple[Poly, ...]:
+    lam = Fraction(a, b)
+    gf = times_deg_exp_x(_bern_base_pow(lam, r, depth), lam)
+    return tuple(c * factorial(m) for m, c in enumerate(gf))
 
 
 def deg_bernoulli_num(n: int, r: int, lam) -> Fraction:
     """Order-r degenerate Bernoulli number (the polynomial at x = 0)."""
-    if n < 0 or r < 0:
-        raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
-    lam = as_fraction(lam)
-    table = _bern_num_table(lam.numerator, lam.denominator, r)
-    if n >= len(table):
-        s = _bern_base_pow(lam, r, _deeper(table, n))
-        table[:] = [s.egf_coeff(m) for m in range(s.order + 1)]
-    return table[n]
+    _check_nr(n, r)
+    # coefficient n is the same at every depth >= n, so one series of depth
+    # n | 15 serves each block of 16 values of n
+    return _bern_nums(*_key(lam), r, n | 15)[n]
 
 
 def deg_bernoulli(n: int, r: int, lam) -> Poly:
     """Order-r degenerate Bernoulli polynomial in x; r = 0 degenerates to
     the deformed falling factorial of x."""
-    if n < 0 or r < 0:
-        raise ValueError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
-    lam = as_fraction(lam)
-    table = _bern_poly_table(lam.numerator, lam.denominator, r)
-    if n >= len(table):
-        depth = _deeper(table, n)
-        gf = times_deg_exp_x(_bern_base_pow(lam, r, depth), lam)
-        table[:] = [c * factorial(m) for m, c in enumerate(gf)]
-    return table[n]
+    _check_nr(n, r)
+    return _bern_polys(*_key(lam), r, n | 15)[n]
 
 
 # --------------------------------------------------------------------------
@@ -337,15 +324,13 @@ def deg_bernoulli(n: int, r: int, lam) -> Poly:
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _z_series(a: int, b: int, order: int) -> Fps:
-    return deg_exp(1, Fraction(a, b), order) - 1
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
 def _z_pow(a: int, b: int, k: int, order: int) -> Fps:
+    """z**k with z the deformed exponential minus one."""
     if k == 0:
         return Fps.constant(1, order)
-    return _z_pow(a, b, k - 1, order) * _z_series(a, b, order)
+    if k == 1:
+        return deg_exp(1, Fraction(a, b), order) - 1
+    return _z_pow(a, b, k - 1, order) * _z_pow(a, b, 1, order)
 
 
 def _series_depth(n: int, order: int) -> int:
@@ -382,8 +367,7 @@ def _mod_gf(a: int, b: int, p: int, order: int) -> tuple[Poly, ...]:
     series, built by the division pipeline: p! (exp(z) - partial sum) / z^p
     times the deformed exponential of x, with z the deformed exp minus 1."""
     deep = order + p
-    z = _z_series(a, b, deep)
-    num = z.exp()
+    num = _z_pow(a, b, 1, deep).exp()
     for l in range(p):
         num = num - _z_pow(a, b, l, deep) * Fraction(1, factorial(l))
     return times_deg_exp_x((num * factorial(p)) / _z_pow(a, b, p, deep), Fraction(a, b))

@@ -36,10 +36,14 @@ family at x = 1) once. C-SIX calls each row function once and compares its
 rows. Every finite sum of an exact route, scalar or polynomial, is one
 fps.dot or fps.lincomb call over the entries it reads, each term passed as
 its factors (binomials, entries, weights) rather than as their product, so
-no Fraction product is formed per term. Route functions keep no memo of
-their own and read the sequences layer through its public functions, one
-entry at a time, so a perturbed public function reaches every check that
-reads it however warm the caches are (see the sequences docstring).
+no Fraction product is formed per term. Route functions read the
+sequences layer through its public functions, one entry at a time, so a
+perturbed public function reaches every check that reads it however warm
+the caches are (see the sequences docstring). The one memo here is
+_operator_core, the part of T7's operator route that does not depend on p;
+it reads no sequences function, only the series kernels, so it cannot hold
+a value a perturbation should have changed, and T7's other side still
+reaches the public truncated family through _truncated.
 
 On Linux, run_suite runs its lambda slices in min(#lambdas, usable CPUs)
 forked workers, with a report byte-identical to the serial loop's; the
@@ -573,7 +577,8 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     # exact values the loops below reuse, each computed once per call
     val = _truncated(lam, p, n_max + 1)
     val_raised = _truncated(lam, p + 1, n_max)
-    ff = [deg_falling_factorial(lam - 1, j, lam) for j in range(n_max + 2)]
+    shift = lam - 1
+    ff = [deg_falling_factorial(shift, j, lam) for j in range(n_max + 2)]
 
     results = []
     printed_ok = True

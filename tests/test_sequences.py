@@ -13,7 +13,7 @@ from fraction_kernel import read_poly
 from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
 import truncbell
 from truncbell import sequences
-from truncbell.fps import Poly, times_deg_exp_x
+from truncbell.fps import Fps, Poly, times_deg_exp_x
 from truncbell.sequences import (
     CONSTRUCTION,
     Family,
@@ -219,8 +219,8 @@ def test_deg_bernoulli_lam_one_collapses():
 
 @pytest.mark.parametrize("r", [1, 3])
 def test_deg_bernoulli_tables_grow_on_demand(r, monkeypatch):
-    # a lambda no other test uses, so both tables start empty
-    lam = Fraction(-5, 11)
+    # lambdas no other test uses, so both memos start cold
+    lam, fresh = Fraction(-5, 11), Fraction(-7, 19)
     builds = []
     real = sequences._bern_base_pow
 
@@ -234,8 +234,8 @@ def test_deg_bernoulli_tables_grow_on_demand(r, monkeypatch):
     # asking again, or for a shallower n, rebuilds nothing
     assert deg_bernoulli_num(5, r, lam) == nums[5]
     assert deg_bernoulli(12, r, lam) == polys[12]
-    # depths double: 0, 1, 3, 7, 15 for each table
-    assert builds == [0, 1, 3, 7, 15] * 2
+    # every n <= 15 reads one series of depth 15, one per memo
+    assert builds == [15] * 2
     # the n-th coefficient is the one a series of depth exactly n gives
     for n in range(13):
         at_depth_n = real(lam, r, n)
@@ -243,6 +243,14 @@ def test_deg_bernoulli_tables_grow_on_demand(r, monkeypatch):
         gf = times_deg_exp_x(at_depth_n, lam)[n] * factorial(n)
         assert polys[n] == gf
         assert polys[n](Fraction(0)) == nums[n]
+    # a descending run builds depth 31 for n = 20, then 15 for n = 12 and
+    # nothing more for n = 3, each value the one a depth-n series gives
+    builds.clear()
+    for n in (20, 12, 3):
+        at_depth_n = real(fresh, r, n)
+        assert deg_bernoulli_num(n, r, fresh) == at_depth_n.egf_coeff(n)
+        assert deg_bernoulli(n, r, fresh) == times_deg_exp_x(at_depth_n, fresh)[n] * factorial(n)
+    assert builds == [31, 31, 15, 15]
 
 
 # ---------------------------------------------------------------- tables
@@ -358,11 +366,14 @@ def test_table_value_rejects_indices_outside_the_table():
             tri.value(2, k)
 
 
+def _package_modules():
+    return [importlib.import_module(f"truncbell.{info.name}")
+            for info in pkgutil.iter_modules(truncbell.__path__)
+            if info.name != "__main__"]  # importing it runs the CLI
+
+
 def test_every_memo_is_bounded():
-    package_modules = [importlib.import_module(f"truncbell.{info.name}")
-                       for info in pkgutil.iter_modules(truncbell.__path__)
-                       if info.name != "__main__"]  # importing it runs the CLI
-    memos = [(module.__name__, name, v) for module in package_modules
+    memos = [(module.__name__, name, v) for module in _package_modules()
              for name, v in vars(module).items() if callable(getattr(v, "cache_parameters", None))]
     assert memos
     for module_name, name, memo in memos:
@@ -372,10 +383,16 @@ def test_every_memo_is_bounded():
 # every memo whose key holds a lambda, keyed by its (numerator, denominator)
 LAMBDA_MEMOS = {
     "sequences": ["_deg_ff_poly", "_s2deg_num", "_s2deg_row", "_s1deg_row", "_s2deg_poly",
-                  "_bell_deg_poly", "_trunc_poly", "_trunc_mod_poly", "_bern_num_table",
-                  "_bern_poly_table", "_z_series", "_z_pow", "_trunc_gf",
-                  "_mod_gf", "_s2degpoly_gf"],
+                  "_trunc_poly", "_trunc_mod_poly", "_bern_nums", "_bern_polys", "_z_pow",
+                  "_trunc_gf", "_mod_gf", "_s2degpoly_gf"],
     "verify": ["_operator_core"],
+}
+
+# every other memo of the package: these hold no lambda, except circle_data,
+# the float layer's contour nodes, keyed by the Fraction lambda it evaluates at
+OTHER_MEMOS = {
+    "sequences": {"_s2_row", "_table_cached"},  # _table_cached keys by the integer pair
+    "numeric": {"circle_data", "_series_weight_matrix", "_sample_moments"},
 }
 
 
@@ -387,10 +404,31 @@ def test_lambda_memos_are_bounded_and_keyed_by_integers():
             assert callable(memo.cache_info), name
             assert memo.cache_parameters()["maxsize"] == sequences.MEMO_MAXSIZE, name
             assert list(inspect.signature(memo).parameters)[:2] == ["a", "b"], name
-    # the list is complete: the other memos of sequences hold no lambda
-    # (_table_cached keys by the same integer pair, as one argument)
-    memos = {name for name, v in vars(sequences).items() if hasattr(v, "cache_parameters")}
-    assert memos == set(LAMBDA_MEMOS["sequences"]) | {"_s2_row", "_table_cached"}
+    # the two lists classify every memo the package defines
+    for module in _package_modules():
+        short = module.__name__.removeprefix("truncbell.")
+        memos = {name for name, v in vars(module).items()
+                 if hasattr(v, "cache_parameters") and v.__module__ == module.__name__}
+        assert memos == set(LAMBDA_MEMOS.get(short, ())) | OTHER_MEMOS.get(short, set()), short
+
+
+def _immutable(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_immutable(v) for v in value)
+    if isinstance(value, (Poly, Fps)):
+        return _immutable(value.num) and _immutable(value.den)
+    return isinstance(value, (int, Fraction))
+
+
+def test_every_lambda_memo_holds_an_immutable_value():
+    # a memo's value must not change after it is stored; every lambda memo
+    # takes integer arguments, so 1, 2, 3, ... is a valid call of each
+    for module_name, names in LAMBDA_MEMOS.items():
+        module = importlib.import_module(f"truncbell.{module_name}")
+        for name in names:
+            memo = getattr(module, name)
+            value = memo(*range(1, len(inspect.signature(memo).parameters) + 1))
+            assert _immutable(value), name
 
 
 def test_equal_lambdas_share_one_memo_entry():
