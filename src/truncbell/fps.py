@@ -89,9 +89,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.num) - 1
 
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.num):
             return Fraction(self.num[k], self.den)
@@ -121,11 +118,9 @@ class Poly:
         return _poly([-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = _poly((other.numerator,), other.denominator)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (Poly,) + _SCALARS):
+            return self + (-other)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):

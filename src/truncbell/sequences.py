@@ -5,9 +5,11 @@ generating-function identity a check compares, TruncBellDeg (T1),
 TruncModBellDeg (T14) and S2degPoly (T13); every other family has one
 construction, which for the degenerate Bernoulli family is its series:
 
-* a basis route: expand the defining product as a Poly and rewrite it in
-  the target basis by exact triangular elimination (or, for the
-  monomial-to-falling direction, through the classical triangle);
+* a basis route: expand the defining product as a Poly and rewrite its
+  monomials through the classical second-kind triangle, x^j = sum_k
+  lam^(j-k) S2(j, k) (x)_{k,lam}. Both degenerate triangles take this one
+  change of basis: the second kind rewrites (x)_{n,lam} at lam = 1, the
+  first kind rewrites (x)_n at the table's lam;
 * a series route: extract factorial-normalized coefficients from the
   family's generating function with the Fps machinery. Series with
   coefficients in x are kept as tuples of their t^m coefficients (Polys).
@@ -19,17 +21,19 @@ route each public function takes; tables carry the tag of the function
 that filled them.
 
 The basis routes accumulate on the integers: the classical rows are
-integer tuples, the monomial-to-falling rewrite multiplies a Poly's integer
-numerators by them and is memoized as one integer row over one
-denominator, from which the truncated family (and the plain one, its p = 0
-case) builds its Poly with one gcd, and the finite sums over k or i (the
-x-shifted entries and the modified truncated family) are each one
-fps.lincomb call whose terms pass their factors (binomials, reciprocal
-binomials, memoized entries) as they are; lincomb brings them to integer
-weights over their common denominator, so every result is one integer sum
-reduced by one gcd. Each sum keeps its terms and its index range; only the
-arithmetic that adds them up moved to the integers. The series routes read the integer
-numerators of their Fps values the same way.
+integer tuples, and the change of basis multiplies a Poly's integer
+numerators by them (scaled by powers of lam's numerator and denominator
+for the first kind) as one integer row over one denominator. The second
+kind's row is memoized that way, and from it the truncated family (and the
+plain one, its p = 0 case) builds its Poly with one gcd. The finite sums
+over k or i (the x-shifted entries and the modified truncated family) are
+each one fps.lincomb call whose terms pass their factors (binomials,
+reciprocal binomials, memoized entries) as they are; lincomb brings them
+to integer weights over their common denominator, so every result is one
+integer sum reduced by one gcd. Each sum keeps its terms and its index
+range; only the arithmetic that adds them up moved to the integers. The
+series routes read the integer numerators of their Fps values the same
+way.
 
 The classical second-kind triangle is filled by the standard two-term
 recurrence. That recurrence is an implementation choice made here, not a
@@ -46,9 +50,14 @@ every memo holds one immutable value, built of tuples, ints, Fractions,
 Polys and Fps series, that no later read changes. The degenerate Bernoulli
 memos hold a whole series keyed by (lambda, r, depth); the public functions
 read coefficient n at depth n | 15, so one series serves every n <= 15 and
-one more each further block of 16. No memo stores again a value another
-memo already holds: the plain Bell-type family reads the truncated one at
-p = 0, and the series routes read z as _z_pow at k = 1. Repeated lookups are cheap and referentially transparent,
+one more each further block of 16. The plain Bell-type family reads the
+truncated one at p = 0, and the series routes read z as _z_pow at k = 1.
+One memo stores again a value another memo holds, deliberately:
+_s2deg_row keeps _s2deg_num's row as Fractions, because the checks read
+stirling2_deg entry by entry (33 954 reads per serial n_max=20, order=34
+suite), and building the Fraction on each read instead was slower in 9 of
+10 alternating serial runs of that suite (median 0.930 -> 1.039 s, 2 vCPUs,
+Python 3.11.7). Repeated lookups are cheap and referentially transparent,
 and concurrent readers at worst duplicate a computation of the same value.
 A memo key holds lambda as its integer pair (numerator, denominator) in
 lowest terms, taken through exactnum.as_fraction, so equal lambdas share an
@@ -65,9 +74,8 @@ validates its arguments and reads a private memoized helper, helpers read
 only other helpers, and callers (the checks in verify) call the public
 function for every entry they need. The negative controls of the test
 suite perturb a public function and expect every check that reads it to
-fail; a memo above it would hand a warm caller the unperturbed values. The
-one exception is build_table's memo of finished tables, which no check
-reads.
+fail; a memo above it would hand a warm caller the unperturbed values.
+build_table reads the public functions too and keeps no finished table.
 """
 
 from __future__ import annotations
@@ -145,26 +153,6 @@ def stirling1(n: int, k: int) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# basis conversions
-
-
-def _to_deg_falling_basis(poly: Poly, a: int, b: int) -> list[Fraction]:
-    """Coefficients of poly in the (x)_{k,lam} basis, lam = a/b.
-
-    Triangular elimination: the basis element of degree d is monic, so the
-    leading coefficient of the remainder is the next basis coefficient.
-    """
-    out = [Fraction(0)] * (poly.degree + 1)
-    work = poly
-    while work:
-        d = work.degree
-        c = work.coeff(d)
-        out[d] = c
-        work = work - _deg_ff_poly(a, b, d) * c
-    return out
-
-
-# --------------------------------------------------------------------------
 # degenerate triangles (basis route)
 
 
@@ -185,7 +173,15 @@ def _s2deg_row(a: int, b: int, n: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _s1deg_row(a: int, b: int, n: int) -> tuple[Fraction, ...]:
-    return tuple(_to_deg_falling_basis(_deg_ff_poly(1, 1, n), a, b))
+    """Row n of the degenerate first-kind triangle at lam = a/b: (x)_n =
+    sum_j s(n, j) x^j rewritten through x^j = sum_k lam^(j-k) S2(j, k)
+    (x)_{k,lam}, the identity _s2deg_num uses at lam = 1. Numerator k is
+    sum_j s(n, j) b^(n-j) * S2(j, k) a^(j-k) b^k over b^n; 0 ** 0 == 1
+    leaves s(n, k) at lam = 0."""
+    num = _combine([c * b ** (n - j) for j, c in enumerate(_deg_ff_poly(1, 1, n).num)],
+                   [[c * a ** (j - k) * b**k for k, c in enumerate(_s2_row(j))]
+                    for j in range(n + 1)])
+    return tuple(Fraction(c, b**n) for c in num)
 
 
 def stirling2_deg(n: int, k: int, lam) -> Fraction:
@@ -536,15 +532,14 @@ def build_table(
     p: int | None = None,
     r: int | None = None,
 ) -> SequenceTable:
-    """Compute a family table for n = 0..n_max with validated parameters.
-
-    Memoized on the validated key, so equal keys return the same object."""
+    """Compute a family table for n = 0..n_max with validated parameters."""
     family = Family(family)
+    spec = FAMILIES[family]
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     given = {"lam": lam, "p": p, "r": r}
     for name, what in _PARAM_NAMES.items():
-        takes = name in FAMILIES[family].params
+        takes = name in spec.params
         if (given[name] is not None) != takes:
             need = "requires" if takes else "does not take"
             raise ValueError(f"family {family.value} {need} {what}")
@@ -552,13 +547,7 @@ def build_table(
         raise ValueError(f"truncation index p must be >= 0, got {p}")
     if r is not None and r < 0:
         raise ValueError(f"order r must be >= 0, got {r}")
-    return _table_cached(family, n_max, None if lam is None else _key(lam), p, r)
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _table_cached(family: Family, n_max: int, lam_key, p, r) -> SequenceTable:
-    spec = FAMILIES[family]
-    lam = None if lam_key is None else Fraction(*lam_key)
+    lam = None if lam is None else as_fraction(lam)
     # looked up by name on each build, so the table follows the module's
     # current binding of the function
     fn = globals()[spec.source]

@@ -298,7 +298,13 @@ def _beta_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
 
 def check_P3(lam, p: int, n_max: int) -> Verdict:
     """Unit-interval integral of the plain polynomial family against the
-    weight (1-x)^(p-1), done exactly through beta values."""
+    weight (1-x)^(p-1), done exactly through beta values.
+
+    At p = 0 there is no integral, and the check is vacuous: it compares
+    trunc_bell_deg(n, 0, lam) with bell_deg(n, lam), which return the same
+    _trunc_poly memo entry, so that verdict fails only when a public
+    function is perturbed. T1 at p = 0, the basis route against the
+    generating series, is the independent comparison there."""
     lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     col = _Collector()

@@ -31,14 +31,8 @@ def series_with_valuation(draw, order=10, max_val=3):
 def test_poly_normalizes_trailing_zeros():
     assert Poly((Fraction(1), Fraction(0))).degree == 0
     assert Poly(()).degree == -1
-    assert not Poly(())
+    assert Poly(()) == Poly()
     assert Poly((Fraction(0), Fraction(0))) == Poly()
-
-
-def test_poly_truth_value_is_nonzero():
-    assert bool(Poly()) is False
-    assert bool(Poly.x()) is True
-    assert bool(Poly((0, 0, 1))) is True
 
 
 def test_poly_coeff_beyond_degree_is_zero():

@@ -1,7 +1,9 @@
+import gc
 import importlib
 import inspect
 import json
 import pkgutil
+import weakref
 from fractions import Fraction
 from math import comb, factorial
 
@@ -13,7 +15,7 @@ from fraction_kernel import read_poly
 from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
 import truncbell
 from truncbell import sequences
-from truncbell.fps import Fps, Poly, times_deg_exp_x
+from truncbell.fps import Fps, Poly, lincomb, times_deg_exp_x
 from truncbell.sequences import (
     CONSTRUCTION,
     Family,
@@ -82,6 +84,17 @@ def test_falling_factorial_polys_specialize():
         assert deg_falling_factorial_poly(n, Fraction(1)) == falling
         assert deg_falling_factorial_poly(n, Fraction(0)) == Poly.x() ** n
         falling = falling * Poly((-n, 1))
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3),
+                                 Fraction(7, 3), Fraction(-99, 100)])
+def test_stirling1_deg_satisfies_its_defining_relation(lam):
+    # (x)_n = sum_k stirling1_deg(n, k, lam) (x)_{k,lam}, read off the products
+    # alone: no second-kind row enters either side
+    for n in range(13):
+        rhs = lincomb((stirling1_deg(n, k, lam), deg_falling_factorial_poly(k, lam))
+                      for k in range(n + 1))
+        assert rhs == deg_falling_factorial_poly(n, Fraction(1))
 
 
 # ---------------------------------------------------------------- triangle structure
@@ -256,11 +269,19 @@ def test_deg_bernoulli_tables_grow_on_demand(r, monkeypatch):
 # ---------------------------------------------------------------- tables
 
 
-def test_build_table_is_memoized_per_key():
+def test_equal_keys_build_equal_tables():
     a = build_table(Family.S2deg, 6, lam=Fraction(1, 2))
     b = build_table("S2deg", 6, lam=Fraction(1, 2))
-    assert a is b
+    assert a == b
     assert a.value(2, 1) == Fraction(1, 2)
+
+
+def test_build_table_keeps_no_table_alive():
+    table = build_table(Family.S1deg, 6, lam=Fraction(5, 11))
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    assert ref() is None
 
 
 def test_build_table_validates_parameters():
@@ -391,7 +412,7 @@ LAMBDA_MEMOS = {
 # every other memo of the package: these hold no lambda, except circle_data,
 # the float layer's contour nodes, keyed by the Fraction lambda it evaluates at
 OTHER_MEMOS = {
-    "sequences": {"_s2_row", "_table_cached"},  # _table_cached keys by the integer pair
+    "sequences": {"_s2_row"},
     "numeric": {"circle_data", "_series_weight_matrix", "_sample_moments"},
 }
 
@@ -443,8 +464,8 @@ def test_equal_lambdas_share_one_memo_entry():
     after = memo.cache_info()
     assert after.hits == before.hits + 2
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
-    assert build_table(Family.S2deg, 3, lam="2/4") is build_table(Family.S2deg, 3,
-                                                                  lam=Fraction(1, 2))
+    assert build_table(Family.S2deg, 3, lam="2/4") == build_table(Family.S2deg, 3,
+                                                                   lam=Fraction(1, 2))
 
 
 def test_warm_reads_hash_no_fraction(monkeypatch):
