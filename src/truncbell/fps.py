@@ -172,16 +172,19 @@ class Poly:
         """Ascending powers, exact coefficients: "1/2 + -1/3*x + 2*x^2"."""
         if not self.num:
             return "0"
+        den = self.den
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             if not c:
                 continue
+            g = gcd(c, den)  # c/den in lowest terms, written as str(Fraction) writes it
+            text = f"{c // g}" if g == den else f"{c // g}/{den // g}"
             if k == 0:
-                parts.append(str(c))
+                parts.append(text)
             elif k == 1:
-                parts.append(f"{c}*x")
+                parts.append(f"{text}*x")
             else:
-                parts.append(f"{c}*x^{k}")
+                parts.append(f"{text}*x^{k}")
         return " + ".join(parts)
 
 

@@ -45,21 +45,23 @@ it reads no sequences function, only the series kernels, so it cannot hold
 a value a perturbation should have changed, and T7's other side still
 reaches the public truncated family through _truncated.
 
-On Linux, run_suite runs its lambda slices in min(#lambdas, usable CPUs)
-forked workers, with a report byte-identical to the serial loop's; the
-memos fill, each within its own bound, inside the workers (see run_suite).
+run_suite splits the grid into units, one registry entry at one lambda,
+and hands out their indices through one queue. On Linux it forks
+min(#units, usable CPUs) children that take units from the queue while it
+waits, with a report byte-identical to the serial loop's; the memos fill,
+each within its own bound, inside the children (see run_suite).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import comb, factorial, isfinite
 
 import numpy as np
@@ -948,25 +950,39 @@ def _summarize(verdicts, skipped, grid: SuiteGrid, cfg: NumericConfig) -> dict:
     }
 
 
-def _run_lambda(lam, ps, args: _Args) -> tuple[list[Verdict], list[dict]]:
-    """One lambda slice of the suite: the verdicts and the skip records of
-    every registry entry at lam, in registry order."""
-    lam = as_fraction(lam)
-    verdicts: list[Verdict] = []
-    skipped: list[dict] = []
-    for check in CHECKS:
-        check_ps = (None,) if check.p_min is None else [p for p in ps if p >= check.p_min]
-        skip = None
-        if check.contour and abs(lam) >= 1:
-            skip = "|lambda| >= 1 is outside the contour domain"
-        elif check.contour and args.n_max < 1:
-            skip = _CONTOUR_N_MIN
-        for p in check_ps:
-            if skip:
-                skipped.append({"id": check.ids[0], **_params(lam, p=p), "reason": skip})
-            else:
-                verdicts.extend(_run_entry(check, lam, p, args))
-    return verdicts, skipped
+def _run_unit(check: CheckSpec, lam: Fraction, ps, args: _Args) -> tuple[list, list]:
+    """One unit of the suite, one registry entry at one lambda: its verdicts
+    and its skip records, over every grid p the entry takes."""
+    check_ps = (None,) if check.p_min is None else [p for p in ps if p >= check.p_min]
+    skip = None
+    if check.contour and abs(lam) >= 1:
+        skip = "|lambda| >= 1 is outside the contour domain"
+    elif check.contour and args.n_max < 1:
+        skip = _CONTOUR_N_MIN
+    if skip:
+        return [], [{"id": check.ids[0], **_params(lam, p=p), "reason": skip} for p in check_ps]
+    return [v for p in check_ps for v in _run_entry(check, lam, p, args)], []
+
+
+def _run_units(units: list, queue: tuple[int, int], ps, args: _Args) -> tuple[list, tuple | None]:
+    """Run the units the queue hands this process: (index, verdicts, skips)
+    for each, and (index, exception) for the first unit that raised, after
+    which this process takes no more; None if none raised. The queue is a
+    pipe holding one 8-byte record, the next unit index: a taker reads it,
+    blocking while another process holds it, and writes its successor back
+    before it runs the unit, so each index goes to exactly one process. Once
+    the record reaches len(units) it stays there, and every taker stops."""
+    read_end, write_end = queue
+    done = []
+    while True:
+        index = int.from_bytes(os.read(read_end, 8), "little")
+        os.write(write_end, min(index + 1, len(units)).to_bytes(8, "little"))
+        if index == len(units):
+            return done, None
+        try:
+            done.append((index, *_run_unit(*units[index], ps, args)))
+        except Exception as exc:
+            return done, (index, exc)
 
 
 def _run_entry(check: CheckSpec, lam: Fraction, p, args: _Args) -> list[Verdict]:
@@ -989,20 +1005,27 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     """Run every registered check over the grid. Failures are data, not
     errors; ordering of the verdict list is deterministic.
 
-    On Linux the lambda slices run side by side in a pool of forked worker
-    processes, one per lambda up to the number of CPUs this process may use;
-    with one lambda, one usable CPU or on another platform they run in a
-    plain loop in this process. Each check seeds its own generator and every
-    memo returns a pure function of its key, so slices that share a memo
-    entry (S3's sample moments are keyed without lambda) get the same floats
-    whichever slice filled it; the slices are joined in grid order, so the
-    report is byte-identical to the loop's. Memos fill inside the workers:
-    a second call in the same process starts cold, and as each worker
-    bounds its memos by sequences.MEMO_MAXSIZE on its own, memo memory is
-    at most the worker count times that bound. Workers are
-    forked rather than spawned, so they start without re-importing numpy
-    and this package; only Python 3.11.7 was measured, and forking a process
-    that runs threads (which Python 3.12+ warns about) is unverified."""
+    The work is split into units, one registry entry at one lambda, in
+    lambda-major registry order, handed out by one queue (_run_units). On
+    Linux this process forks one child per usable CPU, up to the number of
+    units, and only waits: each child takes units until the queue is empty,
+    writes its results, or the exception of its first failing unit, pickled
+    to an unnamed file and exits. With one usable CPU or on another platform
+    this process takes every unit itself. Results are joined in unit order;
+    of several failing units the lowest one's exception is raised, as the
+    serial loop raises it, and a child that dies raises RuntimeError.
+    Children are killed and reaped on every way out, an interrupt included.
+
+    Each check seeds its own generator and every memo returns a pure
+    function of its key, so a unit's verdicts do not depend on the process
+    that runs it, and the report is byte-identical to the serial loop's.
+    Memos fill inside the children: this process keeps its memos as they
+    were, every child fills the memos keyed without lambda again, and memo
+    memory is at most the child count times sequences.MEMO_MAXSIZE entries.
+    Children are forked, so they start without re-importing numpy. Python
+    3.12+ warns when a process with more than one OS thread forks, and
+    numpy's BLAS library may start a thread at import; only Python 3.11.7
+    was measured."""
     grid = grid or SuiteGrid()
     cfg = cfg or NumericConfig()
     for p in grid.ps:
@@ -1010,18 +1033,54 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     if grid.n_max >= 1 and any(abs(Fraction(lam)) < 1 for lam in grid.lambdas):
         _require_contour_grid(grid.n_max, cfg)  # before any exact work, not after it
     args = _Args(grid.n_max, grid.order, cfg, grid.x_points)
-    workers = min(len(grid.lambdas), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
-    if workers > 1:
-        # imported here: importing the package stays free of the pool's imports
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    units = [(check, lam) for lam in map(as_fraction, grid.lambdas) for check in CHECKS]
+    children = min(len(units), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
+    queue = os.pipe()
+    os.write(queue[1], (0).to_bytes(8, "little"))
+    outs, pids, results = [], [], []
+    try:
+        if children < 2:
+            results.append(_run_units(units, queue, grid.ps, args))
+        else:
+            for _ in range(children):
+                out = open(os.memfd_create("truncbell-suite"), "w+b")
+                outs.append(out)
+                pid = os.fork()
+                if pid == 0:  # the child: run units, write them, never return
+                    status = 1
+                    try:
+                        pickle.dump(_run_units(units, queue, grid.ps, args), out)
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            for out in outs:  # each child's results are read while later ones run
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                pid = pids.pop(0)
+                if code > 0:
+                    raise RuntimeError(f"suite child process {pid} exited with status {code}")
+                if code < 0:
+                    raise RuntimeError(f"suite child process {pid} was killed by signal {-code}")
+                out.seek(0)
+                results.append(pickle.load(out))
+    finally:
+        if pids:
+            import signal  # imported here: a run that ends cleanly kills nothing
 
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            slices = list(pool.map(_run_lambda, grid.lambdas, repeat(grid.ps), repeat(args)))
-    else:
-        slices = [_run_lambda(lam, grid.ps, args) for lam in grid.lambdas]
-    verdicts = [v for slice_verdicts, _ in slices for v in slice_verdicts]
-    skipped = [s for _, slice_skipped in slices for s in slice_skipped]
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for out in outs:
+            out.close()
+        os.close(queue[0])
+        os.close(queue[1])
+    failures = [failure for _, failure in results if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    done = sorted((unit for finished, _ in results for unit in finished), key=lambda unit: unit[0])
+    verdicts = [v for _, unit_verdicts, _ in done for v in unit_verdicts]
+    skipped = [s for _, _, unit_skipped in done for s in unit_skipped]
     verdicts.sort(key=_verdict_sort_key)
     return SuiteReport(verdicts=verdicts, summary=_summarize(verdicts, skipped, grid, cfg))
 

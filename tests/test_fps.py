@@ -79,9 +79,30 @@ def test_poly_string_round_trip(p):
     assert Poly(read_poly(p.to_string()).coeffs) == p
 
 
+def _coeffs_text(p: Poly) -> str:
+    """Poly.to_string as it was written through one Fraction per coefficient."""
+    parts = [str(c) if k == 0 else f"{c}*x" if k == 1 else f"{c}*x^{k}"
+             for k, c in enumerate(p.coeffs) if c]
+    return " + ".join(parts) or "0"
+
+
+# signs, zero gaps between terms and unit coefficients (+-1, +-1/d)
+text_coeffs = st.one_of(st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
+                        st.integers(1, 40).map(lambda d: Fraction(1, d)),
+                        st.integers(1, 40).map(lambda d: Fraction(-1, d)),
+                        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4))
+
+
+@given(st.lists(text_coeffs, max_size=9))
+def test_poly_to_string_matches_the_fraction_text(coeffs):
+    p = Poly(coeffs)
+    assert p.to_string() == _coeffs_text(p)
+
+
 def test_poly_to_string_examples():
     assert Poly().to_string() == "0"
     assert Poly((Fraction(0), Fraction(1, 4), Fraction(1, 3))).to_string() == "1/4*x + 1/3*x^2"
+    assert Poly((-1, 0, 0, Fraction(-3, 2), 1)).to_string() == "-1 + -3/2*x^3 + 1*x^4"
 
 
 # ---------------------------------------------------------------- Fps core

@@ -4,7 +4,7 @@ ALLOWED names it with the reason no run here can reach it.
 
 The workload runs in this process under sys.setprofile, which sees the code
 object of every Python-level call. The suite is held on its serial loop,
-since the checks of a forked worker run where the profiler cannot see them,
+since the checks of a forked child run where the profiler cannot see them,
 and every memo of the package is cleared first, so that a value an earlier
 test cached cannot stand in for the call that computes it."""
 
@@ -26,6 +26,7 @@ PACKAGE = Path(truncbell.__file__).resolve().parent
 ALLOWED = {
     "cli.entrypoint": "the console script runs it in a fresh process",
     "fps.Fps.coeffs": "perfbench/tracer.py's ring_of reads it",
+    "fps.Poly.coeffs": "perfbench/worker.py's _plain reads it",
     "fps.Poly.__repr__": "pytest assertion messages show it",
 }
 

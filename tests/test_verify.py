@@ -1,11 +1,10 @@
 import argparse
-import concurrent.futures
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -771,47 +770,60 @@ def test_suite_reruns_are_byte_identical():
     assert sorted(parsed) == ["summary", "verdicts"]
 
 
-# ---------------------------------------------------------------- lambda pool
+# ---------------------------------------------------------------- forked units
 
-POOL_GRID = SuiteGrid(lambdas=(Fraction(0), Fraction(1), HALF), ps=(0, 2), n_max=5, order=8)
+FORK_GRID = SuiteGrid(lambdas=(Fraction(0), Fraction(1), HALF), ps=(0, 2), n_max=5, order=8)
 
 
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("the serial path must not start a pool")
+def _count_forks(monkeypatch) -> list:
+    """Patch os.fork to record each call in the returned list."""
+    forks = []
+    real_fork = os.fork
+
+    def spy():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
 
 
-def test_pool_and_loop_reports_are_identical(monkeypatch):
-    # three CPUs, so the pool runs whatever this machine has
-    _cpus(monkeypatch, 3)
-    pools = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
+def _no_fork():
+    raise AssertionError("the serial path must not fork")
 
-    def spy(*args, **kwargs):
-        pools.append(args)
-        return real_pool(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    pooled = report_to_json_text(run_suite(POOL_GRID, FAST_CFG))
-    assert pools == [(3,)]
+def _looped(grid, monkeypatch) -> str:
+    """The report of the serial loop: one usable CPU, and forking forbidden."""
     _cpus(monkeypatch, 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    looped = report_to_json_text(run_suite(POOL_GRID, FAST_CFG))
-    assert pooled == looped
-    assert json.loads(pooled)["summary"]["skipped_checks"]
+    monkeypatch.setattr(os, "fork", _no_fork)
+    return report_to_json_text(run_suite(grid, FAST_CFG))
 
 
-@pytest.mark.parametrize("case", ["one lambda", "one cpu", "darwin"])
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_and_looped_reports_are_identical(monkeypatch):
+    # three CPUs, so three children run whatever this machine has
+    _cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    forked = report_to_json_text(run_suite(FORK_GRID, FAST_CFG))
+    assert forks == [os.getpid()] * 3
+    _assert_no_child_left()
+    assert forked == _looped(FORK_GRID, monkeypatch)
+    assert json.loads(forked)["summary"]["skipped_checks"]
+
+
+@pytest.mark.parametrize("case", ["one cpu", "darwin"])
 def test_suite_falls_back_to_the_loop(case, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     grid = SuiteGrid(lambdas=(Fraction(0), Fraction(1), HALF), ps=(0, 2), n_max=3, order=6)
-    if case == "one lambda":
-        _cpus(monkeypatch, 3)
-        grid = SuiteGrid(lambdas=(HALF,), ps=(0, 2), n_max=3, order=6)
-    elif case == "one cpu":
+    if case == "one cpu":
         _cpus(monkeypatch, 1)
     else:
         _cpus(monkeypatch, 3)
@@ -821,8 +833,33 @@ def test_suite_falls_back_to_the_loop(case, monkeypatch):
     assert report.exit_code() == 0
 
 
+def test_one_lambda_is_split_into_forked_units(monkeypatch):
+    grid = SuiteGrid(lambdas=(HALF,), ps=(0, 2), n_max=3, order=6)
+    _cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    forked = report_to_json_text(run_suite(grid, FAST_CFG))
+    assert len(forks) == 3
+    assert forked == _looped(grid, monkeypatch)
+
+
+def test_more_units_than_one_byte_can_index(monkeypatch):
+    # 16 lambdas times 17 registry entries: 272 units, taken by more
+    # children than this machine is likely to have CPUs; a unit handed out
+    # twice or never changes the report
+    grid = SuiteGrid(lambdas=tuple(Fraction(k, 17) for k in range(-8, 8)), ps=(0, 1),
+                     n_max=1, order=3)
+    assert len(grid.lambdas) * len(verify.CHECKS) > 256
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    forked = report_to_json_text(run_suite(grid, FAST_CFG))
+    assert len(forks) == 4
+    _assert_no_child_left()
+    assert forked == _looped(grid, monkeypatch)
+
+
 def test_worker_error_reaches_the_caller(monkeypatch):
     _cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
     real_check = verify.check_T2
 
     def broken(lam, *args):
@@ -832,9 +869,87 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(verify, "check_T2", broken)
     with pytest.raises(ValueError, match="^boom$") as raised:
-        run_suite(POOL_GRID, FAST_CFG)
+        run_suite(FORK_GRID, FAST_CFG)
     assert type(raised.value) is ValueError
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 3
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_raises(monkeypatch):
+    _cpus(monkeypatch, 3)
+    caller = os.getpid()
+    real_check = verify.check_T2
+
+    def dying(lam, *args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real_check(lam, *args)
+
+    monkeypatch.setattr(verify, "check_T2", dying)
+    with pytest.raises(RuntimeError, match="exited with status 3$"):
+        run_suite(FORK_GRID, FAST_CFG)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_the_lowest_failing_unit_is_raised(cpus, monkeypatch):
+    # T2 fails at every lambda, and at lambda = 0 (unit 1, the lowest) only
+    # after the others: unit 0 keeps the first child busy, so unit 1 goes to
+    # a later child, and the first child stops at a higher failing unit
+    _cpus(monkeypatch, cpus)
+    real_check = verify.check_T1
+
+    def slow(lam, *args):
+        if lam == 0:
+            time.sleep(0.2)
+        return real_check(lam, *args)
+
+    def broken(lam, *args):
+        if lam == 0:
+            time.sleep(0.3)
+        raise ValueError(f"at lambda = {lam}")
+
+    monkeypatch.setattr(verify, "check_T1", slow)
+    monkeypatch.setattr(verify, "check_T2", broken)
+    with pytest.raises(ValueError, match="^at lambda = 0$"):
+        run_suite(FORK_GRID, FAST_CFG)
+    _assert_no_child_left()
+
+
+def test_a_forked_run_leaves_the_open_fds_as_they_were(monkeypatch):
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    before = sorted(os.listdir("/proc/self/fd"))
+    run_suite(FORK_GRID, FAST_CFG)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 2
+
+
+def test_the_fork_path_runs_clean_under_strict_warnings():
+    """Two usable CPUs in a fresh interpreter with -X dev -W error: a file or
+    fd left open (ResourceWarning) or a fork of a threaded process
+    (DeprecationWarning, Python 3.12+) shows on stderr or fails the run.
+    DeprecationWarning is printed rather than raised, since os.fork of
+    Python 3.12 drops its warning without a word when it is an error."""
+    import truncbell
+
+    script = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "real_fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or real_fork()\n"
+        "from fractions import Fraction\n"
+        "from truncbell import verify\n"
+        "grid = verify.SuiteGrid(lambdas=(Fraction(0), Fraction(1, 2)), ps=(0, 2), n_max=4,\n"
+        "                        order=6)\n"
+        "report = verify.run_suite(grid, verify.NumericConfig(mc_samples=5000))\n"
+        "print(len(forks), report.exit_code())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(truncbell.__file__).parents[1]))
+    strict = ["-X", "dev", "-W", "error", "-W", "always::DeprecationWarning"]
+    out = subprocess.run([sys.executable, *strict, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "2 0\n")
 
 
 _HEAVY_MODULES = ("concurrent.futures", "multiprocessing", "numpy", "truncbell.numeric",
@@ -849,11 +964,16 @@ _CLI = "from truncbell import cli\nif cli.main({}) != 0: raise SystemExit('comma
                   "--n", "2", "--x", "1/3"]), []),
     (_CLI.format(["check", "--id", "T1", "--lambda", "1/3", "--p", "2", "--n-max", "4"]),
      ["numpy", "truncbell.numeric", "truncbell.verify"]),
-], ids=["import", "table", "eval", "check"])
+    ("import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+     + _CLI.format(["suite", "--lambdas=0,1/2", "--ps=0,1", "--n-max=4", "--order=6",
+                    "--mc-samples=5000"]),
+     ["numpy", "truncbell.numeric", "truncbell.verify"]),
+], ids=["import", "table", "eval", "check", "suite"])
 def test_modules_loaded_by_entry_point(code, loaded):
     """The exact paths load neither numpy nor the float kernels nor the
-    check engine nor the suite's pool; check loads the engine, the
-    kernels and numpy (so the probe sees them at all) but still no pool."""
+    check engine; check and suite load the engine, the kernels and numpy
+    (so the probe sees them at all), and suite, which forks on two usable
+    CPUs, loads neither multiprocessing nor concurrent.futures."""
     import truncbell
 
     probe = f"{code}\nimport sys; print(sorted(set({_HEAVY_MODULES!r}) & set(sys.modules)))"
