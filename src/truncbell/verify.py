@@ -12,14 +12,15 @@ exact rational value, which is converted to float only at comparison time.
 Verdicts are plain data with a stable JSON rendering; identical parameters
 (seed included) must reproduce a suite report byte for byte.
 
-Two statement-versus-derivation conflicts are adjudicated at runtime
-rather than assumed. One call of the weighted-convolution check builds
-its left side and convolution once and emits a verdict for each exponent
-variant of its correction sum (ids T6 and T6k; excluded from exit
-accounting and summarized in the suite's single adjudication record).
-The one-step recurrence check probes both superscript readings of its
-middle term, counts whichever variant holds on the stated range, and
-reports the other one informationally.
+Every counted verdict checks a claim fixed before the check runs. One
+statement-versus-derivation conflict is adjudicated at runtime rather
+than assumed: one call of the weighted-convolution check builds its left
+side and convolution once and emits a verdict for each exponent variant
+of its correction sum (ids T6 and T6k; excluded from exit accounting and
+summarized in the suite's single adjudication record). The one-step
+recurrence check counts the raised-index reading of its middle term, the
+one that holds on every grid measured, and reports the printed reading
+informationally.
 
 Every check is one entry of the CHECKS registry, which states the ids it
 emits, how to run it, its lowest truncation index p, whether it needs
@@ -159,11 +160,11 @@ class _Collector:
     """Accumulates the detail rows of one verdict.
 
     Exact comparisons (scalar, poly) carry no tolerance and record only
-    mismatches; rows added with counted=False are informational probes
-    (variant forms, indices outside a stated range) and never move the
-    verdict. A collector given a NumericConfig makes a numeric verdict:
-    compare() checks a float approximation against an exact target within
-    its tolerances and records every probed row, not only the failures.
+    mismatches; rows added with info() are informational (variant forms,
+    indices outside a stated range) and never move the verdict. A
+    collector given a NumericConfig makes a numeric verdict: compare()
+    checks a float approximation against an exact target within its
+    tolerances and records every probed row, not only the failures.
     band() records a Monte Carlo estimate against its four-standard-error
     band and makes the verdict a monte_carlo one; a non-finite estimate or
     standard error is a domain error, since an infinite band would accept
@@ -179,17 +180,16 @@ class _Collector:
         self.max_residual = 0.0
         self.ok = True
 
-    def scalar(self, n, lhs, rhs, k=-1, note=None, counted=True):
+    def scalar(self, n, lhs, rhs, k=-1, note=None):
         if lhs != rhs:
             self.rows.append(_row(n, k, lhs, rhs, note))
-            if counted:
-                self.counted += 1
+            self.counted += 1
 
-    def poly(self, n, lhs: Poly, rhs: Poly, note=None, counted=True):
+    def poly(self, n, lhs: Poly, rhs: Poly, note=None):
         if lhs == rhs:
             return
         for power in range(max(lhs.degree, rhs.degree) + 1):
-            self.scalar(n, lhs.coeff(power), rhs.coeff(power), power, note, counted)
+            self.scalar(n, lhs.coeff(power), rhs.coeff(power), power, note)
 
     def scalars(self, values, targets):
         """scalar() for each n of two equally long lists indexed by n."""
@@ -278,7 +278,7 @@ def check_T1(lam, p: int, n_max: int, order: int) -> Verdict:
 def check_T2(lam, n_max: int, order: int) -> Verdict:
     """First-truncation family written as a weighted convolution of the
     degenerate Bernoulli numbers with the plain family, checked as a
-    polynomial identity and again at x = 1."""
+    polynomial identity (its value at x = 1 follows from the coefficients)."""
     lam = as_fraction(lam)
     _require(order >= n_max + 1, f"order {order} must be at least n_max+1 = {n_max + 1}")
     col = _Collector()
@@ -289,33 +289,26 @@ def check_T2(lam, n_max: int, order: int) -> Verdict:
         rhs = lincomb((comb(n, m), seq.deg_bernoulli_num(n - m, 1, lam), inv[m],
                        seq.bell_deg(m + 1, lam)) for m in range(n + 1))
         col.poly(n, lhs, rhs)
-        col.scalar(n, lhs(Fraction(1)), rhs(Fraction(1)), note="evaluation at x = 1")
     return col.verdict("T2", _params(lam, n_max=n_max, order=order))
 
 
 def _beta_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
-    """P3 for p >= 1 and n = 0..n_max: p * sum_k S2deg(n, k) B(k+1, p)."""
-    return _stirling_sums(lam, [p * beta_exact(k + 1, p) for k in range(n_max + 1)])
+    """P3 for n = 0..n_max: sum_k S2deg(n, k) p B(k+1, p). At p = 0 the
+    weight is its limit 1 (p B(k+1, p) -> 1), so the sum is the row sum of
+    the triangle, the plain family at x = 1."""
+    return _stirling_sums(lam, [p * beta_exact(k + 1, p) if p else 1 for k in range(n_max + 1)])
 
 
 def check_P3(lam, p: int, n_max: int) -> Verdict:
     """Unit-interval integral of the plain polynomial family against the
-    weight (1-x)^(p-1), done exactly through beta values.
-
-    At p = 0 there is no integral, and the check is vacuous: it compares
-    trunc_bell_deg(n, 0, lam) with bell_deg(n, lam), which return the same
-    _trunc_poly memo entry, so that verdict fails only when a public
-    function is perturbed. T1 at p = 0, the basis route against the
-    generating series, is the independent comparison there."""
+    weight (1-x)^(p-1), done exactly through beta values and read through
+    the triangle, against the basis-route truncated numbers. At p = 0 there
+    is no integral; the weight's limit makes the route the triangle's row
+    sums (see _beta_route)."""
     lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     col = _Collector()
-    if p == 0:
-        for n in range(n_max + 1):
-            col.poly(n, seq.trunc_bell_deg(n, 0, lam), seq.bell_deg(n, lam),
-                     note="p = 0 reduces to the plain family")
-    else:
-        col.scalars(_beta_route(lam, p, n_max), _truncated(lam, p, n_max))
+    col.scalars(_beta_route(lam, p, n_max), _truncated(lam, p, n_max))
     return col.verdict("P3", _params(lam, p=p, n_max=n_max))
 
 
@@ -572,64 +565,41 @@ def check_T11(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
 def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
     """One-step recurrence for the truncated numbers, stated for n >= 2.
 
-    The middle term admits two superscript readings (the truncation index
-    kept, or raised by one); both are computed for every n, the variant
-    that holds on the stated range is counted, and the other is reported
-    informationally, as are the out-of-range rows n in {0, 1}. For p = 0
-    the rewritten corollary form with the vanishing lower-bound term is
-    checked as well."""
+    The middle term admits two superscript readings, the truncation index
+    kept (the printed form) or raised by one. The raised-index form is
+    counted, fixed before the check runs: it holds on every grid point
+    measured, while the printed form holds only at p = 0, where the weight
+    p/(p+1) vanishes and the two forms are equal. The printed form is
+    reported informationally wherever it differs, as are the out-of-range
+    rows n in {0, 1}."""
     lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     col = _Collector()
 
-    # exact values the loops below reuse, each computed once per call
+    # exact values the loop below reuses, each computed once per call
     val = _truncated(lam, p, n_max + 1)
     val_raised = _truncated(lam, p + 1, n_max)
     shift = lam - 1
     ff = [deg_falling_factorial(shift, j, lam) for j in range(n_max + 2)]
 
-    results = []
-    printed_ok = True
-    raised_ok = True
     for n in range(n_max + 1):
         lhs = val[n + 1]
         base = (Fraction(n + 1) - Fraction(n) * lam) * val[n]
         tail = dot((comb(n, m), val[m + 1], ff[n - m]) for m in range(n - 1))
-        r_printed = base - Fraction(p, p + 1) * val[n] - tail
-        r_raised = base - Fraction(p, p + 1) * val_raised[n] - tail
-        results.append((n, lhs, r_printed, r_raised))
-        if n >= 2:
-            printed_ok = printed_ok and r_printed == lhs
-            raised_ok = raised_ok and r_raised == lhs
-    counted_variant = "printed" if printed_ok or not raised_ok else "raised-index"
-    for n, lhs, r_printed, r_raised in results:
-        counted_rhs = r_printed if counted_variant == "printed" else r_raised
-        other_rhs = r_raised if counted_variant == "printed" else r_printed
+        printed = base - Fraction(p, p + 1) * val[n] - tail
+        raised = base - Fraction(p, p + 1) * val_raised[n] - tail
         if n < 2:
             col.info(
-                n, -1, lhs, counted_rhs,
+                n, -1, lhs, raised,
                 "informational, below stated range: printed-form match="
-                f"{r_printed == lhs}, raised-index match={r_raised == lhs}",
+                f"{printed == lhs}, raised-index match={raised == lhs}",
             )
             continue
-        col.scalar(n, lhs, counted_rhs, note=f"counted variant: {counted_variant}")
-        if other_rhs != counted_rhs:
-            col.info(n, -1, lhs, other_rhs, "non-counted middle-term variant (informational)")
-    col.meta(
-        f"middle-term exponent probe over n >= 2: printed form holds={printed_ok}, "
-        f"raised-index form holds={raised_ok}; counted variant: {counted_variant}"
-    )
-    if p == 0:
-        for n in range(n_max + 1):
-            lhs = val[n + 1]
-            # the m = 0 term carries a binomial at lower index -1, taken as
-            # 0 by convention, so the sum starts at m = 1
-            rhs = (Fraction(n + 1) - Fraction(n) * lam) * val[n] - dot(
-                (comb(n, m - 1), val[m], ff[n - m + 1]) for m in range(1, n))
-            note = "rewritten corollary form"
-            if n < 2:
-                note += " (informational, below stated range)"
-            col.scalar(n, lhs, rhs, note=note, counted=n >= 2)
+        col.scalar(n, lhs, raised, note="counted variant: raised-index")
+        if printed != raised:
+            col.info(n, -1, lhs, printed, "printed middle-term form, not counted (informational)")
+    col.meta("middle-term form fixed in advance: raised-index counted over n >= 2, "
+             "printed form informational")
     return col.verdict("T12", _params(lam, p=p, n_max=n_max, order=order))
 
 
@@ -1013,8 +983,9 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     to an unnamed file and exits. With one usable CPU or on another platform
     this process takes every unit itself. Results are joined in unit order;
     of several failing units the lowest one's exception is raised, as the
-    serial loop raises it, and a child that dies raises RuntimeError.
-    Children are killed and reaped on every way out, an interrupt included.
+    serial loop raises it, with the child's traceback text as its
+    __cause__, and a child that dies raises RuntimeError. Children are
+    killed and reaped on every way out, an interrupt included.
 
     Each check seeds its own generator and every memo returns a pure
     function of its key, so a unit's verdicts do not depend on the process
@@ -1025,7 +996,26 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     Children are forked, so they start without re-importing numpy. Python
     3.12+ warns when a process with more than one OS thread forks, and
     numpy's BLAS library may start a thread at import; only Python 3.11.7
-    was measured."""
+    was measured.
+
+    Designs measured against this one with perfbench/run.py --seconds 10,
+    in alternating pairs on 2 vCPUs, and rejected:
+    - units striped statically over the children: suite_default wall_s
+      about 20% slower, in 7 of 10 pairs;
+    - ProcessPoolExecutor.map over the units: about 20% slower in 10 of 10
+      pairs, and about 2 MB more peak RSS;
+    - this process taking units too: wall_s unchanged, peak_rss_mb 38.7 ->
+      45.1 (+16%);
+    - a pipe the caller feeds and closes, so that takers stop at EOF: a
+      child killed between reading the queue record and writing the next
+      one leaves this queue empty, and the others and this process block
+      until interrupted, while with the fed pipe this process raises
+      "killed by signal 9"; but suite_default was slower in 6 of 8 pairs
+      (median wall_s 0.224 s, against 0.210 s with this queue);
+    - every unit index written in advance to a memfd, read through the
+      shared file offset: units were handed out twice, since memfd reads
+      do not serialize the offset.
+    That hang stays open."""
     grid = grid or SuiteGrid()
     cfg = cfg or NumericConfig()
     for p in grid.ps:
@@ -1049,7 +1039,12 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
                 if pid == 0:  # the child: run units, write them, never return
                     status = 1
                     try:
-                        pickle.dump(_run_units(units, queue, grid.ps, args), out)
+                        done, failure = _run_units(units, queue, grid.ps, args)
+                        if failure:  # a traceback does not pickle, so its text goes along
+                            import traceback
+
+                            failure += ("".join(traceback.format_exception(failure[1])),)
+                        pickle.dump((done, failure), out)
                         out.flush()
                         status = 0
                     finally:
@@ -1077,7 +1072,10 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
         os.close(queue[1])
     failures = [failure for _, failure in results if failure]
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        _, exc, *child_traceback = min(failures, key=lambda failure: failure[0])
+        if child_traceback:
+            exc.__cause__ = RuntimeError(f"in a suite child process:\n{child_traceback[0]}")
+        raise exc
     done = sorted((unit for finished, _ in results for unit in finished), key=lambda unit: unit[0])
     verdicts = [v for _, unit_verdicts, _ in done for v in unit_verdicts]
     skipped = [s for _, _, unit_skipped in done for s in unit_skipped]

@@ -23,8 +23,10 @@ GRID5 = GRID4 + (F(2),)
 # serialised by verify.verdicts_to_json_text (228 verdicts); re-recorded
 # when P5b's incomplete-gamma guard became exact, which changed only the
 # text of its meta note (the digest before was the Fraction schoolbook
-# kernel's, a479d6eb...da1e)
-EXACT_VERDICTS_SHA256 = "834ea36855f43c01f709a1f50f037b1ddd570c0f90dc412a17dfafac08e7bc79"
+# kernel's, a479d6eb...da1e), and again when T12's counted middle-term
+# form was fixed in advance, which changed only the note and meta text of
+# its 20 verdicts (before: 834ea368...bc79)
+EXACT_VERDICTS_SHA256 = "285d34ea72c8728ea01c9713350dfcd499fffe31a1430f02e30aedcb35475fc6"
 # sha256 of the same report's summary plus the shape of every non-exact
 # verdict (see _shape_digest), recorded before the check registry replaced
 # the hand-written suite loop, skip list and six-route composite
@@ -32,8 +34,11 @@ SHAPE_SHA256 = "5c0db64e4bef8c84682ca892ce7cdfceeaa2f367c5b6d2974aafbd786b8f3c61
 # sha256 of the exact-mode verdicts of `suite --n-max 20 --order 34 --seed 42`
 # (228 of its 318 verdicts), serialised the same way: the numerators run
 # longest on this grid, so a slip in the integer sums shows here first.
-# Recorded with the Poly- and Fraction-by-term sums the kernels replaced.
-DEEP_EXACT_VERDICTS_SHA256 = "645aeede4c286be829df30f4ad3ca9edd282e28e1e731b2d83f7864e825221b7"
+# Recorded with the Poly- and Fraction-by-term sums the kernels replaced;
+# re-recorded when T12's counted middle-term form was fixed in advance,
+# which changed only the note and meta text of its 20 verdicts (before:
+# 645aeede...21b7).
+DEEP_EXACT_VERDICTS_SHA256 = "1ec5bf66fdd4c88a900b4ddbe5f334b70ffee88fd9a027476178f7eefe68da73"
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 

@@ -194,12 +194,14 @@ EXACT_CONTROLS = [
     ("T1", "trunc_bell_deg", lambda: verify.check_T1(HALF, 2, 6, 8)),
     ("T2", "deg_bernoulli_num", lambda: verify.check_T2(HALF, 6, 8)),
     ("P3", "stirling2_deg", lambda: verify.check_P3(HALF, 2, 6)),
+    ("P3-p0", "stirling2_deg", lambda: verify.check_P3(HALF, 0, 6)),
     ("P5a", "stirling2_deg", lambda: verify.check_P5a(HALF, 2, 6)),
     ("P5b", "trunc_bell_deg", lambda: verify.check_P5b(HALF, 2, 10)),
     ("T6k", "deg_bernoulli_num", lambda: verify.check_T6(HALF, 2, 6, 8)[1]),
     ("T7", "trunc_bell_deg", lambda: verify.check_T7(HALF, 2, 10)),
     ("T8", "bell_deg", lambda: verify.check_T8(HALF, 2, 6)),
     ("T12", "trunc_bell_deg", lambda: verify.check_T12(HALF, 1, 6)),
+    ("T12-p0", "trunc_bell_deg", lambda: verify.check_T12(HALF, 0, 6)),
     ("T13", "stirling2_deg_poly", lambda: verify.check_T13(HALF, 5)),
     ("T14", "trunc_mod_bell_deg", lambda: verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[0]),
     ("T16", "trunc_mod_bell_deg", lambda: verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[2]),
@@ -494,36 +496,36 @@ def test_adjudication_never_drives_exit_code():
     assert ADJUDICATION_IDS == {"T6", "T6k"}
 
 
-def test_recurrence_middle_term_adjudicates_at_runtime():
-    v = verify.check_T12(Fraction(0), 1, 8)
+@pytest.mark.parametrize("p", [0, 1])
+def test_recurrence_counts_the_raised_index_middle_term(p):
+    v = verify.check_T12(Fraction(0), p, 8)
     assert v.status == "pass"
-    meta = [r["note"] for r in v.details if "probe" in r.get("note", "")]
-    assert meta == [
-        "middle-term exponent probe over n >= 2: printed form holds=False, "
-        "raised-index form holds=True; counted variant: raised-index"
+    assert [r["note"] for r in v.details if r["n"] == -1 and r["k"] == -1] == [
+        "middle-term form fixed in advance: raised-index counted over n >= 2, "
+        "printed form informational"
     ]
-    informational = [r for r in v.details if "non-counted" in r.get("note", "")]
-    assert informational, "printed-form mismatches should be reported"
-    n2 = next(r for r in informational if r["n"] == 2)
-    assert (n2["lhs"], n2["rhs"]) == ("7/4", "19/12")
     below = [r for r in v.details if "below stated range" in r.get("note", "")]
     assert {r["n"] for r in below} == {0, 1}
+    printed = [r for r in v.details if "printed middle-term form" in r.get("note", "")]
+    if p == 0:
+        assert printed == []  # the weight p/(p+1) vanishes: the two forms are equal
+    else:
+        n2 = next(r for r in printed if r["n"] == 2)
+        assert (n2["lhs"], n2["rhs"]) == ("7/4", "19/12")
 
 
-def test_recurrence_corollary_form_checked_at_p_zero():
-    v = verify.check_T12(HALF, 0, 8)
-    assert v.status == "pass"
-    assert any("rewritten corollary form" in r.get("note", "") for r in v.details) is False
-    # corollary rows only surface on mismatch; force one to confirm coverage
-    vbad = None
+def test_recurrence_fails_when_only_the_raised_index_form_breaks(monkeypatch):
+    # perturb only the p + 1 family, which the raised-index middle term alone reads
     original = sequences.trunc_bell_deg
-    try:
-        sequences.trunc_bell_deg = _bump_at(original)
-        vbad = verify.check_T12(HALF, 0, 6)
-    finally:
-        sequences.trunc_bell_deg = original
-    assert vbad.status == "fail"
-    assert any("rewritten corollary form" in r.get("note", "") for r in vbad.details)
+
+    def bumped(n, p, lam):
+        out = original(n, p, lam)
+        return out + 1 if (n, p) == (3, 2) else out
+
+    monkeypatch.setattr(sequences, "trunc_bell_deg", bumped)
+    v = verify.check_T12(HALF, 1, 6)
+    assert v.status == "fail"
+    assert "counted variant: raised-index" in {r.get("note") for r in v.details if r["n"] == 3}
 
 
 def test_modified_family_convolution_variants():
@@ -871,6 +873,10 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     with pytest.raises(ValueError, match="^boom$") as raised:
         run_suite(FORK_GRID, FAST_CFG)
     assert type(raised.value) is ValueError
+    # the child's traceback comes along as the cause, down to the raising frame
+    cause = str(raised.value.__cause__)
+    assert "in broken" in cause
+    assert 'raise ValueError("boom")' in cause
     assert len(forks) == 3
     _assert_no_child_left()
 
