@@ -62,10 +62,11 @@ def _add_config_flags(sub, cfg):
                      default=cfg.series_cutoff_k, help="outer cutoff for double-series checks")
     sub.add_argument("--cutoff-l", dest="series_cutoff_l", metavar="CUTOFF_L", type=int,
                      default=cfg.series_cutoff_l, help="inner cutoff for double-series checks")
-    sub.add_argument("--mc-samples", type=int, default=cfg.mc_samples,
-                     help="Monte Carlo sample count")
+    sub.add_argument("--moment-nodes", type=int, default=cfg.moment_nodes,
+                     help="lattice size for the numeric half of S3")
     sub.add_argument("--seed", type=int, default=cfg.seed,
-                     help="base seed; each check derives its own stream")
+                     help="recorded in the report's summary.config; no check reads it, "
+                          "and it goes with the next benchmark change (ROADMAP item 5)")
 
 
 def _config_from(args):

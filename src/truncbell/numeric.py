@@ -1,31 +1,27 @@
 """Double-precision kernels for the paper's analytic representations.
 
 Contour quadrature on the unit circle, the truncated double series and the
-Monte Carlo estimate of the beta-moment identity are the package's only
-float code. The check engine (verify) supplies what to integrate (the
-contour integrands, the coefficients of the moment sums) and judges the
-results against exact values; nothing here reads the sequence families.
-Equal arguments give bit-identical floats, the seeded Monte Carlo stream
-included, and arrays a memo hands out are read-only. The Monte Carlo
-estimate reads every row from one memoized vector of sample moments, keyed
-by (seed, p, samples) and not by lambda, so the samples are drawn once per
-key and never kept. Importing this module imports numpy.
+lattice moments of the beta-moment identity are the package's only float
+code. The check engine (verify) supplies what to integrate (the contour
+integrands, the coefficients of the moment sums) and judges the results
+against exact values; nothing here reads the sequence families. No kernel
+draws a random number: equal arguments give bit-identical floats, and
+arrays a memo hands out are read-only. Importing this module imports numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isfinite, pi, sqrt
+from math import factorial, isfinite, pi
 
 import numpy as np
 
 from .sequences import MEMO_MAXSIZE
 
 _BRACKET_TERMS = 60  # series depth for the entire-function contour bracket
-_S3_ENTROPY = 4960337475862901380  # S3's stream key: sha256(b"S3")[:8], big-endian
-_EPS = float(np.finfo(np.float64).eps)
-_HANKEL_MARGIN = 1e6  # a trusted Hankel variance has a relative rounding error under 1e-6
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = float(np.finfo(np.float64).tiny)  # the least normal double
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
@@ -113,70 +109,56 @@ def double_series(lam: Fraction, p: int, n_max: int, cfg, x: float = 0.0):
         yield n, approx, tail
 
 
-def _samples(seed: int, p: int, samples: int) -> np.ndarray:
-    """S3's inverse-transform samples X = 1 - U^(1/p) of the density
-    p(1-x)^(p-1) on [0, 1], from the stream keyed by (seed, _S3_ENTROPY)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _S3_ENTROPY])))
-    return 1.0 - rng.random(samples) ** (1.0 / p)
+def lattice_moments(p: int, nodes: int, kmax: int) -> np.ndarray:
+    """m[k] = (1/N) sum_i X_i^k, k = 0..kmax, over the N = nodes points of
+    the centred lattice u_i = (i - 1/2)/N mapped by the inverse distribution
+    function X = 1 - u^(1/p) of the density p(1-x)^(p-1) on [0, 1].
 
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _sample_moments(seed: int, p: int, samples: int, kmax: int) -> np.ndarray:
-    """m[k] = mean of X^k over S3's samples, k = 0..kmax, from one draw of
-    them; only the moments are kept, never the samples."""
-    x = _samples(seed, p, samples)
+    The lattice's star discrepancy is 1/(2N), and the map is monotone, so
+    for g of bounded variation V(g) on [0, 1] the Koksma-Hlawka inequality
+    gives |(1/N) sum_i g(X_i) - E[g(X)]| <= V(g)/(2N) (Niederreiter, Random
+    Number Generation and Quasi-Monte Carlo Methods, SIAM 1992, Thm 2.11).
+    A node power below the normal range raises OverflowError: the rounding
+    model of lattice_rounding assumes that none underflows."""
+    x = 1.0 - ((np.arange(nodes) + 0.5) / nodes) ** (1.0 / p)
     power = np.ones_like(x)
     m = np.empty(kmax + 1)
     m[0] = 1.0
     for k in range(1, kmax + 1):
         power *= x
+        if power[-1] < _TINY:  # the last node is the smallest
+            raise OverflowError(f"lattice node power X^{k} at p = {p} underflows the "
+                                f"normal float range over {nodes} nodes")
         m[k] = power.mean()
-    m.setflags(write=False)
     return m
 
 
-def beta_moments(seed: int, p: int, samples: int, coeffs: list):
-    """Monte Carlo estimates of E[sum_k c[k] X^k] for X with density
-    p(1-x)^(p-1) on [0, 1], one per coefficient row c of coeffs, row n
-    holding c[0..n]. Yields (mean, standard error) per row, the standard
-    error being the sample standard deviation (ddof=1) over sqrt(samples).
+def lattice_rounding(nodes: int, kmax: int) -> float:
+    """gamma_M = M u / (1 - M u) for M = N + (kmax + 1)(b + 14), with
+    u = 2^-53, N = nodes and b = (2N).bit_length(): a bound, relative to
+    W = sum_k |c_k|, on every rounding error between the float comparison
+    that verify's S3 makes of c.m with an exact value E and the same
+    comparison in exact arithmetic over the exact lattice moments.
 
-    By linearity both come from the sample moments m of _sample_moments,
-    memoized by (seed, p, samples) and the longest row: the mean is c.m
-    and the second moment c^T H c with H[j, k] = m[j + k]. That quadratic
-    form can cancel, so its variance is used only when it is finite and
-    exceeds _HANKEL_MARGIN times its rounding bound
-    8 (d + log2(samples) + 16) eps |c|^T H |c| for a row of length d (H is
-    entrywise >= 0, as X lies in [0, 1]). Any other row is summed directly
-    over the samples, drawn again from the same seeded stream, so a
-    cancelling row is never clipped. A row with c[1:] all zero is a
-    constant and has no spread."""
-    d_max = max(map(len, coeffs), default=1)
-    m = _sample_moments(seed, p, samples, 2 * (d_max - 1))
-    x = None
-    for row in coeffs:
-        c = np.asarray(row, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf
-            est = _hankel_estimate(c, m, samples)
-            if est is None:
-                if x is None:
-                    x = _samples(seed, p, samples)
-                y = np.polynomial.polynomial.polyval(x, c)
-                est = float(y.mean()), float(y.std(ddof=1) / np.sqrt(samples))
-        yield est
-
-
-def _hankel_estimate(c: np.ndarray, m: np.ndarray, samples: int):
-    """(mean, standard error) of the row c from the sample moments m, or
-    None when the Hankel variance is not finite or does not clear its
-    rounding bound by _HANKEL_MARGIN (see beta_moments)."""
-    d = len(c)
-    mean = float(c @ m[:d])
-    if not c[1:].any():
-        return mean, 0.0
-    h = m[np.add.outer(np.arange(d), np.arange(d))]
-    var = float(c @ h @ c) - mean * mean
-    bound = 8 * (d + samples.bit_length() + 16) * _EPS * float(np.abs(c) @ h @ np.abs(c))
-    if isfinite(var) and var > _HANKEL_MARGIN * bound:
-        return mean, sqrt(var / (samples - 1))
-    return None
+    Model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    SIAM 2002, ch. 2-3): each operation rounds with relative error <= u, no
+    value over- or underflows (lattice_moments refuses an underflow, the
+    float conversions refuse an overflow), numpy's power is within 4 ulps
+    (relative error 8u), and a sum or dot product of d terms in any order
+    is within gamma_d of the exact one, relative to its absolute terms.
+    - Node: (i - 1/2)/N and 1/p carry relative error u each. As
+      t >= 1/(2N), the exponent's error is scaled by |ln t| <= ln 2N, so
+      y = t^(1/p) in [0, 1] is off by at most (10 + ln 2N)u and X = 1 - y
+      adds u: the float node Xf has |Xf - X| <= a u, a = 11 + b > 11 + ln 2N.
+    - Moment k <= kmax: on [0, 1], |Xf^k - X^k| <= k a u; the k - 1
+      products, the N - 1 additions and the division by N add gamma_(N+k-1)
+      relative to a mean of numbers in [0, 1], so the float moment is within
+      gamma_(N + (a+1)k) of the exact one, and itself in [0, 1].
+    - Row of d = kmax + 1 terms: converting each c_k to float (u), the dot
+      product with the float moments (gamma_(d+1)), the moments' own error,
+      converting E to float (u|E| <= uW, as |E| <= W when the identity
+      holds), the subtraction and the bound's own evaluation (6u of a bound
+      that is below W) add up to gamma_(N + (a+1)kmax + d + 9) W, within
+      gamma_M W."""
+    m = nodes + (kmax + 1) * ((2 * nodes).bit_length() + 14)
+    return m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)

@@ -5,12 +5,12 @@ of the same quantity. Exact checks run no float code, guards included: they
 demand equality of rationals or rational-coefficient polynomials, carry no
 tolerance, fail on one unequal coefficient and report the mismatch count as
 max_residual. Numeric checks evaluate an analytic representation
-(truncated double series, contour quadrature, Monte Carlo sampling) in
-double precision with the kernels of numeric, and compare against the
-exact rational value, which is converted to float only at comparison time.
+(truncated double series, contour quadrature, lattice moments) in double
+precision with the kernels of numeric, and compare against the exact
+rational value, which is converted to float only at comparison time.
 
 Verdicts are plain data with a stable JSON rendering; identical parameters
-(seed included) must reproduce a suite report byte for byte.
+must reproduce a suite report byte for byte, and no check reads a seed.
 
 Every counted verdict checks a claim fixed before the check runs. One
 statement-versus-derivation conflict is adjudicated at runtime rather
@@ -26,8 +26,8 @@ Every check is one entry of the CHECKS registry, which states the ids it
 emits, how to run it, its lowest truncation index p, whether it needs
 |lambda| < 1 and whether it is counted; the id lists, the suite loop and
 single-check dispatch are read off it, so adding a check means adding its
-function and one CHECKS entry. Every verdict, the Monte Carlo one
-included, is built by one _Collector.
+function and one CHECKS entry. Every verdict, numeric ones included, is
+built by one _Collector.
 
 The exact routes of the six-expression composite C-SIX belong to the checks
 P3, P5a, T8 and S3, and each is a row function: one call returns the
@@ -58,6 +58,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import select
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -70,7 +71,8 @@ import numpy as np
 from . import sequences as seq
 from .exactnum import as_fraction, beta_exact, deg_falling_factorial
 from .fps import Fps, Poly, apply_Dlambda, deg_exp, dot, lincomb
-from .numeric import beta_moments, circle_data, contour_bracket, contour_coeffs, double_series
+from .numeric import (circle_data, contour_bracket, contour_coeffs, double_series,
+                      lattice_moments, lattice_rounding)
 
 _BRANCH_FLOOR = 1e-9
 _FLOAT_FACTORIAL_MAX = 170  # 171! overflows a float
@@ -80,14 +82,20 @@ _CONTOUR_N_MIN = "contour representations hold for n >= 1 only"
 @dataclass(frozen=True)
 class NumericConfig:
     """Knobs for every non-exact comparison, all explicit and serialized
-    into verdict params so reports are self-describing."""
+    into verdict params so reports are self-describing.
+
+    moment_nodes is the lattice size of S3's numeric half. seed is accepted
+    and recorded in summary.config, but no verdict reads it: S3's lattice
+    draws nothing. It stays only because the benchmark worker builds
+    NumericConfig(seed=...), and goes with the next benchmark change
+    (ROADMAP item 5)."""
 
     tol_rel: float = 1e-7
     tol_abs: float = 1e-9
     quad_nodes: int = 2048
     series_cutoff_k: int = 80
     series_cutoff_l: int = 80
-    mc_samples: int = 200_000
+    moment_nodes: int = 8192
     seed: int = 42
 
     def __post_init__(self):
@@ -97,8 +105,8 @@ class NumericConfig:
             raise ValueError("tolerances must be positive")
         if self.series_cutoff_k < 1 or self.series_cutoff_l < 1:
             raise ValueError("series cutoffs must be >= 1")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2 for a standard error")
+        if self.moment_nodes < 1:
+            raise ValueError("moment_nodes must be >= 1")
         if self.quad_nodes < 2 or self.quad_nodes % 2:
             raise ValueError("quad_nodes must be a positive even node count")
         if self.seed < 0:
@@ -112,7 +120,7 @@ class NumericConfig:
 @dataclass
 class Verdict:
     check_id: str
-    mode: str  # exact | numeric | monte_carlo
+    mode: str  # exact | numeric
     params: dict
     status: str  # pass | fail
     max_residual: float
@@ -164,13 +172,10 @@ class _Collector:
     indices outside a stated range) and never move the verdict. A
     collector given a NumericConfig makes a numeric verdict: compare()
     checks a float approximation against an exact target within its
-    tolerances and records every probed row, not only the failures.
-    band() records a Monte Carlo estimate against its four-standard-error
-    band and makes the verdict a monte_carlo one; a non-finite estimate or
-    standard error is a domain error, since an infinite band would accept
-    anything. Any counted mismatch fails the verdict and becomes its
-    max_residual (as a count); otherwise max_residual is the largest
-    numeric residual."""
+    tolerances, and bounded() within a proven error bound instead; both
+    record every probed row, not only the failures. Any counted mismatch
+    fails the verdict and becomes its max_residual (as a count); otherwise
+    max_residual is the largest numeric residual."""
 
     def __init__(self, cfg: NumericConfig | None = None):
         self.cfg = cfg
@@ -216,16 +221,16 @@ class _Collector:
         self.rows.append(_row(n, k, approx, exact, note))
         self.max_residual = max(self.max_residual, r)
 
-    def band(self, n, est: float, exact, se: float):
-        _require(isfinite(est) and isfinite(se),
-                 f"Monte Carlo row n = {n} is not finite (estimate {est}, standard error {se}); "
+    def bounded(self, n, approx, exact, bound: float):
+        approx = float(approx)
+        _require(isfinite(approx) and isfinite(bound),
+                 f"row n = {n} is not finite (value {approx}, bound {bound}); "
                  "its sum overflows a float")
         exact = float(exact)
-        self.mode = "monte_carlo"
-        if abs(est - exact) > 4.0 * se:
+        if not abs(approx - exact) <= bound:
             self.ok = False
-        self.rows.append(_row(n, -1, est, exact, f"se={se:.6e}; acceptance band=4*se"))
-        self.max_residual = max(self.max_residual, _resid(est, exact))
+        self.rows.append(_row(n, -1, approx, exact, f"bound={bound:.6e}"))
+        self.max_residual = max(self.max_residual, _resid(approx, exact))
 
     def meta(self, note: str):
         self.rows.append(_meta_row(note))
@@ -688,8 +693,16 @@ def _moment_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
 
 def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     """Moment identity for the unit-interval distribution with density
-    p(1-x)^(p-1): exactly through beta values, then by seeded Monte Carlo
-    with inverse-transform sampling and a four-standard-error band."""
+    p(1-x)^(p-1): exactly through beta values, then numerically over the
+    centred lattice of numeric.lattice_moments with N = cfg.moment_nodes.
+
+    Row n is E[g(X)] for g(x) = sum_k c_k x^k, c_k = S2deg(n, k). The
+    variation of g on [0, 1] is at most V = sum_{k>=1} |c_k|, so the
+    lattice mean c.m misses E[g(X)] by at most V/(2N) (Koksma-Hlawka, see
+    lattice_moments), and rounding adds at most lattice_rounding(N, n_max)
+    times W = sum_k |c_k| (see there). V and W are summed exactly. A row
+    passes when |c.m - exact| is within that bound, so a failing row
+    disproves the identity up to the rounding model stated there."""
     lam = as_fraction(lam)
     _require(p >= 1, f"the moment identity needs p >= 1, got {p}")
     targets = _truncated(lam, p, n_max)
@@ -697,12 +710,16 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     col.scalars(_moment_route(lam, p, n_max), targets)
     v_exact = col.verdict("S3", _params(lam, p=p, n_max=n_max))
 
-    coeffs = [[float(seq.stirling2_deg(n, k, lam)) for k in range(n + 1)] for n in range(n_max + 1)]
-    mc = _Collector()
-    for n, (mean, se) in enumerate(beta_moments(cfg.seed, p, cfg.mc_samples, coeffs)):
-        mc.band(n, mean, targets[n], se)
-    params = _params(lam, p=p, n_max=n_max, mc_samples=cfg.mc_samples, seed=cfg.seed)
-    return [v_exact, mc.verdict("S3", params)]
+    nodes = cfg.moment_nodes
+    moments = lattice_moments(p, nodes, n_max)
+    gamma = lattice_rounding(nodes, n_max)
+    ncol = _Collector(cfg)
+    for n in range(n_max + 1):
+        coeffs = [seq.stirling2_deg(n, k, lam) for k in range(n + 1)]
+        total = dot((abs(c), 1) for c in coeffs)
+        bound = float(total - abs(coeffs[0])) / (2 * nodes) + gamma * float(total)
+        ncol.bounded(n, np.array(coeffs, dtype=float) @ moments[:n + 1], targets[n], bound)
+    return [v_exact, ncol.verdict("S3", _params(lam, p=p, n_max=n_max, moment_nodes=nodes))]
 
 
 # --------------------------------------------------------------------------
@@ -981,15 +998,19 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     units, and only waits: each child takes units until the queue is empty,
     writes its results, or the exception of its first failing unit, pickled
     to an unnamed file and exits. With one usable CPU or on another platform
-    this process takes every unit itself. Results are joined in unit order;
-    of several failing units the lowest one's exception is raised, as the
-    serial loop raises it, with the child's traceback text as its
-    __cause__, and a child that dies raises RuntimeError. Children are
-    killed and reaped on every way out, an interrupt included.
+    this process takes every unit itself. It waits on one pidfd per child
+    and reaps whichever child ends first, so a child that dies raises
+    RuntimeError at once, even one killed while it holds the queue record,
+    which leaves the other children blocked on the empty queue; it never
+    waits on a pid it did not fork (os.waitpid(-1) would reap a library
+    caller's own children). Results are joined in unit order; of several
+    failing units the lowest one's exception is raised, as the serial loop
+    raises it, with the child's traceback text as its __cause__. Children
+    are killed and reaped on every way out, an interrupt included.
 
-    Each check seeds its own generator and every memo returns a pure
-    function of its key, so a unit's verdicts do not depend on the process
-    that runs it, and the report is byte-identical to the serial loop's.
+    No check draws a random number and every memo returns a pure function
+    of its key, so a unit's verdicts do not depend on the process that runs
+    it, and the report is byte-identical to the serial loop's.
     Memos fill inside the children: this process keeps its memos as they
     were, every child fills the memos keyed without lambda again, and memo
     memory is at most the child count times sequences.MEMO_MAXSIZE entries.
@@ -1006,16 +1027,12 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
       pairs, and about 2 MB more peak RSS;
     - this process taking units too: wall_s unchanged, peak_rss_mb 38.7 ->
       45.1 (+16%);
-    - a pipe the caller feeds and closes, so that takers stop at EOF: a
-      child killed between reading the queue record and writing the next
-      one leaves this queue empty, and the others and this process block
-      until interrupted, while with the fed pipe this process raises
-      "killed by signal 9"; but suite_default was slower in 6 of 8 pairs
+    - a pipe the caller feeds and closes, so that takers stop at EOF, which
+      a killed child cannot empty: suite_default was slower in 6 of 8 pairs
       (median wall_s 0.224 s, against 0.210 s with this queue);
     - every unit index written in advance to a memfd, read through the
       shared file offset: units were handed out twice, since memfd reads
-      do not serialize the offset.
-    That hang stays open."""
+      do not serialize the offset."""
     grid = grid or SuiteGrid()
     cfg = cfg or NumericConfig()
     for p in grid.ps:
@@ -1027,7 +1044,7 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     children = min(len(units), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
     queue = os.pipe()
     os.write(queue[1], (0).to_bytes(8, "little"))
-    outs, pids, results = [], [], []
+    outs, pids, pidfds, results = [], [], {}, []
     try:
         if children < 2:
             results.append(_run_units(units, queue, grid.ps, args))
@@ -1050,16 +1067,26 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
                     finally:
                         os._exit(status)
                 pids.append(pid)
-            for out in outs:  # each child's results are read while later ones run
-                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-                pid = pids.pop(0)
-                if code > 0:
-                    raise RuntimeError(f"suite child process {pid} exited with status {code}")
-                if code < 0:
-                    raise RuntimeError(f"suite child process {pid} was killed by signal {-code}")
-                out.seek(0)
-                results.append(pickle.load(out))
+                pidfds[os.pidfd_open(pid)] = pid, out
+            poller = select.poll()
+            for fd in pidfds:
+                poller.register(fd, select.POLLIN)
+            while pidfds:  # each child's results are read while later ones run
+                for fd, _ in poller.poll():
+                    pid, out = pidfds.pop(fd)
+                    poller.unregister(fd)
+                    os.close(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    pids.remove(pid)
+                    if code > 0:
+                        raise RuntimeError(f"suite child process {pid} exited with status {code}")
+                    if code < 0:
+                        raise RuntimeError(f"suite child process {pid} was killed by signal {-code}")
+                    out.seek(0)
+                    results.append(pickle.load(out))
     finally:
+        for fd in pidfds:
+            os.close(fd)
         if pids:
             import signal  # imported here: a run that ends cleanly kills nothing
 

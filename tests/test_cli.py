@@ -13,7 +13,7 @@ from truncbell.sequences import trunc_bell_deg
 
 SMALL_SUITE = [
     "suite", "--lambdas", "0,1/2", "--ps", "0,1", "--n-max", "4",
-    "--order", "6", "--mc-samples", "5000",
+    "--order", "6", "--moment-nodes", "5000",
 ]
 
 
@@ -261,12 +261,13 @@ def test_check_contour_column_beyond_float_factorials_is_usage_error(capsys):
 
 
 def test_check_monte_carlo_overflow_is_usage_error(capsys):
-    # the squares of S2(n, k) near n = 140 overflow a float; an infinite
-    # standard error would make a band that accepts anything
+    # S3's lattice at n_max 140: the smallest node's powers leave the normal
+    # float range, where the rounding model of its bound does not hold
     code, out, err = run(capsys, "check", "--id", "S3", "--lambda=0", "--p", "2",
-                         "--n-max", "140", "--mc-samples", "2000")
+                         "--n-max", "140", "--moment-nodes", "2000")
     assert (code, out) == (2, "")
-    assert err.startswith("error: Monte Carlo row n = ") and "is not finite" in err
+    assert err.startswith("error: check S3 at lambda = 0 leaves the float range")
+    assert "underflows" in err
 
 
 @pytest.mark.parametrize("check_id", ["T11", "C-SIX"])
@@ -344,18 +345,18 @@ def test_suite_small_grid_exit_and_summary(capsys):
     assert report["summary"]["required_pass"] is True
     assert len(report["summary"]["adjudication"]) == 1
     assert report["summary"]["grid"]["lambdas"] == ["0", "1/2"]
-    assert report["summary"]["config"]["mc_samples"] == 5000
+    assert report["summary"]["config"]["moment_nodes"] == 5000
 
 
 def test_suite_config_records_every_flag(capsys):
     code, out, _ = run(capsys, "suite", "--lambdas", "1/2", "--ps", "1", "--n-max", "2",
                        "--order", "4", "--tol-rel", "1e-6", "--tol-abs", "1e-8",
                        "--quad-nodes", "512", "--cutoff-k", "40", "--cutoff-l", "50",
-                       "--mc-samples", "3000", "--seed", "7")
+                       "--moment-nodes", "3000", "--seed", "7")
     assert code == 0
     assert json.loads(out)["summary"]["config"] == {
         "tol_rel": 1e-6, "tol_abs": 1e-8, "quad_nodes": 512, "series_cutoff_k": 40,
-        "series_cutoff_l": 50, "mc_samples": 3000, "seed": 7,
+        "series_cutoff_l": 50, "moment_nodes": 3000, "seed": 7,
     }
 
 
@@ -373,7 +374,7 @@ def test_suite_rejects_a_contour_grid_before_its_exact_work(capsys):
 def test_suite_without_contour_lambdas_ignores_the_node_count(capsys):
     # at |lambda| >= 1 no contour runs, so four nodes for n_max = 3 are no error
     code, out, err = run(capsys, "suite", "--lambdas", "1,-2", "--ps", "1", "--n-max", "3",
-                         "--order", "4", "--quad-nodes", "4", "--mc-samples", "2000")
+                         "--order", "4", "--quad-nodes", "4", "--moment-nodes", "2000")
     assert (code, err) == (0, "")
     assert json.loads(out)["summary"]["required_pass"] is True
 
@@ -408,11 +409,16 @@ def test_suite_output_files_are_byte_identical(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_suite_seed_changes_monte_carlo_rows(tmp_path, capsys):
-    f1, f2 = tmp_path / "s42.json", tmp_path / "s43.json"
-    run(capsys, *SMALL_SUITE, "--seed", "42", "-o", str(f1))
-    run(capsys, *SMALL_SUITE, "--seed", "43", "-o", str(f2))
-    assert f1.read_bytes() != f2.read_bytes()
+def test_suite_seed_changes_only_the_recorded_config(tmp_path, capsys):
+    # 7337 is a seed at which the sampled band of the old random route failed
+    # the default grid; no verdict reads the seed now
+    f1, f2 = tmp_path / "s42.json", tmp_path / "s7337.json"
+    for seed, path in (("42", f1), ("7337", f2)):
+        code, _, _ = run(capsys, "suite", "--default-grid", "--seed", seed, "-o", str(path))
+        assert code == 0
+    a, b = json.loads(f1.read_text()), json.loads(f2.read_text())
+    assert (a["summary"]["config"].pop("seed"), b["summary"]["config"].pop("seed")) == (42, 7337)
+    assert a == b
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch, capsys):

@@ -88,7 +88,7 @@ def workload() -> None:
             run_cli("check", f"--id={check_id}", "--lambda=1/2", *p, "--n-max=6",
                     "--order=10")
     run_cli("suite", "--lambdas=0,1/2", "--ps=0,1", "--n-max=4", "--order=6",
-            "--mc-samples=5000")
+            "--moment-nodes=5000")
 
 
 def reached(run) -> set:

@@ -413,7 +413,7 @@ LAMBDA_MEMOS = {
 # the float layer's contour nodes, keyed by the Fraction lambda it evaluates at
 OTHER_MEMOS = {
     "sequences": {"_s2_row"},
-    "numeric": {"circle_data", "_series_weight_matrix", "_sample_moments"},
+    "numeric": {"circle_data", "_series_weight_matrix"},
 }
 
 

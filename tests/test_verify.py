@@ -1,7 +1,9 @@
 import argparse
-import hashlib
+import ast
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -30,7 +32,7 @@ from truncbell.verify import (
 )
 
 CFG = NumericConfig()
-FAST_CFG = NumericConfig(mc_samples=20_000)
+FAST_CFG = NumericConfig(moment_nodes=1000)  # a lattice size that is no power of 2
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 NEAR_ONE = Fraction(10**12 - 1, 10**12)
@@ -92,11 +94,12 @@ def test_combined_modified_family_checks_pass():
 
 
 def test_moment_check_exact_and_monte_carlo():
-    v_exact, v_mc = verify.check_S3(HALF, 2, 5, FAST_CFG)
+    # the numeric half is the lattice now; the seed reaches no verdict
+    v_exact, v_lattice = verify.check_S3(HALF, 2, 5, FAST_CFG)
     assert v_exact.mode == "exact" and v_exact.status == "pass"
-    assert v_mc.mode == "monte_carlo" and v_mc.status == "pass"
-    assert all("se=" in row["note"] for row in v_mc.details)
-    assert v_mc.params["seed"] == FAST_CFG.seed
+    assert v_lattice.mode == "numeric" and v_lattice.status == "pass"
+    assert all(row["note"].startswith("bound=") for row in v_lattice.details)
+    assert v_lattice.params == {"lambda": "1/2", "p": 2, "n_max": 5, "moment_nodes": 1000}
 
 
 def test_six_route_composite_passes():
@@ -180,8 +183,8 @@ def test_numeric_config_validation():
             NumericConfig(tol_abs=bad)
     with pytest.raises(ValueError):
         NumericConfig(quad_nodes=15)
-    with pytest.raises(ValueError):
-        NumericConfig(mc_samples=1)
+    with pytest.raises(ValueError, match="moment_nodes must be >= 1"):
+        NumericConfig(moment_nodes=0)
     with pytest.raises(ValueError):
         NumericConfig(series_cutoff_k=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -214,7 +217,7 @@ NUMERIC_CONTROLS = [
     ("C10", "bell_deg", lambda: verify.check_C10(THIRD, 6, CFG)),
     ("T11", "trunc_bell_deg", lambda: verify.check_T11(THIRD, 2, 6, CFG)),
     ("T15", "trunc_bell_deg", lambda: verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[1]),
-    ("S3-mc", "trunc_bell_deg", lambda: verify.check_S3(HALF, 2, 5, FAST_CFG)[1]),
+    ("S3-mc", "trunc_bell_deg", lambda: verify.check_S3(HALF, 2, 5, FAST_CFG)[1]),  # the lattice
     ("C-SIX", "stirling2_deg", lambda: verify.check_CSIX(THIRD, 2, 6, CFG)),
 ]
 
@@ -354,11 +357,6 @@ def test_incomplete_gamma_route_holds_beyond_p_eleven():
                           "through t^24"}]
 
 
-def test_monte_carlo_stream_key_is_the_check_id_digest():
-    digest = hashlib.sha256(b"S3").digest()
-    assert numeric._S3_ENTROPY == int.from_bytes(digest[:8], "big")
-
-
 def test_refinement_does_not_diverge_on_passing_cases():
     # residuals of passing numeric checks sit at the noise floor; doubling
     # the discretization must not blow them up (factor 10 plus an epsilon
@@ -438,7 +436,7 @@ def test_contour_routes_reject_n_max_beyond_float_factorials(check_id):
 def test_suite_rejects_node_counts_that_alias():
     grid = SuiteGrid(lambdas=(HALF,), ps=(1,), n_max=10, order=12)
     with pytest.raises(ValueError, match=r"2\*n_max < quad_nodes = 4"):
-        run_suite(grid, NumericConfig(quad_nodes=4, mc_samples=2000))
+        run_suite(grid, NumericConfig(quad_nodes=4, moment_nodes=2000))
 
 
 def test_suite_value_beyond_the_float_range_is_a_domain_error():
@@ -555,99 +553,136 @@ def test_verdict_json_schema():
 
 
 def test_monte_carlo_reruns_are_bit_identical():
+    # S3's numeric half, now the lattice, reruns to the same bytes
     a = verdicts_to_json_text(verify.check_S3(HALF, 2, 5, FAST_CFG))
     b = verdicts_to_json_text(verify.check_S3(HALF, 2, 5, FAST_CFG))
     assert a == b
 
 
-def _direct_beta_moments(seed, p, samples, coeffs):
-    """The per-row sums over the samples that the moment route replaces:
-    every power of every sample, then each row's values and their mean and
-    sample standard deviation."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, numeric._S3_ENTROPY])))
-    x = 1.0 - rng.random(samples) ** (1.0 / p)
-    pows = [np.ones_like(x)]
-    for _ in range(max(map(len, coeffs)) - 1):
-        pows.append(pows[-1] * x)
-    for row in coeffs:
-        y = sum(c * power for c, power in zip(row, pows))
-        yield float(y.mean()), float(y.std(ddof=1) / np.sqrt(samples))
+def _bound_of(row) -> float:
+    assert row["note"].startswith("bound=")
+    return float(row["note"].removeprefix("bound="))
 
 
-def _s2deg_rows(lam, n_max):
-    return [[float(sequences.stirling2_deg(n, k, lam)) for k in range(n + 1)]
-            for n in range(n_max + 1)]
+def _direct_row_means(p, nodes, coeffs):
+    """The per-row sums the lattice moments replace: each row's polynomial
+    evaluated at every lattice node, then averaged."""
+    x = 1.0 - ((np.arange(nodes) + 0.5) / nodes) ** (1.0 / p)
+    return [float(np.polynomial.polynomial.polyval(x, row).mean()) for row in coeffs]
 
 
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), HALF, -THIRD])
 @pytest.mark.parametrize("p", [1, 4])
 def test_sample_moments_agree_with_direct_row_sums(lam, p):
-    coeffs = _s2deg_rows(lam, 10)
-    got = list(numeric.beta_moments(7, p, 20_000, coeffs))
-    want = list(_direct_beta_moments(7, p, 20_000, coeffs))
-    assert len(got) == len(want) == 11
-    for (mean, se), (ref_mean, ref_se) in zip(got, want):
-        assert abs(mean - ref_mean) <= 1e-12 * abs(ref_mean)
-        assert abs(se - ref_se) <= 1e-12 * ref_se
+    # by linearity c.m equals the mean of g over the lattice nodes; both sums
+    # are floats within the rounding term of the exact one, so within twice it
+    coeffs = [[sequences.stirling2_deg(n, k, lam) for k in range(n + 1)] for n in range(11)]
+    moments = numeric.lattice_moments(p, 8192, 10)
+    gamma = numeric.lattice_rounding(8192, 10)
+    want = _direct_row_means(p, 8192, [[float(c) for c in row] for row in coeffs])
+    for row, ref in zip(coeffs, want):
+        got = float(np.array(row, dtype=float) @ moments[:len(row)])
+        assert abs(got - ref) <= 2 * gamma * float(sum(map(abs, row)))
 
 
-def test_cancelling_row_falls_back_to_the_direct_sum():
-    # the Hankel second moment of 1e8 + X is about 1e16 and its variance
-    # about 0.05, far below the form's rounding error: the row is summed
-    # over the samples again instead of reporting a standard error of 0
-    [(mean, se)] = numeric.beta_moments(42, 2, 20_000, [[1e8, 1.0]])
-    [(ref_mean, ref_se)] = _direct_beta_moments(42, 2, 20_000, [[1e8, 1.0]])
-    assert se > 0
-    assert abs(se - ref_se) <= 1e-12 * ref_se and abs(mean - ref_mean) <= 1e-12 * ref_mean
+@pytest.mark.parametrize("nodes", [1, 64, 1000])
+def test_rational_lattice_moments_within_the_stated_rounding(nodes):
+    # at p = 1 every node X_i = 1 - (i - 1/2)/N is rational: the float
+    # moments stay within lattice_rounding of the exact lattice sums, and
+    # each exact lattice row misses the integral E[X^k] = 1/(k+1) by at most
+    # V/(2N), the Koksma-Hlawka bound
+    kmax = 20
+    xs = [1 - Fraction(2 * i - 1, 2 * nodes) for i in range(1, nodes + 1)]
+    exact = [sum(x**k for x in xs) / nodes for k in range(kmax + 1)]
+    moments = numeric.lattice_moments(1, nodes, kmax)
+    gamma = numeric.lattice_rounding(nodes, kmax)
+    assert moments[0] == 1.0
+    for k in range(kmax + 1):
+        assert abs(Fraction(moments[k]) - exact[k]) <= gamma, k
+    for lam in (HALF, -THIRD, Fraction(3)):
+        for n in range(kmax + 1):
+            c = [sequences.stirling2_deg(n, k, lam) for k in range(n + 1)]
+            error = abs(sum(ck * (exact[k] - Fraction(1, k + 1)) for k, ck in enumerate(c)))
+            assert error <= sum(map(abs, c[1:])) / (2 * nodes), (lam, n)
 
 
-def test_moment_memo_keeps_moments_not_samples(monkeypatch):
-    held, draws = [], []
-    memo, draw = numeric._sample_moments, numeric._samples
+@pytest.mark.parametrize("bad_n", [3, 5])
+def test_lattice_rows_fail_on_a_perturbed_triangle(bad_n, monkeypatch):
+    # S2deg(n, k) + 1 for every k at one n moves that row's mean by
+    # sum_k E[X^k] >= 1, far outside its bound
+    verify.check_S3(HALF, 2, 6, CFG)
+    monkeypatch.setattr(sequences, "stirling2_deg", _bump_at(sequences.stirling2_deg, bad_n))
+    _, v = verify.check_S3(HALF, 2, 6, CFG)
+    assert v.status == "fail"
+    outside = [row["n"] for row in v.details
+               if abs(float(row["lhs"]) - float(row["rhs"])) > _bound_of(row)]
+    assert outside == [bad_n]
 
-    def spy_memo(*key):
-        held.append(memo(*key))
-        return held[-1]
 
-    def spy_draw(*key):
-        draws.append(key)
-        return draw(*key)
-
-    monkeypatch.setattr(numeric, "_sample_moments", spy_memo)
-    monkeypatch.setattr(numeric, "_samples", spy_draw)
-    memo.cache_clear()
-    for lam in (Fraction(0), HALF, -THIRD):
-        for p in (1, 4):
-            verify.check_S3(lam, p, 10, FAST_CFG)
-    assert len(held) == 6
-    assert all(m.shape == (2 * 10 + 1,) and not m.flags.writeable for m in held)
-    # the stream does not depend on lambda: one draw per p serves every lambda
-    assert draws == [(FAST_CFG.seed, 1, 20_000), (FAST_CFG.seed, 4, 20_000)]
+@pytest.mark.parametrize("seed", [7337, 6059, 9261])
+def test_seeds_that_failed_the_sampled_band_pass_the_lattice(seed):
+    # at these seeds the 200 000-sample band of the random route failed the
+    # default grid; no check reads the seed now
+    cfg = NumericConfig(seed=seed)
+    for lam in SuiteGrid.lambdas:
+        for p in (1, 2, 3, 4):
+            assert {v.status for v in verify.check_S3(lam, p, 10, cfg)} == {"pass"}, (lam, p)
 
 
 @pytest.mark.parametrize("est,se", [(1.0, float("inf")), (1.0, float("nan")),
                                     (float("inf"), 0.5), (float("nan"), 0.5)])
 def test_monte_carlo_band_rejects_non_finite_rows(est, se):
-    # a band of 4 * inf (or a nan estimate) would accept any value
-    with pytest.raises(ValueError, match="Monte Carlo row n = 3 is not finite"):
-        verify._Collector().band(3, est, 1, se)
+    # a bounded row with an infinite bound (or a non-finite value) would
+    # accept anything, or fail on an overflow rather than on a disproof
+    with pytest.raises(ValueError, match="row n = 3 is not finite"):
+        verify._Collector().bounded(3, est, 1, se)
 
 
 def test_monte_carlo_row_that_overflows_is_a_domain_error():
-    # S2(n, k) for n near 140 squares past the float range
-    with pytest.raises(ValueError, match=r"Monte Carlo row n = \d+ is not finite"):
-        verify.check_S3(Fraction(0), 2, 140, NumericConfig(mc_samples=2000))
+    # at n_max 140 the smallest lattice node's powers leave the normal float
+    # range, where the rounding model of the bound does not hold
+    with pytest.raises(ValueError, match=r"check S3 at lambda = 0 leaves the float range "
+                                         r"\(with p = 2\): lattice node power X\^\d+ at p = 2 "
+                                         r"underflows"):
+        run_check("S3", 0, p=2, n_max=140, cfg=NumericConfig(moment_nodes=2000))
 
 
 S3_SWEEP_LAMBDAS = [Fraction(0), Fraction(1), HALF, -THIRD, Fraction(-9, 10), Fraction(3),
-                    Fraction(-5, 2)]
+                    Fraction(-5, 2), Fraction(-99, 100), Fraction(999, 1000), Fraction(7, 2),
+                    Fraction(-1)]
 
 
 @pytest.mark.parametrize("lam", S3_SWEEP_LAMBDAS, ids=str)
 @pytest.mark.parametrize("p", [1, 2, 4, 12])
 def test_moment_check_holds_across_regimes(lam, p):
-    v_exact, v_mc = verify.check_S3(lam, p, 20, FAST_CFG)
-    assert (v_exact.status, v_mc.status) == ("pass", "pass")
+    # every lattice row inside its proven bound, at every n_max of the sweep
+    for n_max in (10, 20, 30):
+        v_exact, v_lattice = verify.check_S3(lam, p, n_max, CFG)
+        assert (v_exact.status, v_lattice.status) == ("pass", "pass"), n_max
+        for row in v_lattice.details:
+            assert abs(float(row["lhs"]) - float(row["rhs"])) <= _bound_of(row), (n_max, row)
+
+
+def test_no_source_module_draws_random_numbers():
+    # every verdict is deterministic by construction: no module of the
+    # package imports random or numpy.random, or reads an attribute random
+    import truncbell
+
+    found = []
+    for path in sorted(Path(truncbell.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            if any(name == "random" or name.endswith(".random") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # ---------------------------------------------------------------- dispatch
@@ -897,6 +932,59 @@ def test_a_child_that_dies_raises(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_a_child_killed_while_it_holds_the_queue_record_raises():
+    """The second of two children SIGKILLs itself right after it reads the
+    queue record, so the record is never written back and the first child
+    blocks on the empty queue. The caller must see the death and raise
+    rather than wait on the first child. It runs in its own session, so that
+    a hang is ended, children included, by killing the process group."""
+    import truncbell
+
+    script = (
+        "import os, signal, time\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from fractions import Fraction\n"
+        "from truncbell import verify\n"
+        "real_fork, real_read, real_unit = os.fork, os.read, verify._run_unit\n"
+        "forked, victim = [], False\n"
+        "def fork():\n"
+        "    global victim\n"
+        "    pid = real_fork()\n"
+        "    if pid:\n"
+        "        forked.append(pid)\n"
+        "    else:\n"
+        "        victim = len(forked) == 1\n"
+        "    return pid\n"
+        "def read(fd, size):\n"
+        "    data = real_read(fd, size)\n"
+        "    if victim:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return data\n"
+        "def unit(*args):\n"
+        "    time.sleep(0.02)  # so the first child cannot empty the queue alone\n"
+        "    return real_unit(*args)\n"
+        "os.fork, os.read, verify._run_unit = fork, read, unit\n"
+        "grid = verify.SuiteGrid(lambdas=(Fraction(0), Fraction(1, 2)), ps=(1,), n_max=2,\n"
+        "                        order=4)\n"
+        "try:\n"
+        "    verify.run_suite(grid)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(truncbell.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_suite hung on a child killed while it held the queue record")
+    assert (proc.returncode, err) == (0, "")
+    assert re.fullmatch(r"suite child process \d+ was killed by signal 9\n", out)
+
+
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_the_lowest_failing_unit_is_raised(cpus, monkeypatch):
     # T2 fails at every lambda, and at lambda = 0 (unit 1, the lowest) only
@@ -948,7 +1036,7 @@ def test_the_fork_path_runs_clean_under_strict_warnings():
         "from truncbell import verify\n"
         "grid = verify.SuiteGrid(lambdas=(Fraction(0), Fraction(1, 2)), ps=(0, 2), n_max=4,\n"
         "                        order=6)\n"
-        "report = verify.run_suite(grid, verify.NumericConfig(mc_samples=5000))\n"
+        "report = verify.run_suite(grid, verify.NumericConfig(moment_nodes=5000))\n"
         "print(len(forks), report.exit_code())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(truncbell.__file__).parents[1]))
@@ -972,7 +1060,7 @@ _CLI = "from truncbell import cli\nif cli.main({}) != 0: raise SystemExit('comma
      ["numpy", "truncbell.numeric", "truncbell.verify"]),
     ("import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
      + _CLI.format(["suite", "--lambdas=0,1/2", "--ps=0,1", "--n-max=4", "--order=6",
-                    "--mc-samples=5000"]),
+                    "--moment-nodes=5000"]),
      ["numpy", "truncbell.numeric", "truncbell.verify"]),
 ], ids=["import", "table", "eval", "check", "suite"])
 def test_modules_loaded_by_entry_point(code, loaded):
