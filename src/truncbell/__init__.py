@@ -4,7 +4,7 @@ truncated Bell-type sequence families.
 The package has five layers: exact scalar arithmetic (exactnum),
 truncated formal power series and polynomials over the rationals (fps),
 the sequence families themselves (sequences), the double-precision
-quadrature, series and sampling kernels (numeric), and the
+quadrature, series and lattice-moment kernels (numeric), and the
 identity-verification engine plus suite runner (verify). The command line
 lives in cli.
 

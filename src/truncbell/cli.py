@@ -211,8 +211,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_suite = sub.add_parser("suite", help="run every check over a parameter grid")
-    p_suite.add_argument("--default-grid", action="store_true",
-                         help="use the built-in grid (also the default)")
     p_suite.add_argument("--lambdas", type=_rational_list,
                          default=grid.lambdas, metavar="R1,R2,...")
     p_suite.add_argument("--ps", type=_int_list, default=grid.ps,

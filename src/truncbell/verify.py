@@ -26,8 +26,11 @@ Every check is one entry of the CHECKS registry, which states the ids it
 emits, how to run it, its lowest truncation index p, whether it needs
 |lambda| < 1 and whether it is counted; the id lists, the suite loop and
 single-check dispatch are read off it, so adding a check means adding its
-function and one CHECKS entry. Every verdict, numeric ones included, is
-built by one _Collector.
+function and one CHECKS entry. Every entry emits one id, except the
+uncounted T6/T6k pair above, and no check hands its intermediate values to
+another: the modified family's exact checks T14 and T16 run no float code,
+and T15 reads the family through its public function as they do. Every
+verdict, numeric ones included, is built by one _Collector.
 
 The exact routes of the six-expression composite C-SIX belong to the checks
 P3, P5a, T8 and S3, and each is a row function: one call returns the
@@ -77,6 +80,7 @@ from .numeric import (circle_data, contour_bracket, contour_coeffs, double_serie
 _BRANCH_FLOOR = 1e-9
 _FLOAT_FACTORIAL_MAX = 170  # 171! overflows a float
 _CONTOUR_N_MIN = "contour representations hold for n >= 1 only"
+_T15_X_POINTS = (Fraction(0), Fraction(1), Fraction(1, 2))  # the suite's and check_T15's default
 
 
 @dataclass(frozen=True)
@@ -624,64 +628,68 @@ def check_T13(lam, n_max: int) -> Verdict:
     return col.verdict("T13", _params(lam, n_max=n_max))
 
 
-def check_T14_T15_T16(lam, p: int, n_max: int, order: int, cfg: NumericConfig,
-                      x_points=None) -> list[Verdict]:
-    """The modified truncated family: dual construction plus the printed
-    and corrected convolution variants (T14), the double-series evaluation
-    at fixed rational points against the corrected variant (T15), and the
-    one-step recurrence (T16)."""
+def check_T14(lam, p: int, n_max: int, order: int) -> Verdict:
+    """The modified truncated family: basis construction against its
+    generating series, and against its convolution expansion over the
+    plain truncated numbers with the raised series index; the printed
+    constant index is probed and reported informationally."""
     lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     _require(order >= n_max, f"order {order} must be at least n_max {n_max}")
-    if x_points is None:
-        x_points = (Fraction(0), Fraction(1), Fraction(1, 2))
-    x_points = tuple(Fraction(x) for x in x_points)
-
-    # exact values the loops below reuse, each computed once per call
-    mod_p = [seq.trunc_mod_bell_deg(j, p, lam) for j in range(n_max + 2)]
-    mod_p1 = [seq.trunc_mod_bell_deg(j, p + 1, lam) for j in range(n_max + 1)]
     const = _truncated(lam, p, n_max)
-
-    c14 = _Collector()
+    col = _Collector()
     literal_bad = 0
-    convolutions = []
     for n in range(n_max + 1):
-        target = mod_p[n]
-        c14.poly(n, target, seq.trunc_mod_bell_deg_egf(n, p, lam, order))
+        target = seq.trunc_mod_bell_deg(n, p, lam)
+        col.poly(n, target, seq.trunc_mod_bell_deg_egf(n, p, lam, order))
         ffs = [(comb(n, m), seq.deg_falling_factorial_poly(n - m, lam)) for m in range(n + 1)]
         corrected = lincomb((w, const[m], ff) for m, (w, ff) in enumerate(ffs))
         literal = lincomb(ffs) * const[n]
-        c14.poly(n, target, corrected, note="convolution route, raised series index")
-        convolutions.append(corrected)
+        col.poly(n, target, corrected, note="convolution route, raised series index")
         if literal != target:
             literal_bad += 1
-            c14.info(n, -1, target.to_string(), literal.to_string(),
+            col.info(n, -1, target.to_string(), literal.to_string(),
                      "convolution route, printed constant index (informational)")
-    c14.meta(
+    col.meta(
         f"printed-index convolution variant mismatches on {literal_bad} of "
         f"{n_max + 1} rows (informational)"
     )
-    v14 = c14.verdict("T14", _params(lam, p=p, n_max=n_max, order=order))
+    return col.verdict("T14", _params(lam, p=p, n_max=n_max, order=order))
 
-    c15 = _Collector(cfg)
+
+def check_T15(lam, p: int, n_max: int, cfg: NumericConfig, x_points=None) -> Verdict:
+    """Double-series evaluation of the modified truncated family at fixed
+    rational points (default _T15_X_POINTS) against the basis construction."""
+    lam = as_fraction(lam)
+    _require(p >= 0, f"p must be >= 0, got {p}")
+    x_points = tuple(Fraction(x) for x in (_T15_X_POINTS if x_points is None else x_points))
+    targets = [seq.trunc_mod_bell_deg(n, p, lam) for n in range(n_max + 1)]
+    ncol = _Collector(cfg)
     for x in x_points:
         for n, approx, tail in double_series(lam, p, n_max, cfg, float(x)):
-            c15.compare(n, approx, float(convolutions[n](x)), label=f"x={x}", tail=tail)
-    v15 = c15.verdict("T15", _series_params(lam, cfg, p=p, n_max=n_max,
-                                            x_points=[str(x) for x in x_points]))
+            ncol.compare(n, approx, float(targets[n](x)), label=f"x={x}", tail=tail)
+    return ncol.verdict("T15", _series_params(lam, cfg, p=p, n_max=n_max,
+                                              x_points=[str(x) for x in x_points]))
 
-    c16 = _Collector()
+
+def check_T16(lam, p: int, n_max: int) -> Verdict:
+    """One-step recurrence of the modified truncated family, which reads
+    the family at truncation index p and p+1."""
+    lam = as_fraction(lam)
+    _require(p >= 0, f"p must be >= 0, got {p}")
+    # exact values the loop below reuses, each computed once per call
+    mod_p = [seq.trunc_mod_bell_deg(j, p, lam) for j in range(n_max + 2)]
+    mod_p1 = [seq.trunc_mod_bell_deg(j, p + 1, lam) for j in range(n_max + 1)]
     ff1 = [deg_falling_factorial(Fraction(1), j, lam) for j in range(n_max + 1)]
     q = Fraction(-p, p + 1)
+    col = _Collector()
     for n in range(n_max + 1):
-        lhs = mod_p[n + 1]
         terms = [(1, (Poly.x() - Fraction(n) * lam) * mod_p[n])]
         for j in range(n + 1):
             w = comb(n, j)
             terms += [(w, ff1[n - j], q, mod_p1[j]), (w, ff1[n - j], mod_p[j])]
-        c16.poly(n, lhs, lincomb(terms))
-    v16 = c16.verdict("T16", _params(lam, p=p, n_max=n_max))
-    return [v14, v15, v16]
+        col.poly(n, mod_p[n + 1], lincomb(terms))
+    return col.verdict("T16", _params(lam, p=p, n_max=n_max))
 
 
 def _moment_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
@@ -832,9 +840,10 @@ CHECKS = (
     CheckSpec(("T11",), lambda lam, p, a: [check_T11(lam, p, a.n_max, a.cfg)], 1, contour=True),
     CheckSpec(("T12",), lambda lam, p, a: [check_T12(lam, p, a.n_max, a.order)], 0),
     CheckSpec(("T13",), lambda lam, p, a: [check_T13(lam, a.n_max)], None),
-    CheckSpec(("T14", "T15", "T16"),
-              lambda lam, p, a: check_T14_T15_T16(lam, p, a.n_max, a.order, a.cfg, a.x_points),
-              0, takes=("x_points",)),
+    CheckSpec(("T14",), lambda lam, p, a: [check_T14(lam, p, a.n_max, a.order)], 0),
+    CheckSpec(("T15",), lambda lam, p, a: [check_T15(lam, p, a.n_max, a.cfg, a.x_points)], 0,
+              takes=("x_points",)),
+    CheckSpec(("T16",), lambda lam, p, a: [check_T16(lam, p, a.n_max)], 0),
     CheckSpec(("S3",), lambda lam, p, a: check_S3(lam, p, a.n_max, a.cfg), 1),
     CheckSpec(("C-SIX",), lambda lam, p, a: [check_CSIX(lam, p, a.n_max, a.cfg)], 1),
 )
@@ -854,7 +863,7 @@ class SuiteGrid:
     ps: tuple = (0, 1, 2, 3, 4)
     n_max: int = 10
     order: int = 24
-    x_points: tuple = (Fraction(0), Fraction(1), Fraction(1, 2))
+    x_points: tuple = _T15_X_POINTS
 
 
 def default_grid(**overrides) -> SuiteGrid:

@@ -19,7 +19,7 @@ from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
 F = Fraction
 GRID4 = (F(0), F(1), F(1, 2), F(-1, 3))
 GRID5 = GRID4 + (F(2),)
-# sha256 of the exact-mode verdicts of `suite --default-grid --seed 42`,
+# sha256 of the exact-mode verdicts of `suite --seed 42`,
 # serialised by verify.verdicts_to_json_text (228 verdicts); re-recorded
 # when P5b's incomplete-gamma guard became exact, which changed only the
 # text of its meta note (the digest before was the Fraction schoolbook
@@ -173,12 +173,10 @@ def test_criterion_07_oscillatory_integrals(capsys):
 
 
 def test_criterion_08_exact_recurrences(capsys):
-    cfg = NumericConfig()
-
     def body():
         _all_pass([verify.check_T12(lam, p, 10)
                    for lam in GRID4 for p in range(5)])
-        _all_pass([verify.check_T14_T15_T16(lam, p, 8, 12, cfg)[2]
+        _all_pass([verify.check_T16(lam, p, 8)
                    for lam in GRID4 for p in range(4)])
     criterion(capsys, 8, "three-term and one-step recurrences (T12, T16)", body)
 
@@ -189,8 +187,8 @@ def test_criterion_09_modified_family_routes(capsys):
     def body():
         for lam in GRID4:
             for p in range(5):
-                v14, v15, _ = verify.check_T14_T15_T16(lam, p, 10, 12, cfg)
-                _all_pass([v14, v15])
+                _all_pass([verify.check_T14(lam, p, 10, 12),
+                           verify.check_T15(lam, p, 10, cfg)])
     criterion(capsys, 9, "twisted family dual routes (T14, T15)", body)
 
 
@@ -236,8 +234,7 @@ def test_criterion_13_deterministic_reports(capsys, tmp_path):
     def body():
         f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for path in (f1, f2):
-            code = cli.main(["suite", "--default-grid", "--seed", "42",
-                             "-o", str(path)])
+            code = cli.main(["suite", "--seed", "42", "-o", str(path)])
             assert code == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()

@@ -182,6 +182,7 @@ def test_check_missing_p_is_usage_error(capsys):
 @pytest.mark.parametrize("argv,message", [
     (("--id", "C10", "--k", "-1"), "check C10 does not take k"),
     (("--id", "T2", "--p", "7"), "check T2 does not take p"),
+    (("--id", "T14", "--p", "2", "--x-points", "1/3"), "check T14 does not take x_points"),
 ])
 def test_check_unused_argument_is_usage_error(argv, message, capsys):
     code, out, err = run(capsys, "check", "--lambda", "1/2", "--n-max", "2", *argv)
@@ -311,8 +312,8 @@ BIG = "1" + "0" * 40
 @pytest.mark.parametrize("argv, point", [
     (("--id", "T4", "--lambda", BIG, "--p", "0"), (f"T4 at lambda = {BIG}", "p = 0")),
     (("--id", "T15", "--lambda", "0", "--p", "1", "--x-points", f"1/2,{BIG}"),
-     ("T14/T15/T16 at lambda = 0", f"p = 1, x_points = 1/2,{BIG}")),
-    (("--id", "T15", "--lambda", BIG, "--p", "2"), (f"T14/T15/T16 at lambda = {BIG}", "p = 2")),
+     ("T15 at lambda = 0", f"p = 1, x_points = 1/2,{BIG}")),
+    (("--id", "T15", "--lambda", BIG, "--p", "2"), (f"T15 at lambda = {BIG}", "p = 2")),
 ], ids=["T4-lambda", "T15-x-point", "T15-lambda"])
 def test_check_beyond_the_float_range_names_the_whole_point(argv, point, capsys):
     # the x point, not lambda, leaves the float range in the second case
@@ -320,6 +321,15 @@ def test_check_beyond_the_float_range_names_the_whole_point(argv, point, capsys)
     assert (code, out) == (2, "")
     where, rest = point
     assert err.startswith(f"error: check {where} leaves the float range (with {rest}): ")
+
+
+@pytest.mark.parametrize("check_id", ["T14", "T16"])
+def test_exact_check_beyond_the_float_range_passes(check_id, capsys):
+    # the exact checks of the modified family run no float code
+    code, out, err = run(capsys, "check", "--id", check_id, "--lambda", BIG, "--p", "2")
+    assert (code, err) == (0, "")
+    assert [(v["id"], v["mode"], v["status"]) for v in json.loads(out)] == [
+        (check_id, "exact", "pass")]
 
 
 def test_double_series_overflow_is_an_error_without_a_warning():
@@ -414,7 +424,7 @@ def test_suite_seed_changes_only_the_recorded_config(tmp_path, capsys):
     # the default grid; no verdict reads the seed now
     f1, f2 = tmp_path / "s42.json", tmp_path / "s7337.json"
     for seed, path in (("42", f1), ("7337", f2)):
-        code, _, _ = run(capsys, "suite", "--default-grid", "--seed", seed, "-o", str(path))
+        code, _, _ = run(capsys, "suite", "--seed", seed, "-o", str(path))
         assert code == 0
     a, b = json.loads(f1.read_text()), json.loads(f2.read_text())
     assert (a["summary"]["config"].pop("seed"), b["summary"]["config"].pop("seed")) == (42, 7337)

@@ -41,7 +41,7 @@ NEAR_ONE = Fraction(10**12 - 1, 10**12)
 # rather than read from the registry
 TAKES_NO_P = {"T2", "L9", "C10", "T13"}
 TAKES_K = {"L9"}
-TAKES_X_POINTS = {"T14", "T15", "T16"}
+TAKES_X_POINTS = {"T15"}
 
 
 def taken(check_id, **values):
@@ -86,8 +86,10 @@ def test_numeric_checks_pass_on_valid_parameters():
 
 
 def test_combined_modified_family_checks_pass():
-    v14, v15, v16 = verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)
+    v14, v15, v16 = (verify.check_T14(HALF, 2, 6, 8), verify.check_T15(HALF, 2, 6, CFG),
+                     verify.check_T16(HALF, 2, 6))
     assert (v14.check_id, v15.check_id, v16.check_id) == ("T14", "T15", "T16")
+    assert (v14.mode, v16.mode) == ("exact", "exact")
     assert {v14.status, v15.status, v16.status} == {"pass"}
     assert v15.mode == "numeric"
     assert v15.params["x_points"] == ["0", "1", "1/2"]
@@ -206,8 +208,10 @@ EXACT_CONTROLS = [
     ("T12", "trunc_bell_deg", lambda: verify.check_T12(HALF, 1, 6)),
     ("T12-p0", "trunc_bell_deg", lambda: verify.check_T12(HALF, 0, 6)),
     ("T13", "stirling2_deg_poly", lambda: verify.check_T13(HALF, 5)),
-    ("T14", "trunc_mod_bell_deg", lambda: verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[0]),
-    ("T16", "trunc_mod_bell_deg", lambda: verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[2]),
+    ("T14", "trunc_mod_bell_deg", lambda: verify.check_T14(HALF, 2, 6, 8)),
+    # the plain truncated numbers are the input of T14's convolution route
+    ("T14-conv", "trunc_bell_deg", lambda: verify.check_T14(HALF, 2, 6, 8)),
+    ("T16", "trunc_mod_bell_deg", lambda: verify.check_T16(HALF, 2, 6)),
     ("S3", "trunc_bell_deg", lambda: verify.check_S3(HALF, 2, 5, FAST_CFG)[0]),
 ]
 
@@ -216,7 +220,7 @@ NUMERIC_CONTROLS = [
     ("L9", "stirling2_deg", lambda: verify.check_L9(THIRD, 6, None, CFG)),
     ("C10", "bell_deg", lambda: verify.check_C10(THIRD, 6, CFG)),
     ("T11", "trunc_bell_deg", lambda: verify.check_T11(THIRD, 2, 6, CFG)),
-    ("T15", "trunc_bell_deg", lambda: verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[1]),
+    ("T15", "trunc_mod_bell_deg", lambda: verify.check_T15(HALF, 2, 6, CFG)),
     ("S3-mc", "trunc_bell_deg", lambda: verify.check_S3(HALF, 2, 5, FAST_CFG)[1]),  # the lattice
     ("C-SIX", "stirling2_deg", lambda: verify.check_CSIX(THIRD, 2, 6, CFG)),
 ]
@@ -527,7 +531,7 @@ def test_recurrence_fails_when_only_the_raised_index_form_breaks(monkeypatch):
 
 
 def test_modified_family_convolution_variants():
-    v14 = verify.check_T14_T15_T16(HALF, 2, 6, 8, CFG)[0]
+    v14 = verify.check_T14(HALF, 2, 6, 8)
     assert v14.status == "pass"
     literal = [r for r in v14.details if "printed constant index" in r.get("note", "")]
     assert literal, "the literal index variant should be probed and reported"
@@ -720,6 +724,12 @@ def test_run_check_agrees_with_suite(check_id, point_report):
     assert verdicts_to_json_text(single) == verdicts_to_json_text(from_suite)
 
 
+def test_every_registry_entry_emits_one_id_but_the_adjudication_pair():
+    # no check hands its intermediate values to another; only the uncounted
+    # T6/T6k pair shares a left side on purpose
+    assert {c.ids: c.counted for c in verify.CHECKS if len(c.ids) != 1} == {("T6", "T6k"): False}
+
+
 def test_point_suite_emits_every_registry_id(point_report):
     report, _ = point_report
     assert {v.check_id for v in report.verdicts} == set(verify.KNOWN_CHECK_IDS)
@@ -880,7 +890,7 @@ def test_one_lambda_is_split_into_forked_units(monkeypatch):
 
 
 def test_more_units_than_one_byte_can_index(monkeypatch):
-    # 16 lambdas times 17 registry entries: 272 units, taken by more
+    # 16 lambdas times 19 registry entries: 304 units, taken by more
     # children than this machine is likely to have CPUs; a unit handed out
     # twice or never changes the report
     grid = SuiteGrid(lambdas=tuple(Fraction(k, 17) for k in range(-8, 8)), ps=(0, 1),
