@@ -3,7 +3,9 @@
 Two constructions run side by side for the three families whose
 generating-function identity a check compares, TruncBellDeg (T1),
 TruncModBellDeg (T14) and S2degPoly (T13); every other family has one
-construction, which for the degenerate Bernoulli family is its series:
+construction, which for the degenerate Bernoulli family is its series
+(the polynomials are the numbers' binomial convolution with the deformed
+falling factorials of x, so both read one series):
 
 * a basis route: expand the defining product as a Poly and rewrite its
   monomials through the classical second-kind triangle, x^j = sum_k
@@ -48,10 +50,12 @@ and its shape, so adding a family means adding one entry.
 All functions memoize whole rows keyed by (family parameters, n), and
 every memo holds one immutable value, built of tuples, ints, Fractions,
 Polys and Fps series, that no later read changes. The degenerate Bernoulli
-memos hold a whole series keyed by (lambda, r, depth); the public functions
-read coefficient n at depth n | 15, so one series serves every n <= 15 and
-one more each further block of 16. The plain Bell-type family reads the
-truncated one at p = 0, and the series routes read z as _z_pow at k = 1.
+memos hold a whole row keyed by (lambda, r, depth), the numbers from one
+series and the polynomials from the numbers, so each series is built once;
+the public functions read entry n at depth n | 15, so one series serves
+every n <= 15 and one more each further block of 16. The plain Bell-type
+family reads the truncated one at p = 0, and the series routes read z as
+_z_pow at k = 1.
 One memo stores again a value another memo holds, deliberately:
 _s2deg_row keeps _s2deg_num's row as Fractions, because the checks read
 stirling2_deg entry by entry (33 954 reads per serial n_max=20, order=34
@@ -281,23 +285,20 @@ def _check_nr(n: int, r: int) -> None:
 # generating function, so there is no separate basis construction)
 
 
-def _bern_base_pow(lam: Fraction, r: int, depth: int) -> Fps:
-    """(t / (deformed exp - 1))**r through t^depth."""
-    base = Fps.t(depth + 1) / (deg_exp(1, lam, depth + 1) - 1)
-    return base**r
-
-
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _bern_nums(a: int, b: int, r: int, depth: int) -> tuple[Fraction, ...]:
-    s = _bern_base_pow(Fraction(a, b), r, depth)
+    """n! times the t^n coefficients of (t / (deformed exp - 1))**r, n <= depth."""
+    s = (Fps.t(depth + 1) / (deg_exp(1, Fraction(a, b), depth + 1) - 1)) ** r
     return tuple(s.egf_coeff(m) for m in range(s.order + 1))
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _bern_polys(a: int, b: int, r: int, depth: int) -> tuple[Poly, ...]:
-    lam = Fraction(a, b)
-    gf = times_deg_exp_x(_bern_base_pow(lam, r, depth), lam)
-    return tuple(c * factorial(m) for m, c in enumerate(gf))
+    """The series times the deformed exponential of x, read as the binomial
+    convolution sum_m C(n, m) beta_m (x)_{n-m,lam} of _bern_nums."""
+    nums = _bern_nums(a, b, r, depth)
+    return tuple(lincomb((comb(n, m), nums[m], _deg_ff_poly(a, b, n - m)) for m in range(n + 1))
+                 for n in range(depth + 1))
 
 
 def deg_bernoulli_num(n: int, r: int, lam) -> Fraction:

@@ -33,14 +33,17 @@ and T15 reads the family through its public function as they do. Every
 verdict, numeric ones included, is built by one _Collector.
 
 The exact routes of the six-expression composite C-SIX belong to the checks
-P3, P5a, T8 and S3, and each is a row function: one call returns the
-route's values for n = 0..n_max and computes every factor that depends on
-k or m alone (beta values, alternating weights, T8's inner sums, the plain
-family at x = 1) once. C-SIX calls each row function once and compares its
-rows. Every finite sum of an exact route, scalar or polynomial, is one
-fps.dot or fps.lincomb call over the entries it reads, each term passed as
-its factors (binomials, entries, weights) rather than as their product, so
-no Fraction product is formed per term. Route functions read the
+P3, P5a and T8, and each is a row function: one call returns the route's
+values for n = 0..n_max and computes every factor that depends on k or m
+alone (beta values, alternating weights, T8's inner sums, the plain family
+at x = 1) once. C-SIX calls each row function once and compares its rows.
+The paper's moment sum, route 6, is route 1 itself: the k-th moment of the
+density p(1-x)^(p-1) is B(k+1, p)/B(1, p) = p B(k+1, p), P3's weight, so
+C-SIX compares P3's row for it and S3's exact half reads P3's route too.
+Every finite sum of an exact route, scalar or polynomial, is one fps.dot
+or fps.lincomb call over the entries it reads, each term passed as its
+factors (binomials, entries, weights) rather than as their product, so no
+Fraction product is formed per term. Route functions read the
 sequences layer through its public functions, one entry at a time, so a
 perturbed public function reaches every check that reads it however warm
 the caches are (see the sequences docstring). The one memo here is
@@ -80,7 +83,7 @@ from .numeric import (circle_data, contour_bracket, contour_coeffs, double_serie
 _BRANCH_FLOOR = 1e-9
 _FLOAT_FACTORIAL_MAX = 170  # 171! overflows a float
 _CONTOUR_N_MIN = "contour representations hold for n >= 1 only"
-_T15_X_POINTS = (Fraction(0), Fraction(1), Fraction(1, 2))  # the suite's and check_T15's default
+_T15_X_POINTS = (Fraction(1), Fraction(1, 2))  # the suite's and check_T15's default
 
 
 @dataclass(frozen=True)
@@ -284,12 +287,11 @@ def check_T1(lam, p: int, n_max: int, order: int) -> Verdict:
     return col.verdict("T1", _params(lam, p=p, n_max=n_max, order=order))
 
 
-def check_T2(lam, n_max: int, order: int) -> Verdict:
+def check_T2(lam, n_max: int) -> Verdict:
     """First-truncation family written as a weighted convolution of the
     degenerate Bernoulli numbers with the plain family, checked as a
     polynomial identity (its value at x = 1 follows from the coefficients)."""
     lam = as_fraction(lam)
-    _require(order >= n_max + 1, f"order {order} must be at least n_max+1 = {n_max + 1}")
     col = _Collector()
     x = Poly.x()
     inv = [Fraction(1, m + 1) for m in range(n_max + 1)]
@@ -298,7 +300,7 @@ def check_T2(lam, n_max: int, order: int) -> Verdict:
         rhs = lincomb((comb(n, m), seq.deg_bernoulli_num(n - m, 1, lam), inv[m],
                        seq.bell_deg(m + 1, lam)) for m in range(n + 1))
         col.poly(n, lhs, rhs)
-    return col.verdict("T2", _params(lam, n_max=n_max, order=order))
+    return col.verdict("T2", _params(lam, n_max=n_max))
 
 
 def _beta_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
@@ -379,7 +381,7 @@ def check_P5b(lam, p: int, order: int) -> Verdict:
     return col.verdict("P5b", _params(lam, p=p, order=order))
 
 
-def check_T6(lam, p: int, n_max: int, order: int) -> list[Verdict]:
+def check_T6(lam, p: int, n_max: int) -> list[Verdict]:
     """Weighted convolution with higher-order degenerate Bernoulli numbers.
 
     The correction sum exists in two superscript readings; one call builds
@@ -390,7 +392,6 @@ def check_T6(lam, p: int, n_max: int, order: int) -> list[Verdict]:
     variant 'running')."""
     lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
-    _require(order >= n_max + p, f"order {order} must be at least n_max+p = {n_max + p}")
     cols = {"fixed": _Collector(), "running": _Collector()}
     x = Poly.x()
     for n in range(n_max + 1):
@@ -404,23 +405,19 @@ def check_T6(lam, p: int, n_max: int, order: int) -> list[Verdict]:
                               * seq.deg_bernoulli_num(n + k, p if variant == "fixed" else k, lam)
                               for k in range(p, 0, -1))
             col.poly(n, lhs, conv - correction)
-    return [col.verdict(check_id, _params(lam, p=p, n_max=n_max, order=order, variant=variant))
+    return [col.verdict(check_id, _params(lam, p=p, n_max=n_max, variant=variant))
             for check_id, (variant, col) in zip(("T6", "T6k"), cols.items())]
 
 
 @lru_cache(maxsize=seq.MEMO_MAXSIZE)
 def _operator_core(a: int, b: int, order: int) -> tuple[Fps, Fps]:
     """The p-independent part of the operator route at lam = a/b: exp(z) and
-    the entire series sum_m (-1)^m z^m/(m+1)!, z the deformed exponential
-    minus one."""
-    z = deg_exp(1, Fraction(a, b), order) - 1
-    core = Fps.constant(0, order)
-    zpow = Fps.constant(1, order)
-    for m in range(order + 1):
-        core = core + zpow.scale(Fraction((-1) ** m, factorial(m + 1)))
-        if m < order:
-            zpow = zpow * z
-    return z.exp(), core
+    the entire series sum_m (-1)^m z^m/(m+1)! = (1 - e^(-z))/z, z the
+    deformed exponential minus one. z is built one order deeper, because
+    dividing by it (valuation 1) costs one order; the closed form shares no
+    code with P5b's incomplete gamma, so T7 stays independent of P5b."""
+    z = deg_exp(1, Fraction(a, b), order + 1) - 1
+    return z.exp(), (1 - (-z).exp()) / z
 
 
 def _operator_route(lam: Fraction, p: int, order: int) -> Fps:
@@ -456,14 +453,14 @@ def _convolution_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
             for n in range(n_max + 1)]
 
 
-def check_T8(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
+def check_T8(lam, p: int, n_max: int) -> Verdict:
     """Finite double sum mixing the degenerate Stirling triangle with plain
     family values."""
     lam = as_fraction(lam)
     _require(p >= 1, f"the double-sum convolution needs p >= 1, got {p}")
     col = _Collector()
     col.scalars(_convolution_route(lam, p, n_max), _truncated(lam, p, n_max))
-    return col.verdict("T8", _params(lam, p=p, n_max=n_max, order=order))
+    return col.verdict("T8", _params(lam, p=p, n_max=n_max))
 
 
 # --------------------------------------------------------------------------
@@ -571,7 +568,7 @@ def check_T11(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
 # recurrences and the modified family
 
 
-def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
+def check_T12(lam, p: int, n_max: int) -> Verdict:
     """One-step recurrence for the truncated numbers, stated for n >= 2.
 
     The middle term admits two superscript readings, the truncation index
@@ -609,7 +606,7 @@ def check_T12(lam, p: int, n_max: int, order: int | None = None) -> Verdict:
             col.info(n, -1, lhs, printed, "printed middle-term form, not counted (informational)")
     col.meta("middle-term form fixed in advance: raised-index counted over n >= 2, "
              "printed form informational")
-    return col.verdict("T12", _params(lam, p=p, n_max=n_max, order=order))
+    return col.verdict("T12", _params(lam, p=p, n_max=n_max))
 
 
 def check_T13(lam, n_max: int) -> Verdict:
@@ -692,17 +689,12 @@ def check_T16(lam, p: int, n_max: int) -> Verdict:
     return col.verdict("T16", _params(lam, p=p, n_max=n_max))
 
 
-def _moment_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
-    """Exact half of S3 for n = 0..n_max: sum_k S2deg(n, k) E[X^k], with
-    E[X^k] = B(k+1, p) / B(1, p)."""
-    b0 = beta_exact(1, p)
-    return _stirling_sums(lam, [beta_exact(k + 1, p) / b0 for k in range(n_max + 1)])
-
-
 def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     """Moment identity for the unit-interval distribution with density
-    p(1-x)^(p-1): exactly through beta values, then numerically over the
-    centred lattice of numeric.lattice_moments with N = cfg.moment_nodes.
+    p(1-x)^(p-1): exactly through its moments E[X^k] = p B(k+1, p), which
+    are P3's weights, so the exact half is P3's route (_beta_route); then
+    numerically over the centred lattice of numeric.lattice_moments with
+    N = cfg.moment_nodes, the independent evidence.
 
     Row n is E[g(X)] for g(x) = sum_k c_k x^k, c_k = S2deg(n, k). The
     variation of g on [0, 1] is at most V = sum_{k>=1} |c_k|, so the
@@ -715,7 +707,7 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     _require(p >= 1, f"the moment identity needs p >= 1, got {p}")
     targets = _truncated(lam, p, n_max)
     col = _Collector()
-    col.scalars(_moment_route(lam, p, n_max), targets)
+    col.scalars(_beta_route(lam, p, n_max), targets)
     v_exact = col.verdict("S3", _params(lam, p=p, n_max=n_max))
 
     nodes = cfg.moment_nodes
@@ -748,6 +740,7 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     """All six closing expressions for the truncated numbers against the
     basis construction, each route computed by the function its own check
     uses: exact routes must match exactly, numeric routes within tolerance.
+    Route 6, the moment sum, is route 1's row (see the module docstring).
     The detail k field carries the route number."""
     lam = as_fraction(lam)
     _require(p >= 1, f"the six-expression display needs p >= 1, got {p}")
@@ -763,7 +756,6 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
     beta = _beta_route(lam, p, n_max)
     alternating = _alternating_route(lam, p, n_max)
     convolution = _convolution_route(lam, p, n_max)
-    moment = _moment_route(lam, p, n_max)
     targets = _truncated(lam, p, n_max)
     for n, series, tail in double_series(lam, p, n_max, cfg):
         ref = targets[n]
@@ -773,7 +765,7 @@ def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
         ncol.scalar(n, convolution[n], ref, 4, _CSIX_ROUTES[4])
         if contour is not None and n >= 1:
             ncol.compare(n, contour[n], ref, k=5, label=_CSIX_ROUTES[5])
-        ncol.scalar(n, moment[n], ref, 6, _CSIX_ROUTES[6])
+        ncol.scalar(n, beta[n], ref, 6, _CSIX_ROUTES[6])
 
     params = _series_params(lam, cfg, p=p, n_max=n_max, quad_nodes=cfg.quad_nodes)
     return ncol.verdict("C-SIX", params)
@@ -825,20 +817,19 @@ class CheckSpec:
 
 CHECKS = (
     CheckSpec(("T1",), lambda lam, p, a: [check_T1(lam, p, a.n_max, a.order)], 0),
-    CheckSpec(("T2",), lambda lam, p, a: [check_T2(lam, a.n_max, a.order)], None),
+    CheckSpec(("T2",), lambda lam, p, a: [check_T2(lam, a.n_max)], None),
     CheckSpec(("P3",), lambda lam, p, a: [check_P3(lam, p, a.n_max)], 0),
     CheckSpec(("T4",), lambda lam, p, a: [check_T4(lam, p, a.n_max, a.cfg)], 0),
     CheckSpec(("P5a",), lambda lam, p, a: [check_P5a(lam, p, a.n_max)], 1),
     CheckSpec(("P5b",), lambda lam, p, a: [check_P5b(lam, p, a.order)], 1),
-    CheckSpec(("T6", "T6k"), lambda lam, p, a: check_T6(lam, p, a.n_max, a.order), 0,
-              counted=False),
+    CheckSpec(("T6", "T6k"), lambda lam, p, a: check_T6(lam, p, a.n_max), 0, counted=False),
     CheckSpec(("T7",), lambda lam, p, a: [check_T7(lam, p, a.order)], 1),
-    CheckSpec(("T8",), lambda lam, p, a: [check_T8(lam, p, a.n_max, a.order)], 1),
+    CheckSpec(("T8",), lambda lam, p, a: [check_T8(lam, p, a.n_max)], 1),
     CheckSpec(("L9",), lambda lam, p, a: [check_L9(lam, a.n_max, a.k, a.cfg)], None,
               contour=True, takes=("k",)),
     CheckSpec(("C10",), lambda lam, p, a: [check_C10(lam, a.n_max, a.cfg)], None, contour=True),
     CheckSpec(("T11",), lambda lam, p, a: [check_T11(lam, p, a.n_max, a.cfg)], 1, contour=True),
-    CheckSpec(("T12",), lambda lam, p, a: [check_T12(lam, p, a.n_max, a.order)], 0),
+    CheckSpec(("T12",), lambda lam, p, a: [check_T12(lam, p, a.n_max)], 0),
     CheckSpec(("T13",), lambda lam, p, a: [check_T13(lam, a.n_max)], None),
     CheckSpec(("T14",), lambda lam, p, a: [check_T14(lam, p, a.n_max, a.order)], 0),
     CheckSpec(("T15",), lambda lam, p, a: [check_T15(lam, p, a.n_max, a.cfg, a.x_points)], 0,

@@ -25,24 +25,31 @@ GRID5 = GRID4 + (F(2),)
 # text of its meta note (the digest before was the Fraction schoolbook
 # kernel's, a479d6eb...da1e), and again when T12's counted middle-term
 # form was fixed in advance, which changed only the note and meta text of
-# its 20 verdicts (before: 834ea368...bc79)
-EXACT_VERDICTS_SHA256 = "285d34ea72c8728ea01c9713350dfcd499fffe31a1430f02e30aedcb35475fc6"
+# its 20 verdicts (before: 834ea368...bc79), and again when T2, T6, T8
+# and T12 stopped taking the series order they never used, which dropped
+# only the order key from the params of their 80 verdicts, T6k's
+# included (before: 285d34ea...5fc6)
+EXACT_VERDICTS_SHA256 = "60eb47216c8438d50ea0e107e2b4b84ba692557432967b1e8e58e3025f554414"
 # sha256 of the same report's summary plus the shape of every non-exact
 # verdict (see _shape_digest), recorded before the check registry replaced
 # the hand-written suite loop, skip list and six-route composite, and
 # re-recorded when S3's sampled band became the lattice with its proven
 # bound, which changed only S3's 16 numeric verdicts (mode, params and row
 # notes) and summary.config (mc_samples became moment_nodes; before:
-# 5c0db64e...3c61)
-SHAPE_SHA256 = "19073c17f8e4f90a653c31e68b0d94206fe55c540976ef2ef3a428853825cea1"
+# 5c0db64e...3c61), and again when T15 dropped x = 0, whose rows repeated
+# T4's float for float: T15's rows, params.x_points and
+# summary.grid.x_points lost x = 0 (before: 19073c17...cea1)
+SHAPE_SHA256 = "7dfb778fe0fd2e7c144ebb58e01b77556be7e6b58431bd4874678e759e04485f"
 # sha256 of the exact-mode verdicts of `suite --n-max 20 --order 34 --seed 42`
 # (228 of its 318 verdicts), serialised the same way: the numerators run
 # longest on this grid, so a slip in the integer sums shows here first.
 # Recorded with the Poly- and Fraction-by-term sums the kernels replaced;
 # re-recorded when T12's counted middle-term form was fixed in advance,
 # which changed only the note and meta text of its 20 verdicts (before:
-# 645aeede...21b7).
-DEEP_EXACT_VERDICTS_SHA256 = "1ec5bf66fdd4c88a900b4ddbe5f334b70ffee88fd9a027476178f7eefe68da73"
+# 645aeede...21b7), and again when T2, T6, T8 and T12 stopped taking the
+# series order, which dropped only that key from their params (before:
+# 1ec5bf66...da73).
+DEEP_EXACT_VERDICTS_SHA256 = "76d7bc002c98909bba29c3d516c92e8b9e444207335d590f2ac8bc232cff2fce"
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 

@@ -358,6 +358,18 @@ def test_suite_small_grid_exit_and_summary(capsys):
     assert report["summary"]["config"]["moment_nodes"] == 5000
 
 
+def test_suite_and_check_accept_an_order_that_only_series_checks_read(capsys):
+    # T2, T6, T8 and T12 build no series, so no order bound of theirs can fail a grid
+    code, out, err = run(capsys, "suite", "--lambdas=1/2", "--ps=0,3", "--n-max=6",
+                         "--order=7", "--moment-nodes=5000")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"]["required_pass"] is True
+    code, out, err = run(capsys, "check", "--id", "T6", "--lambda", "1/2", "--p", "2",
+                         "--n-max", "10", "--order", "11")
+    assert (code, err) == (0, "")
+    assert [v["id"] for v in json.loads(out)] == ["T6", "T6k"]
+
+
 def test_suite_config_records_every_flag(capsys):
     code, out, _ = run(capsys, "suite", "--lambdas", "1/2", "--ps", "1", "--n-max", "2",
                        "--order", "4", "--tol-rel", "1e-6", "--tol-abs", "1e-8",

@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import inspect
@@ -15,7 +16,7 @@ from fraction_kernel import read_poly
 from oracles import bell_oracle, stirling1_oracle, stirling2_oracle
 import truncbell
 from truncbell import sequences
-from truncbell.fps import Fps, Poly, lincomb, times_deg_exp_x
+from truncbell.fps import Fps, Poly, deg_exp, lincomb, times_deg_exp_x
 from truncbell.sequences import (
     CONSTRUCTION,
     Family,
@@ -230,40 +231,55 @@ def test_deg_bernoulli_lam_one_collapses():
             assert deg_bernoulli_num(n, r, Fraction(1)) == (1 if n == 0 else 0)
 
 
+def _bern_series(lam, r, depth):
+    """(t / (deformed exp - 1))**r through t^depth, built here."""
+    return (Fps.t(depth + 1) / (deg_exp(1, lam, depth + 1) - 1)) ** r
+
+
 @pytest.mark.parametrize("r", [1, 3])
 def test_deg_bernoulli_tables_grow_on_demand(r, monkeypatch):
-    # lambdas no other test uses, so both memos start cold
+    # a fresh memo in place of _bern_nums records the depth of every series
+    # it builds, and every deformed exponential the module builds is counted;
+    # lambdas no other test uses, so the polynomial memo starts cold
     lam, fresh = Fraction(-5, 11), Fraction(-7, 19)
-    builds = []
-    real = sequences._bern_base_pow
+    builds, exps = [], []
+    real = sequences._bern_nums.__wrapped__
+    real_exp = sequences.deg_exp
 
+    def counted_exp(*args):
+        exps.append(args[-1])
+        return real_exp(*args)
+
+    @functools.lru_cache(maxsize=None)
     def counted(*args):
         builds.append(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(sequences, "_bern_base_pow", counted)
+    monkeypatch.setattr(sequences, "_bern_nums", counted)
+    monkeypatch.setattr(sequences, "deg_exp", counted_exp)
     nums = [deg_bernoulli_num(n, r, lam) for n in range(13)]
     polys = [deg_bernoulli(n, r, lam) for n in range(13)]
     # asking again, or for a shallower n, rebuilds nothing
     assert deg_bernoulli_num(5, r, lam) == nums[5]
     assert deg_bernoulli(12, r, lam) == polys[12]
-    # every n <= 15 reads one series of depth 15, one per memo
-    assert builds == [15] * 2
-    # the n-th coefficient is the one a series of depth exactly n gives
+    # every n <= 15 reads one series of depth 15, and the polynomials build
+    # none of their own
+    assert (builds, exps) == ([15], [16])
+    # the n-th entry is the one a series of depth exactly n gives
     for n in range(13):
-        at_depth_n = real(lam, r, n)
+        at_depth_n = _bern_series(lam, r, n)
         assert nums[n] == at_depth_n.egf_coeff(n)
-        gf = times_deg_exp_x(at_depth_n, lam)[n] * factorial(n)
-        assert polys[n] == gf
+        assert polys[n] == times_deg_exp_x(at_depth_n, lam)[n] * factorial(n)
         assert polys[n](Fraction(0)) == nums[n]
     # a descending run builds depth 31 for n = 20, then 15 for n = 12 and
     # nothing more for n = 3, each value the one a depth-n series gives
     builds.clear()
+    exps.clear()
     for n in (20, 12, 3):
-        at_depth_n = real(fresh, r, n)
+        at_depth_n = _bern_series(fresh, r, n)
         assert deg_bernoulli_num(n, r, fresh) == at_depth_n.egf_coeff(n)
         assert deg_bernoulli(n, r, fresh) == times_deg_exp_x(at_depth_n, fresh)[n] * factorial(n)
-    assert builds == [31, 31, 15, 15]
+    assert (builds, exps) == ([31, 15], [32, 16])
 
 
 # ---------------------------------------------------------------- tables

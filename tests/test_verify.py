@@ -66,7 +66,7 @@ def _bump_at(fn, bad_n=3):
 
 def test_exact_checks_pass_on_valid_parameters():
     assert verify.check_T1(HALF, 2, 6, 8).status == "pass"
-    assert verify.check_T2(Fraction(-1, 3), 6, 8).status == "pass"
+    assert verify.check_T2(Fraction(-1, 3), 6).status == "pass"
     assert verify.check_P3(HALF, 0, 6).status == "pass"
     assert verify.check_P3(HALF, 3, 6).status == "pass"
     assert verify.check_P5a(HALF, 2, 6).status == "pass"
@@ -92,7 +92,7 @@ def test_combined_modified_family_checks_pass():
     assert (v14.mode, v16.mode) == ("exact", "exact")
     assert {v14.status, v15.status, v16.status} == {"pass"}
     assert v15.mode == "numeric"
-    assert v15.params["x_points"] == ["0", "1", "1/2"]
+    assert v15.params["x_points"] == ["1", "1/2"]
 
 
 def test_moment_check_exact_and_monte_carlo():
@@ -129,8 +129,6 @@ def test_checks_reject_bad_parameters():
     with pytest.raises(ValueError):
         verify.check_P5a(HALF, 0, 4)
     with pytest.raises(ValueError):
-        verify.check_T6(HALF, 2, 6, 7)  # order below n_max + p
-    with pytest.raises(ValueError):
         verify.check_T7(HALF, 0, 8)
     with pytest.raises(ValueError):
         verify.check_C10(Fraction(1), 4, CFG)
@@ -138,6 +136,35 @@ def test_checks_reject_bad_parameters():
         verify.check_T11(HALF, 0, 4, CFG)
     with pytest.raises(ValueError):
         verify.check_CSIX(HALF, 0, 4, CFG)
+
+
+def test_checks_that_read_no_series_accept_any_order():
+    # T2 and T6 read no series order (deg_bernoulli_num picks its own
+    # depth), so an order below n_max is no error
+    assert [v.status for v in run_check("T2", HALF, n_max=10, order=10)] == ["pass"]
+    verdicts = run_check("T6", HALF, p=2, n_max=6, order=0)
+    assert [(v.check_id, v.status) for v in verdicts] == [("T6", "fail"), ("T6k", "pass")]
+
+
+# the calls that only validate or record an argument, which is no use of it
+_RECORD_ONLY = {"_require", "_params", "_num_params", "_series_params"}
+
+
+def test_every_check_parameter_is_used():
+    # a parameter that a check only validates or copies into its params
+    # changes no verdict, so a check takes only the arguments it reads
+    module = ast.parse(Path(verify.__file__).read_text())
+    unused = []
+    for fn in module.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_")):
+            continue
+        skipped = {id(node) for call in ast.walk(fn) if isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name) and call.func.id in _RECORD_ONLY
+                   for node in ast.walk(call)}
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load) and id(node) not in skipped}
+        unused += [f"{fn.name}({arg.arg})" for arg in fn.args.args if arg.arg not in read]
+    assert unused == []
 
 
 def test_contour_parameters_are_checked_before_the_branch_floor():
@@ -197,12 +224,12 @@ def test_numeric_config_validation():
 
 EXACT_CONTROLS = [
     ("T1", "trunc_bell_deg", lambda: verify.check_T1(HALF, 2, 6, 8)),
-    ("T2", "deg_bernoulli_num", lambda: verify.check_T2(HALF, 6, 8)),
+    ("T2", "deg_bernoulli_num", lambda: verify.check_T2(HALF, 6)),
     ("P3", "stirling2_deg", lambda: verify.check_P3(HALF, 2, 6)),
     ("P3-p0", "stirling2_deg", lambda: verify.check_P3(HALF, 0, 6)),
     ("P5a", "stirling2_deg", lambda: verify.check_P5a(HALF, 2, 6)),
     ("P5b", "trunc_bell_deg", lambda: verify.check_P5b(HALF, 2, 10)),
-    ("T6k", "deg_bernoulli_num", lambda: verify.check_T6(HALF, 2, 6, 8)[1]),
+    ("T6k", "deg_bernoulli_num", lambda: verify.check_T6(HALF, 2, 6)[1]),
     ("T7", "trunc_bell_deg", lambda: verify.check_T7(HALF, 2, 10)),
     ("T8", "bell_deg", lambda: verify.check_T8(HALF, 2, 6)),
     ("T12", "trunc_bell_deg", lambda: verify.check_T12(HALF, 1, 6)),
@@ -248,11 +275,12 @@ def test_numeric_checkers_fail_on_perturbed_tables(label, attr, runner, monkeypa
     (lambda: verify.check_T8(HALF, 2, 10), 66),
     (lambda: verify.check_P3(HALF, 2, 10), 66),
     (lambda: verify.check_P5a(HALF, 2, 10), 66),
-    (lambda: verify.check_CSIX(HALF, 2, 10, CFG), 4 * 66),
+    (lambda: verify.check_CSIX(HALF, 2, 10, CFG), 3 * 66),
 ], ids=["T8", "P3", "P5a", "C-SIX"])
 def test_exact_routes_read_each_triangle_entry_once(runner, calls, monkeypatch):
     # a row route reads S2deg(n, k) once for each of the 11*12/2 entries with
-    # n <= 10; C-SIX runs the P3, P5a, T8 and S3 routes once each
+    # n <= 10; C-SIX runs the P3, P5a and T8 routes once each, and its moment
+    # route 6 is P3's
     count = 0
     original = sequences.stirling2_deg
 
@@ -470,7 +498,7 @@ def test_deep_contour_rows_fail_only_where_known():
 
 
 def test_conflicting_variant_is_detected_and_reported():
-    fixed, running = verify.check_T6(HALF, 3, 6, 10)
+    fixed, running = verify.check_T6(HALF, 3, 6)
     assert fixed.check_id == "T6" and fixed.status == "fail"
     assert running.check_id == "T6k" and running.status == "pass"
     record = verify._adjudication_record([fixed, running])
@@ -481,15 +509,15 @@ def test_conflicting_variant_is_detected_and_reported():
 def test_variants_coincide_when_correction_sum_is_degenerate():
     # p <= 1 leaves at most one correction term, where both readings agree
     for p in (0, 1):
-        fixed, running = verify.check_T6(HALF, p, 6, 8)
+        fixed, running = verify.check_T6(HALF, p, 6)
         assert fixed.status == "pass"
         assert running.status == "pass"
-    record = verify._adjudication_record(verify.check_T6(HALF, 1, 6, 8))
+    record = verify._adjudication_record(verify.check_T6(HALF, 1, 6))
     assert record["selected"] == "both"
 
 
 def test_adjudication_never_drives_exit_code():
-    failing_variant = verify.check_T6(HALF, 3, 6, 10)[0]
+    failing_variant = verify.check_T6(HALF, 3, 6)[0]
     passing = verify.check_T1(HALF, 2, 6, 8)
     assert failing_variant.status == "fail"
     assert exit_code_for([failing_variant, passing]) == 0
