@@ -32,14 +32,19 @@ another: the modified family's exact checks T14 and T16 run no float code,
 and T15 reads the family through its public function as they do. Every
 verdict, numeric ones included, is built by one _Collector.
 
-The exact routes of the six-expression composite C-SIX belong to the checks
-P3, P5a and T8, and each is a row function: one call returns the route's
-values for n = 0..n_max and computes every factor that depends on k or m
-alone (beta values, alternating weights, T8's inner sums, the plain family
-at x = 1) once. C-SIX calls each row function once and compares its rows.
-The paper's moment sum, route 6, is route 1 itself: the k-th moment of the
-density p(1-x)^(p-1) is B(k+1, p)/B(1, p) = p B(k+1, p), P3's weight, so
-C-SIX compares P3's row for it and S3's exact half reads P3's route too.
+The six-expression composite C-SIX is an exact verdict over the three
+exact routes of the paper's closing display, which belong to the checks P3
+(route 1), P5a (route 3) and T8 (route 4). Each is a row function over the
+degenerate Stirling triangle, read once per call by _triangle: one call
+returns the route's values for n = 0..n_max and computes every factor that
+depends on k or m alone (beta values, alternating weights, T8's inner
+sums, the plain family at x = 1) once. C-SIX reads the triangle once,
+calls each row function once and compares its rows. The other three
+expressions are not compared again here: T4 checks the double series
+(route 2) and T11 the contour integral (route 5), and the moment sum
+(route 6) is route 1 itself, since the k-th moment of the density
+p(1-x)^(p-1) is B(k+1, p)/B(1, p) = p B(k+1, p), P3's weight; S3's exact
+half reads P3's route for the same reason.
 Every finite sum of an exact route, scalar or polynomial, is one fps.dot
 or fps.lincomb call over the entries it reads, each term passed as its
 factors (binomials, entries, weights) rather than as their product, so no
@@ -265,11 +270,15 @@ def _truncated(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
     return [seq.trunc_bell_deg(n, p, lam)(Fraction(1)) for n in range(n_max + 1)]
 
 
-def _stirling_sums(lam: Fraction, weights: list) -> list[Fraction]:
-    """sum_k S2deg(n, k) weights[k] for n = 0..len(weights)-1, reading the
-    triangle through the public function one entry at a time."""
-    return [dot((seq.stirling2_deg(n, k, lam), weights[k]) for k in range(n + 1))
-            for n in range(len(weights))]
+def _triangle(lam: Fraction, n_max: int) -> list[list[Fraction]]:
+    """The rows n = 0..n_max of the degenerate Stirling triangle, read
+    through the public function one entry at a time."""
+    return [[seq.stirling2_deg(n, k, lam) for k in range(n + 1)] for n in range(n_max + 1)]
+
+
+def _stirling_sums(rows: list, weights: list) -> list[Fraction]:
+    """sum_k S2deg(n, k) weights[k] for each triangle row n."""
+    return [dot(zip(row, weights)) for row in rows]
 
 
 # --------------------------------------------------------------------------
@@ -303,11 +312,11 @@ def check_T2(lam, n_max: int) -> Verdict:
     return col.verdict("T2", _params(lam, n_max=n_max))
 
 
-def _beta_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
-    """P3 for n = 0..n_max: sum_k S2deg(n, k) p B(k+1, p). At p = 0 the
+def _beta_route(rows: list, p: int) -> list[Fraction]:
+    """P3 over the triangle rows: sum_k S2deg(n, k) p B(k+1, p). At p = 0 the
     weight is its limit 1 (p B(k+1, p) -> 1), so the sum is the row sum of
     the triangle, the plain family at x = 1."""
-    return _stirling_sums(lam, [p * beta_exact(k + 1, p) if p else 1 for k in range(n_max + 1)])
+    return _stirling_sums(rows, [p * beta_exact(k + 1, p) if p else 1 for k in range(len(rows))])
 
 
 def check_P3(lam, p: int, n_max: int) -> Verdict:
@@ -319,16 +328,16 @@ def check_P3(lam, p: int, n_max: int) -> Verdict:
     lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
     col = _Collector()
-    col.scalars(_beta_route(lam, p, n_max), _truncated(lam, p, n_max))
+    col.scalars(_beta_route(_triangle(lam, n_max), p), _truncated(lam, p, n_max))
     return col.verdict("P3", _params(lam, p=p, n_max=n_max))
 
 
-def _alternating_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
-    """P5a for n = 0..n_max: sum_k S2deg(n, k) sum_{m<p} (m+1) C(p, m+1) (-1)^m / (k+m+1)."""
+def _alternating_route(rows: list, p: int) -> list[Fraction]:
+    """P5a over the triangle rows: sum_k S2deg(n, k) sum_{m<p} (m+1) C(p, m+1) (-1)^m / (k+m+1)."""
     weights = [dot(((-1) ** m * (m + 1) * comb(p, m + 1), Fraction(1, k + m + 1))
                    for m in range(p))
-               for k in range(n_max + 1)]
-    return _stirling_sums(lam, weights)
+               for k in range(len(rows))]
+    return _stirling_sums(rows, weights)
 
 
 def check_P5a(lam, p: int, n_max: int) -> Verdict:
@@ -337,7 +346,7 @@ def check_P5a(lam, p: int, n_max: int) -> Verdict:
     lam = as_fraction(lam)
     _require(p >= 1, f"the double-sum form needs p >= 1, got {p}")
     col = _Collector()
-    col.scalars(_alternating_route(lam, p, n_max), _truncated(lam, p, n_max))
+    col.scalars(_alternating_route(_triangle(lam, n_max), p), _truncated(lam, p, n_max))
     return col.verdict("P5a", _params(lam, p=p, n_max=n_max))
 
 
@@ -445,12 +454,13 @@ def check_T7(lam, p: int, order: int) -> Verdict:
     return col.verdict("T7", _params(lam, p=p, order=order))
 
 
-def _convolution_route(lam: Fraction, p: int, n_max: int) -> list[Fraction]:
-    """T8 for n = 0..n_max: p * sum_m C(n, m) [sum_l (-1)^l S2deg(m, l) / (p+l)] Bell_{n-m}(1)."""
-    inner = _stirling_sums(lam, [Fraction((-1) ** l, p + l) for l in range(n_max + 1)])
-    bell_at_1 = [seq.bell_deg(j, lam)(Fraction(1)) for j in range(n_max + 1)]
+def _convolution_route(lam: Fraction, rows: list, p: int) -> list[Fraction]:
+    """T8 over the triangle rows:
+    p * sum_m C(n, m) [sum_l (-1)^l S2deg(m, l) / (p+l)] Bell_{n-m}(1)."""
+    inner = _stirling_sums(rows, [Fraction((-1) ** l, p + l) for l in range(len(rows))])
+    bell_at_1 = [seq.bell_deg(j, lam)(Fraction(1)) for j in range(len(rows))]
     return [dot((p, comb(n, m), inner[m], bell_at_1[n - m]) for m in range(n + 1))
-            for n in range(n_max + 1)]
+            for n in range(len(rows))]
 
 
 def check_T8(lam, p: int, n_max: int) -> Verdict:
@@ -459,7 +469,7 @@ def check_T8(lam, p: int, n_max: int) -> Verdict:
     lam = as_fraction(lam)
     _require(p >= 1, f"the double-sum convolution needs p >= 1, got {p}")
     col = _Collector()
-    col.scalars(_convolution_route(lam, p, n_max), _truncated(lam, p, n_max))
+    col.scalars(_convolution_route(lam, _triangle(lam, n_max), p), _truncated(lam, p, n_max))
     return col.verdict("T8", _params(lam, p=p, n_max=n_max))
 
 
@@ -488,35 +498,27 @@ def _require_contour_grid(n_max: int, cfg: NumericConfig) -> None:
              f"got n_max = {n_max}")
 
 
-def _contour_route(lam: Fraction, n_max: int, cfg: NumericConfig, integrand):
-    """n! times the n-th coefficient, n = 0..n_max, of the function whose
-    values at the trapezoid nodes of the unit circle are integrand(z),
-    z = e_lam(u) - 1, and the floor min |1 + lam*u| over the nodes; the
-    coefficients are None when the floor is under the branch guard."""
-    _require(abs(lam) < 1, f"contour checks need |lambda| < 1, got {lam}")
-    _require_contour_grid(n_max, cfg)
-    z, floor = circle_data(lam, cfg.quad_nodes)
-    if floor < _BRANCH_FLOOR:
-        return None, floor
-    return contour_coeffs(integrand(z), n_max), floor
-
-
 def _contour_check(check_id: str, lam: Fraction, n_max: int, cfg: NumericConfig, integrand,
                    rows, **extra) -> Verdict:
     """Contour quadrature on the unit circle, for n >= 1 and |lam| < 1:
-    rows(c) yields (n, k, approx, exact) from the coefficients c that
-    _contour_route reads off integrand."""
+    rows(c) yields (n, k, approx, exact) from c, n! times the n-th
+    coefficient, n = 0..n_max, of the function whose values at the
+    trapezoid nodes are integrand(z), z = e_lam(u) - 1. When the floor
+    min |1 + lam*u| over the nodes is under the branch guard, the verdict
+    is one inconclusive meta row."""
     _require(n_max >= 1, _CONTOUR_N_MIN)
-    coeffs, floor = _contour_route(lam, n_max, cfg, integrand)
+    _require(abs(lam) < 1, f"contour checks need |lambda| < 1, got {lam}")
+    _require_contour_grid(n_max, cfg)
+    z, floor = circle_data(lam, cfg.quad_nodes)
     ncol = _Collector(cfg)
-    if coeffs is None:
+    if floor < _BRANCH_FLOOR:
         ncol.ok = False
         ncol.meta(
             "inconclusive-fail: contour approaches the branch point, "
             f"min |1 + lambda*u| = {floor:.3e}"
         )
     else:
-        for n, k, approx, exact in rows(coeffs):
+        for n, k, approx, exact in rows(contour_coeffs(integrand(z), n_max)):
             ncol.compare(n, approx, float(exact), k=k)
     params = _num_params(lam, cfg, n_max=n_max, quad_nodes=cfg.quad_nodes, **extra)
     return ncol.verdict(check_id, params)
@@ -694,7 +696,8 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     p(1-x)^(p-1): exactly through its moments E[X^k] = p B(k+1, p), which
     are P3's weights, so the exact half is P3's route (_beta_route); then
     numerically over the centred lattice of numeric.lattice_moments with
-    N = cfg.moment_nodes, the independent evidence.
+    N = cfg.moment_nodes, the independent evidence. Both halves read one
+    copy of the triangle.
 
     Row n is E[g(X)] for g(x) = sum_k c_k x^k, c_k = S2deg(n, k). The
     variation of g on [0, 1] is at most V = sum_{k>=1} |c_k|, so the
@@ -705,17 +708,17 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
     disproves the identity up to the rounding model stated there."""
     lam = as_fraction(lam)
     _require(p >= 1, f"the moment identity needs p >= 1, got {p}")
+    rows = _triangle(lam, n_max)
     targets = _truncated(lam, p, n_max)
     col = _Collector()
-    col.scalars(_beta_route(lam, p, n_max), targets)
+    col.scalars(_beta_route(rows, p), targets)
     v_exact = col.verdict("S3", _params(lam, p=p, n_max=n_max))
 
     nodes = cfg.moment_nodes
     moments = lattice_moments(p, nodes, n_max)
     gamma = lattice_rounding(nodes, n_max)
     ncol = _Collector(cfg)
-    for n in range(n_max + 1):
-        coeffs = [seq.stirling2_deg(n, k, lam) for k in range(n + 1)]
+    for n, coeffs in enumerate(rows):
         total = dot((abs(c), 1) for c in coeffs)
         bound = float(total - abs(coeffs[0])) / (2 * nodes) + gamma * float(total)
         ncol.bounded(n, np.array(coeffs, dtype=float) @ moments[:n + 1], targets[n], bound)
@@ -728,47 +731,30 @@ def check_S3(lam, p: int, n_max: int, cfg: NumericConfig) -> list[Verdict]:
 
 _CSIX_ROUTES = {
     1: "unit-interval integral of the plain polynomial family",
-    2: "double-series representation (numeric)",
     3: "alternating finite double sum",
     4: "convolution with plain-family values",
-    5: "contour quadrature (numeric)",
-    6: "distribution-moment sum",
 }
 
 
-def check_CSIX(lam, p: int, n_max: int, cfg: NumericConfig) -> Verdict:
-    """All six closing expressions for the truncated numbers against the
-    basis construction, each route computed by the function its own check
-    uses: exact routes must match exactly, numeric routes within tolerance.
-    Route 6, the moment sum, is route 1's row (see the module docstring).
-    The detail k field carries the route number."""
+def check_CSIX(lam, p: int, n_max: int) -> Verdict:
+    """The exact closing expressions for the truncated numbers, routes 1, 3
+    and 4, against the basis construction, each route computed by the row
+    function its own check uses over one read of the triangle. Route 2 is
+    T4's verdict, route 5 T11's, and route 6 is route 1 (see the module
+    docstring); one meta row says so. The detail k field carries the route
+    number."""
     lam = as_fraction(lam)
     _require(p >= 1, f"the six-expression display needs p >= 1, got {p}")
-    ncol = _Collector(cfg)
-    contour = None
-    if abs(lam) < 1:
-        contour, _ = _contour_route(lam, n_max, cfg, lambda z: contour_bracket(z, p))
-        ncol.meta("route 5 skipped: contour approaches the branch point" if contour is None
-                  else "route 5 evaluated for n >= 1 only: the contour form needs positive n")
-    else:
-        ncol.meta("route 5 skipped: |lambda| >= 1 keeps the contour off the principal branch")
-
-    beta = _beta_route(lam, p, n_max)
-    alternating = _alternating_route(lam, p, n_max)
-    convolution = _convolution_route(lam, p, n_max)
-    targets = _truncated(lam, p, n_max)
-    for n, series, tail in double_series(lam, p, n_max, cfg):
-        ref = targets[n]
-        ncol.scalar(n, beta[n], ref, 1, _CSIX_ROUTES[1])
-        ncol.compare(n, series, ref, k=2, label=_CSIX_ROUTES[2], tail=tail)
-        ncol.scalar(n, alternating[n], ref, 3, _CSIX_ROUTES[3])
-        ncol.scalar(n, convolution[n], ref, 4, _CSIX_ROUTES[4])
-        if contour is not None and n >= 1:
-            ncol.compare(n, contour[n], ref, k=5, label=_CSIX_ROUTES[5])
-        ncol.scalar(n, beta[n], ref, 6, _CSIX_ROUTES[6])
-
-    params = _series_params(lam, cfg, p=p, n_max=n_max, quad_nodes=cfg.quad_nodes)
-    return ncol.verdict("C-SIX", params)
+    rows = _triangle(lam, n_max)
+    routes = {1: _beta_route(rows, p), 3: _alternating_route(rows, p),
+              4: _convolution_route(lam, rows, p)}
+    col = _Collector()
+    col.meta("route 2 is checked by T4, route 5 by T11, and route 6, the moment sum, "
+             "is route 1")
+    for n, ref in enumerate(_truncated(lam, p, n_max)):
+        for route, values in routes.items():
+            col.scalar(n, values[n], ref, route, _CSIX_ROUTES[route])
+    return col.verdict("C-SIX", _params(lam, p=p, n_max=n_max))
 
 
 # --------------------------------------------------------------------------
@@ -836,7 +822,7 @@ CHECKS = (
               takes=("x_points",)),
     CheckSpec(("T16",), lambda lam, p, a: [check_T16(lam, p, a.n_max)], 0),
     CheckSpec(("S3",), lambda lam, p, a: check_S3(lam, p, a.n_max, a.cfg), 1),
-    CheckSpec(("C-SIX",), lambda lam, p, a: [check_CSIX(lam, p, a.n_max, a.cfg)], 1),
+    CheckSpec(("C-SIX",), lambda lam, p, a: [check_CSIX(lam, p, a.n_max)], 1),
 )
 
 KNOWN_CHECK_IDS = tuple(i for c in CHECKS for i in c.ids)

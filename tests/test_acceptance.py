@@ -20,7 +20,7 @@ F = Fraction
 GRID4 = (F(0), F(1), F(1, 2), F(-1, 3))
 GRID5 = GRID4 + (F(2),)
 # sha256 of the exact-mode verdicts of `suite --seed 42`,
-# serialised by verify.verdicts_to_json_text (228 verdicts); re-recorded
+# serialised by verify.verdicts_to_json_text (244 verdicts); re-recorded
 # when P5b's incomplete-gamma guard became exact, which changed only the
 # text of its meta note (the digest before was the Fraction schoolbook
 # kernel's, a479d6eb...da1e), and again when T12's counted middle-term
@@ -28,8 +28,10 @@ GRID5 = GRID4 + (F(2),)
 # its 20 verdicts (before: 834ea368...bc79), and again when T2, T6, T8
 # and T12 stopped taking the series order they never used, which dropped
 # only the order key from the params of their 80 verdicts, T6k's
-# included (before: 285d34ea...5fc6)
-EXACT_VERDICTS_SHA256 = "60eb47216c8438d50ea0e107e2b4b84ba692557432967b1e8e58e3025f554414"
+# included (before: 285d34ea...5fc6), and again when C-SIX became an exact
+# verdict over routes 1, 3 and 4, which added its 16 verdicts, each an
+# exact pass with one meta row, to the 228 before (before: 60eb4721...4414)
+EXACT_VERDICTS_SHA256 = "da8d7e1096de80f96e695fac4d7b7f8c98c3c500baa96e63381d5bee741159f5"
 # sha256 of the same report's summary plus the shape of every non-exact
 # verdict (see _shape_digest), recorded before the check registry replaced
 # the hand-written suite loop, skip list and six-route composite, and
@@ -38,18 +40,23 @@ EXACT_VERDICTS_SHA256 = "60eb47216c8438d50ea0e107e2b4b84ba692557432967b1e8e58e30
 # notes) and summary.config (mc_samples became moment_nodes; before:
 # 5c0db64e...3c61), and again when T15 dropped x = 0, whose rows repeated
 # T4's float for float: T15's rows, params.x_points and
-# summary.grid.x_points lost x = 0 (before: 19073c17...cea1)
-SHAPE_SHA256 = "7dfb778fe0fd2e7c144ebb58e01b77556be7e6b58431bd4874678e759e04485f"
+# summary.grid.x_points lost x = 0 (before: 19073c17...cea1), and again
+# when C-SIX became an exact verdict and stopped repeating T4's and T11's
+# rows, which took its 16 verdicts out of the numeric shapes; the summary
+# did not change (before: 7dfb778f...485f)
+SHAPE_SHA256 = "6a09060bfaa43effd14bb8efbb9955168a20413c1ef0a4ea50c3632aed3a778a"
 # sha256 of the exact-mode verdicts of `suite --n-max 20 --order 34 --seed 42`
-# (228 of its 318 verdicts), serialised the same way: the numerators run
+# (244 of its 318 verdicts), serialised the same way: the numerators run
 # longest on this grid, so a slip in the integer sums shows here first.
 # Recorded with the Poly- and Fraction-by-term sums the kernels replaced;
 # re-recorded when T12's counted middle-term form was fixed in advance,
 # which changed only the note and meta text of its 20 verdicts (before:
 # 645aeede...21b7), and again when T2, T6, T8 and T12 stopped taking the
 # series order, which dropped only that key from their params (before:
-# 1ec5bf66...da73).
-DEEP_EXACT_VERDICTS_SHA256 = "76d7bc002c98909bba29c3d516c92e8b9e444207335d590f2ac8bc232cff2fce"
+# 1ec5bf66...da73), and again when C-SIX became an exact verdict over
+# routes 1, 3 and 4, which added its 16 exact passes (before:
+# 76d7bc00...2fce).
+DEEP_EXACT_VERDICTS_SHA256 = "5191d117a228a2bbb904df6dee411f42d572d575c65e325fd30ab66a3a2f46f4"
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -229,10 +236,8 @@ def test_criterion_11_adjudication_record(capsys):
 
 
 def test_criterion_12_six_route_consensus(capsys):
-    cfg = NumericConfig()
-
     def body():
-        _all_pass([verify.check_CSIX(lam, p, 8, cfg)
+        _all_pass([verify.check_CSIX(lam, p, 8)
                    for lam in (F(0), F(1, 3)) for p in (1, 2, 3)])
     criterion(capsys, 12, "six-route consensus (C-SIX)", body)
 

@@ -1,6 +1,8 @@
-"""The README's check catalog must list the CHECKS registry as it is, and
-its library example must run against the package as it is."""
+"""The README's check catalog must list the CHECKS registry as it is, with
+the verdict modes each id emits, and its library example must run against
+the package as it is."""
 
+from fractions import Fraction
 from pathlib import Path
 
 from truncbell import verify
@@ -21,14 +23,26 @@ def _catalog_rows() -> list[dict]:
     return [dict(zip(header, row)) for row in body]
 
 
+def _modes_emitted(check_id: str, spec) -> set:
+    """The verdict modes check_id emits at one small point inside every
+    check's domain."""
+    p = None if spec.p_min is None else max(spec.p_min, 2)
+    verdicts = verify.run_check(check_id, Fraction(1, 2), p=p, n_max=4, order=8,
+                                cfg=verify.NumericConfig(moment_nodes=1000))
+    return {v.mode for v in verdicts if v.check_id == check_id}
+
+
 def test_readme_catalog_matches_registry():
     rows = _catalog_rows()
     assert [row["id"].strip("`") for row in rows] == list(verify.KNOWN_CHECK_IDS)
     spec_of = {i: spec for spec in verify.CHECKS for i in spec.ids}
     for row in rows:
-        spec = spec_of[row["id"].strip("`")]
+        check_id = row["id"].strip("`")
+        spec = spec_of[check_id]
         assert row["p"] == ("none" if spec.p_min is None else f"≥ {spec.p_min}"), row
         assert row["λ domain"] == ("-1 < λ < 1" if spec.contour else "all"), row
+        named = {mode for mode in ("exact", "numeric") if mode in row["second route"]}
+        assert named == _modes_emitted(check_id, spec), row
 
 
 def test_readme_library_example_runs(capsys):

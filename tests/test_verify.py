@@ -104,20 +104,28 @@ def test_moment_check_exact_and_monte_carlo():
     assert v_lattice.params == {"lambda": "1/2", "p": 2, "n_max": 5, "moment_nodes": 1000}
 
 
+_CSIX_META = [{"n": -1, "k": -1, "lhs": "", "rhs": "", "note":
+               "route 2 is checked by T4, route 5 by T11, and route 6, the "
+               "moment sum, is route 1"}]
+
+
 def test_six_route_composite_passes():
-    v = verify.check_CSIX(THIRD, 2, 6, CFG)
-    assert v.status == "pass"
-    routes = {row["k"] for row in v.details if row["n"] >= 0}
-    assert routes == {2, 5}  # exact routes record rows only on mismatch
-    assert any(row["n"] == -1 for row in v.details)  # route-5 range note
+    # an exact verdict over routes 1, 3 and 4, which record rows only on a
+    # mismatch
+    v = verify.check_CSIX(THIRD, 2, 6)
+    assert (v.mode, v.status, v.max_residual) == ("exact", "pass", 0.0)
+    assert v.params == {"lambda": "1/3", "p": 2, "n_max": 6}
+    assert v.details == _CSIX_META
 
 
 def test_six_route_composite_skips_contour_outside_domain():
-    v = verify.check_CSIX(Fraction(2), 1, 4, CFG)
-    assert v.status == "pass"
-    notes = [row["note"] for row in v.details if row["n"] == -1]
-    assert any("route 5 skipped" in note for note in notes)
-    assert not any(row["k"] == 5 for row in v.details if row["n"] >= 0)
+    # C-SIX runs no contour route, so outside the contour domain (lambda = 2)
+    # it skips nothing and reaches the same exact verdict
+    v = verify.check_CSIX(Fraction(2), 1, 4)
+    assert (v.mode, v.status, v.max_residual) == ("exact", "pass", 0.0)
+    assert v.params == {"lambda": "2", "p": 1, "n_max": 4}
+    assert v.details == _CSIX_META
+    assert not any("skipped" in row["note"] for row in v.details)
 
 
 # ---------------------------------------------------------------- parameter validation
@@ -135,7 +143,7 @@ def test_checks_reject_bad_parameters():
     with pytest.raises(ValueError):
         verify.check_T11(HALF, 0, 4, CFG)
     with pytest.raises(ValueError):
-        verify.check_CSIX(HALF, 0, 4, CFG)
+        verify.check_CSIX(HALF, 0, 4)
 
 
 def test_checks_that_read_no_series_accept_any_order():
@@ -240,6 +248,7 @@ EXACT_CONTROLS = [
     ("T14-conv", "trunc_bell_deg", lambda: verify.check_T14(HALF, 2, 6, 8)),
     ("T16", "trunc_mod_bell_deg", lambda: verify.check_T16(HALF, 2, 6)),
     ("S3", "trunc_bell_deg", lambda: verify.check_S3(HALF, 2, 5, FAST_CFG)[0]),
+    ("C-SIX", "stirling2_deg", lambda: verify.check_CSIX(THIRD, 2, 6)),
 ]
 
 NUMERIC_CONTROLS = [
@@ -249,7 +258,6 @@ NUMERIC_CONTROLS = [
     ("T11", "trunc_bell_deg", lambda: verify.check_T11(THIRD, 2, 6, CFG)),
     ("T15", "trunc_mod_bell_deg", lambda: verify.check_T15(HALF, 2, 6, CFG)),
     ("S3-mc", "trunc_bell_deg", lambda: verify.check_S3(HALF, 2, 5, FAST_CFG)[1]),  # the lattice
-    ("C-SIX", "stirling2_deg", lambda: verify.check_CSIX(THIRD, 2, 6, CFG)),
 ]
 
 
@@ -275,12 +283,13 @@ def test_numeric_checkers_fail_on_perturbed_tables(label, attr, runner, monkeypa
     (lambda: verify.check_T8(HALF, 2, 10), 66),
     (lambda: verify.check_P3(HALF, 2, 10), 66),
     (lambda: verify.check_P5a(HALF, 2, 10), 66),
-    (lambda: verify.check_CSIX(HALF, 2, 10, CFG), 3 * 66),
-], ids=["T8", "P3", "P5a", "C-SIX"])
+    (lambda: verify.check_CSIX(HALF, 2, 10), 66),
+    (lambda: verify.check_S3(HALF, 2, 10, FAST_CFG)[0], 66),
+], ids=["T8", "P3", "P5a", "C-SIX", "S3"])
 def test_exact_routes_read_each_triangle_entry_once(runner, calls, monkeypatch):
     # a row route reads S2deg(n, k) once for each of the 11*12/2 entries with
-    # n <= 10; C-SIX runs the P3, P5a and T8 routes once each, and its moment
-    # route 6 is P3's
+    # n <= 10; C-SIX runs the P3, P5a and T8 routes over one read of the
+    # triangle, and S3's exact and lattice halves share one read
     count = 0
     original = sequences.stirling2_deg
 
@@ -340,7 +349,7 @@ def test_cold_finite_sums_do_no_fraction_arithmetic(monkeypatch):
                 sequences.trunc_mod_bell_deg(n, p, lam)
             for l in range(n + 1):
                 sequences.stirling2_deg_poly(n, l, lam)
-        verify._convolution_route(lam, 2, 12)
+        verify._convolution_route(lam, verify._triangle(lam, 12), 2)
     assert calls == []
 
 
@@ -439,7 +448,6 @@ def test_contour_coeffs_reads_every_coefficient_from_one_transform(values, n_max
 @pytest.mark.parametrize("check_id,lam,p,n_max", [
     ("T11", HALF, 120, 3),
     ("T11", -THIRD, 400, 10),
-    ("C-SIX", HALF, 120, 3),
 ])
 def test_contour_bracket_holds_at_large_truncation_index(check_id, lam, p, n_max):
     # p!/(m+p)! is formed as a product of ratios, so no factorial has to fit
@@ -448,7 +456,7 @@ def test_contour_bracket_holds_at_large_truncation_index(check_id, lam, p, n_max
     assert v.status == "pass"
 
 
-@pytest.mark.parametrize("check_id", ["L9", "C10", "T11", "C-SIX"])
+@pytest.mark.parametrize("check_id", ["L9", "C10", "T11"])
 def test_contour_routes_reject_node_counts_that_alias(check_id):
     # coefficient n of the N-node rule aliases with coefficient N - n, and
     # n = N/2 reads the Nyquist term, which carries no sine part
@@ -458,7 +466,7 @@ def test_contour_routes_reject_node_counts_that_alias(check_id):
     run_check(check_id, HALF, n_max=10, cfg=NumericConfig(quad_nodes=22), **args)
 
 
-@pytest.mark.parametrize("check_id", ["L9", "C10", "T11", "C-SIX"])
+@pytest.mark.parametrize("check_id", ["L9", "C10", "T11"])
 def test_contour_routes_reject_n_max_beyond_float_factorials(check_id):
     # every coefficient is scaled by n!, and 171! overflows a float
     with pytest.raises(ValueError, match="n_max <= 170, where n! fits in a float, got n_max = 171"):
@@ -828,6 +836,20 @@ def test_suite_has_exactly_one_adjudication_record(small_report):
     assert len(records) == 1
     assert records[0]["checked"] == ["T6", "T6k"]
     assert records[0]["selected"] == "T6k"
+
+
+def test_no_numeric_verdict_repeats_another_verdicts_rows(small_report):
+    # a numeric verdict whose data rows all recur, n, lhs and rhs alike, in
+    # another verdict at the same (lambda, p) checks nothing that one does not
+    report, _ = small_report
+    rows = [((v.params["lambda"], v.params.get("p")),
+             {(r["n"], r["lhs"], r["rhs"]) for r in v.details if r["n"] >= 0}, v)
+            for v in report.verdicts]
+    repeated = [(v.check_id, other.check_id, point)
+                for point, mine, v in rows if v.mode == "numeric" and mine
+                for other_point, theirs, other in rows
+                if other is not v and other_point == point and mine <= theirs]
+    assert repeated == []
 
 
 def test_suite_ordering_is_deterministic(small_report):
