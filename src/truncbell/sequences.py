@@ -44,8 +44,9 @@ it against brute-force set-partition enumeration before anything builds
 on it.
 
 Each table family is one FAMILIES entry (plus its Family member): the
-entry names the function that fills the table, the parameters it takes,
-and its shape, so adding a family means adding one entry.
+entry gives the function that fills the table and its shape, and the
+function's parameters after the entry's indices are the family's
+parameters, so adding a family means adding one entry.
 
 All functions memoize whole rows keyed by (family parameters, n), and
 every memo holds one immutable value, built of tuples, ints, Fractions,
@@ -85,8 +86,10 @@ build_table reads the public functions too and keeps no finished table.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -429,28 +432,34 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """How a family's table is filled: `source` names the public function
-    that computes one entry (its CONSTRUCTION key), called as
-    source(n, [k,] *params) with `params` in its positional order."""
+    """How a family's table is filled: `source` is the public function that
+    computes one entry, source(n, [k,] *params), and its name is the
+    entry's CONSTRUCTION key. A triangular family's second parameter is the
+    column index. build_table calls `source` through its module-level name,
+    so rebinding the function reaches the tables too; params are read from
+    the function given here."""
 
-    source: str
-    params: tuple = ()  # drawn from "lam", "p", "r"
+    source: Callable
     triangular: bool = False
-    poly_valued: bool = False
+
+    @property
+    def params(self) -> tuple:
+        """The source's parameter names after n (and the column index), each
+        one of lam, p and r."""
+        return tuple(inspect.signature(self.source).parameters)[2 if self.triangular else 1:]
 
 
 FAMILIES: dict[Family, FamilySpec] = {
-    Family.S1: FamilySpec("stirling1", triangular=True),
-    Family.S2: FamilySpec("stirling2", triangular=True),
-    Family.S1deg: FamilySpec("stirling1_deg", ("lam",), triangular=True),
-    Family.S2deg: FamilySpec("stirling2_deg", ("lam",), triangular=True),
-    Family.S2degPoly: FamilySpec("stirling2_deg_poly", ("lam",), triangular=True,
-                                 poly_valued=True),
-    Family.BernoulliDeg: FamilySpec("deg_bernoulli", ("r", "lam"), poly_valued=True),
-    Family.BellDeg: FamilySpec("bell_deg", ("lam",), poly_valued=True),
-    Family.TruncBellDeg: FamilySpec("trunc_bell_deg", ("p", "lam"), poly_valued=True),
-    Family.TruncModBellDeg: FamilySpec("trunc_mod_bell_deg", ("p", "lam"), poly_valued=True),
-    Family.BellClassical: FamilySpec("bell_classical"),
+    Family.S1: FamilySpec(stirling1, triangular=True),
+    Family.S2: FamilySpec(stirling2, triangular=True),
+    Family.S1deg: FamilySpec(stirling1_deg, triangular=True),
+    Family.S2deg: FamilySpec(stirling2_deg, triangular=True),
+    Family.S2degPoly: FamilySpec(stirling2_deg_poly, triangular=True),
+    Family.BernoulliDeg: FamilySpec(deg_bernoulli),
+    Family.BellDeg: FamilySpec(bell_deg),
+    Family.TruncBellDeg: FamilySpec(trunc_bell_deg),
+    Family.TruncModBellDeg: FamilySpec(trunc_mod_bell_deg),
+    Family.BellClassical: FamilySpec(bell_classical),
 }
 
 # what build_table says a family takes or lacks, per parameter
@@ -539,8 +548,9 @@ def build_table(
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     given = {"lam": lam, "p": p, "r": r}
+    params = spec.params
     for name, what in _PARAM_NAMES.items():
-        takes = name in spec.params
+        takes = name in params
         if (given[name] is not None) != takes:
             need = "requires" if takes else "does not take"
             raise ValueError(f"family {family.value} {need} {what}")
@@ -551,8 +561,9 @@ def build_table(
     lam = None if lam is None else as_fraction(lam)
     # looked up by name on each build, so the table follows the module's
     # current binding of the function
-    fn = globals()[spec.source]
-    args = [{"lam": lam, "p": p, "r": r}[name] for name in spec.params]
+    source = spec.source.__name__
+    fn = globals()[source]
+    args = [{"lam": lam, "p": p, "r": r}[name] for name in params]
     if spec.triangular:
         rows = [tuple(fn(n, k, *args) for k in range(n + 1)) for n in range(n_max + 1)]
     else:
@@ -564,5 +575,5 @@ def build_table(
         r=r,
         n_max=n_max,
         values=tuple(rows),
-        construction=CONSTRUCTION[spec.source],
+        construction=CONSTRUCTION[source],
     )

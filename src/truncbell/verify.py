@@ -23,10 +23,13 @@ one that holds on every grid measured, and reports the printed reading
 informationally.
 
 Every check is one entry of the CHECKS registry, which states the ids it
-emits, how to run it, its lowest truncation index p, whether it needs
-|lambda| < 1 and whether it is counted; the id lists, the suite loop and
-single-check dispatch are read off it, so adding a check means adding its
-function and one CHECKS entry. Every entry emits one id, except the
+emits, its function, its lowest truncation index p, whether it needs
+|lambda| < 1 and whether it is counted. What a check reads is stated once,
+by its function's parameters: each parameter after lambda names one of
+p, n_max, order, cfg, k and x_points, and the runner passes the values so
+named. The id lists, the suite loop and single-check dispatch are read off
+the registry, so adding a check means adding its function and one CHECKS
+entry. Every entry emits one id, except the
 uncounted T6/T6k pair above, and no check hands its intermediate values to
 another: the modified family's exact checks T14 and T16 run no float code,
 and T15 reads the family through its public function as they do. Every
@@ -66,6 +69,7 @@ each within its own bound, inside the children (see run_suite).
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import pickle
@@ -74,7 +78,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, isfinite
 
 import numpy as np
@@ -762,67 +766,53 @@ def check_CSIX(lam, p: int, n_max: int) -> Verdict:
 
 
 @dataclass(frozen=True)
-class _Args:
-    """What a registry runner reads besides lambda and p."""
-
-    n_max: int
-    order: int
-    cfg: NumericConfig
-    x_points: tuple | None = None
-    k: int | None = None  # the one fixed column of the L9 triangle check
-
-    def __post_init__(self):
-        _require(self.n_max >= 0, f"n_max must be >= 0, got {self.n_max}")
-        _require(self.order >= 0, f"order must be >= 0, got {self.order}")
-
-
-@dataclass(frozen=True)
 class CheckSpec:
-    """One registry entry. run(lam, p, args) returns the verdicts of the
-    ids it emits. The suite runs an entry once per lambda when p_min is
-    None (the check takes no p), else once per grid p >= p_min. Contour
-    entries need |lambda| < 1 and n_max >= 1 and are recorded as skipped
-    otherwise. Uncounted entries report on a statement/derivation conflict
-    and never decide an exit code. `takes` names the optional _Args fields
-    (k, x_points) the runner reads; run_check refuses any other. Runners call
-    checks by their module-level names, so rebinding a check (as a tracer
-    does) reaches every caller."""
+    """One registry entry: the ids its check emits, the check function, the
+    least truncation index p the check takes, whether it is a contour check
+    and whether it is counted. Contour entries need |lambda| < 1 and n_max
+    >= 1 and are recorded as skipped otherwise. Uncounted entries report on
+    a statement/derivation conflict and never decide an exit code.
+
+    The function's parameters after lambda are what the check reads, each
+    one of p, n_max, order, cfg, k and x_points, and _run_entry passes it
+    the values so named, positionally. The suite runs an entry once per
+    grid p >= p_min when its function has a p parameter, else once per
+    lambda. The names are read from the function given here, but the call
+    goes through its module-level name, so rebinding a check (as a tracer
+    does, with a (lam, *args) wrapper) reaches every caller."""
 
     ids: tuple
-    run: Callable
-    p_min: int | None
+    function: Callable
+    p_min: int = 0
     contour: bool = False
     counted: bool = True
-    takes: tuple = ()
 
-    @property
+    @cached_property
     def arg_names(self) -> tuple:
-        """Every argument besides lambda the entry reads: p, then takes."""
-        return self.takes if self.p_min is None else ("p",) + self.takes
+        """The function's parameter names after lambda."""
+        return tuple(inspect.signature(self.function).parameters)[1:]
 
 
 CHECKS = (
-    CheckSpec(("T1",), lambda lam, p, a: [check_T1(lam, p, a.n_max, a.order)], 0),
-    CheckSpec(("T2",), lambda lam, p, a: [check_T2(lam, a.n_max)], None),
-    CheckSpec(("P3",), lambda lam, p, a: [check_P3(lam, p, a.n_max)], 0),
-    CheckSpec(("T4",), lambda lam, p, a: [check_T4(lam, p, a.n_max, a.cfg)], 0),
-    CheckSpec(("P5a",), lambda lam, p, a: [check_P5a(lam, p, a.n_max)], 1),
-    CheckSpec(("P5b",), lambda lam, p, a: [check_P5b(lam, p, a.order)], 1),
-    CheckSpec(("T6", "T6k"), lambda lam, p, a: check_T6(lam, p, a.n_max), 0, counted=False),
-    CheckSpec(("T7",), lambda lam, p, a: [check_T7(lam, p, a.order)], 1),
-    CheckSpec(("T8",), lambda lam, p, a: [check_T8(lam, p, a.n_max)], 1),
-    CheckSpec(("L9",), lambda lam, p, a: [check_L9(lam, a.n_max, a.k, a.cfg)], None,
-              contour=True, takes=("k",)),
-    CheckSpec(("C10",), lambda lam, p, a: [check_C10(lam, a.n_max, a.cfg)], None, contour=True),
-    CheckSpec(("T11",), lambda lam, p, a: [check_T11(lam, p, a.n_max, a.cfg)], 1, contour=True),
-    CheckSpec(("T12",), lambda lam, p, a: [check_T12(lam, p, a.n_max)], 0),
-    CheckSpec(("T13",), lambda lam, p, a: [check_T13(lam, a.n_max)], None),
-    CheckSpec(("T14",), lambda lam, p, a: [check_T14(lam, p, a.n_max, a.order)], 0),
-    CheckSpec(("T15",), lambda lam, p, a: [check_T15(lam, p, a.n_max, a.cfg, a.x_points)], 0,
-              takes=("x_points",)),
-    CheckSpec(("T16",), lambda lam, p, a: [check_T16(lam, p, a.n_max)], 0),
-    CheckSpec(("S3",), lambda lam, p, a: check_S3(lam, p, a.n_max, a.cfg), 1),
-    CheckSpec(("C-SIX",), lambda lam, p, a: [check_CSIX(lam, p, a.n_max)], 1),
+    CheckSpec(("T1",), check_T1),
+    CheckSpec(("T2",), check_T2),
+    CheckSpec(("P3",), check_P3),
+    CheckSpec(("T4",), check_T4),
+    CheckSpec(("P5a",), check_P5a, 1),
+    CheckSpec(("P5b",), check_P5b, 1),
+    CheckSpec(("T6", "T6k"), check_T6, counted=False),
+    CheckSpec(("T7",), check_T7, 1),
+    CheckSpec(("T8",), check_T8, 1),
+    CheckSpec(("L9",), check_L9, contour=True),
+    CheckSpec(("C10",), check_C10, contour=True),
+    CheckSpec(("T11",), check_T11, 1, contour=True),
+    CheckSpec(("T12",), check_T12),
+    CheckSpec(("T13",), check_T13),
+    CheckSpec(("T14",), check_T14),
+    CheckSpec(("T15",), check_T15),
+    CheckSpec(("T16",), check_T16),
+    CheckSpec(("S3",), check_S3, 1),
+    CheckSpec(("C-SIX",), check_CSIX, 1),
 )
 
 KNOWN_CHECK_IDS = tuple(i for c in CHECKS for i in c.ids)
@@ -923,21 +913,21 @@ def _summarize(verdicts, skipped, grid: SuiteGrid, cfg: NumericConfig) -> dict:
     }
 
 
-def _run_unit(check: CheckSpec, lam: Fraction, ps, args: _Args) -> tuple[list, list]:
+def _run_unit(check: CheckSpec, lam: Fraction, ps, given: dict) -> tuple[list, list]:
     """One unit of the suite, one registry entry at one lambda: its verdicts
     and its skip records, over every grid p the entry takes."""
-    check_ps = (None,) if check.p_min is None else [p for p in ps if p >= check.p_min]
+    check_ps = [p for p in ps if p >= check.p_min] if "p" in check.arg_names else (None,)
     skip = None
     if check.contour and abs(lam) >= 1:
         skip = "|lambda| >= 1 is outside the contour domain"
-    elif check.contour and args.n_max < 1:
+    elif check.contour and given["n_max"] < 1:
         skip = _CONTOUR_N_MIN
     if skip:
         return [], [{"id": check.ids[0], **_params(lam, p=p), "reason": skip} for p in check_ps]
-    return [v for p in check_ps for v in _run_entry(check, lam, p, args)], []
+    return [v for p in check_ps for v in _run_entry(check, lam, {**given, "p": p})], []
 
 
-def _run_units(units: list, queue: tuple[int, int], ps, args: _Args) -> tuple[list, tuple | None]:
+def _run_units(units: list, queue: tuple[int, int], ps, given: dict) -> tuple[list, tuple | None]:
     """Run the units the queue hands this process: (index, verdicts, skips)
     for each, and (index, exception) for the first unit that raised, after
     which this process takes no more; None if none raised. The queue is a
@@ -953,25 +943,35 @@ def _run_units(units: list, queue: tuple[int, int], ps, args: _Args) -> tuple[li
         if index == len(units):
             return done, None
         try:
-            done.append((index, *_run_unit(*units[index], ps, args)))
+            done.append((index, *_run_unit(*units[index], ps, given)))
         except Exception as exc:
             return done, (index, exc)
 
 
-def _run_entry(check: CheckSpec, lam: Fraction, p, args: _Args) -> list[Verdict]:
-    """check.run at one point; a float overflow is a domain error naming the
-    point: lambda and each argument of check.arg_names that is set."""
+def _given(n_max: int, order: int, cfg: NumericConfig, k=None, x_points=None) -> dict:
+    """The values a check parameter may name, but lambda and p."""
+    _require(n_max >= 0, f"n_max must be >= 0, got {n_max}")
+    _require(order >= 0, f"order must be >= 0, got {order}")
+    return {"n_max": n_max, "order": order, "cfg": cfg, "k": k, "x_points": x_points}
+
+
+def _run_entry(check: CheckSpec, lam: Fraction, given: dict) -> list[Verdict]:
+    """The entry's verdicts at one point: its function, called through its
+    module-level name, takes lambda and then the values of `given` its
+    parameters name. A float overflow is a domain error naming the point:
+    lambda and each of p, k and x_points that the check takes and is set."""
     try:
-        return check.run(lam, p, args)
+        out = globals()[check.function.__name__](lam, *(given[name] for name in check.arg_names))
     except OverflowError as exc:
-        xs = args.x_points
-        given = {"p": p, "k": args.k,
+        xs = given["x_points"]
+        shown = {"p": given["p"], "k": given["k"],
                  "x_points": None if xs is None else ",".join(str(Fraction(x)) for x in xs)}
-        named = ", ".join(f"{name} = {given[name]}" for name in check.arg_names
-                          if given[name] is not None)
+        named = ", ".join(f"{name} = {shown[name]}" for name in check.arg_names
+                          if shown.get(name) is not None)
         rest = f" (with {named})" if named else ""
         raise ValueError(f"check {'/'.join(check.ids)} at lambda = {lam} leaves the float "
                          f"range{rest}: {exc}") from None
+    return out if isinstance(out, list) else [out]
 
 
 def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -> SuiteReport:
@@ -1025,7 +1025,7 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
         _require(p >= 0, f"truncation index p must be >= 0, got {p}")
     if grid.n_max >= 1 and any(abs(Fraction(lam)) < 1 for lam in grid.lambdas):
         _require_contour_grid(grid.n_max, cfg)  # before any exact work, not after it
-    args = _Args(grid.n_max, grid.order, cfg, grid.x_points)
+    given = _given(grid.n_max, grid.order, cfg, x_points=grid.x_points)
     units = [(check, lam) for lam in map(as_fraction, grid.lambdas) for check in CHECKS]
     children = min(len(units), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
     queue = os.pipe()
@@ -1033,7 +1033,7 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     outs, pids, pidfds, results = [], [], {}, []
     try:
         if children < 2:
-            results.append(_run_units(units, queue, grid.ps, args))
+            results.append(_run_units(units, queue, grid.ps, given))
         else:
             for _ in range(children):
                 out = open(os.memfd_create("truncbell-suite"), "w+b")
@@ -1042,7 +1042,7 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
                 if pid == 0:  # the child: run units, write them, never return
                     status = 1
                     try:
-                        done, failure = _run_units(units, queue, grid.ps, args)
+                        done, failure = _run_units(units, queue, grid.ps, given)
                         if failure:  # a traceback does not pickle, so its text goes along
                             import traceback
 
@@ -1106,19 +1106,22 @@ def run_check(check_id: str, lam, *, p=None, k=None, n_max=SuiteGrid.n_max,
     """Run the registry entry that emits check_id at one point. The stated
     id of an uncounted (adjudicated) entry returns every variant it emits;
     any other id returns only its own verdicts. A p, k or x_points the
-    check does not read is an error, not silently dropped."""
+    check has no parameter for is an error, not silently dropped, and so is
+    a cfg other than NumericConfig() for a check without a cfg parameter."""
     cfg = cfg or NumericConfig()
     lam = as_fraction(lam)
     check = _CHECK_BY_ID.get(check_id)
     if check is None:
         raise ValueError(f"unknown identity id: {check_id}")
-    if check.p_min is not None and p is None:
+    if "p" in check.arg_names and p is None:
         raise ValueError(f"check {check_id} requires p")
-    args = _Args(n_max, order, cfg, x_points, k)
+    given = _given(n_max, order, cfg, k, x_points)
     for name, value in (("p", p), ("k", k), ("x_points", x_points)):
         if value is not None and name not in check.arg_names:
             raise ValueError(f"check {check_id} does not take {name}")
-    verdicts = _run_entry(check, lam, p, args)
+    if cfg != NumericConfig() and "cfg" not in check.arg_names:
+        raise ValueError(f"check {check_id} does not take numeric settings")
+    verdicts = _run_entry(check, lam, {**given, "p": p})
     if not check.counted and check_id == check.ids[0]:
         return verdicts
     return [v for v in verdicts if v.check_id == check_id]

@@ -183,6 +183,10 @@ def test_check_missing_p_is_usage_error(capsys):
     (("--id", "C10", "--k", "-1"), "check C10 does not take k"),
     (("--id", "T2", "--p", "7"), "check T2 does not take p"),
     (("--id", "T14", "--p", "2", "--x-points", "1/3"), "check T14 does not take x_points"),
+    (("--id", "T1", "--p", "2", "--quad-nodes", "18"), "check T1 does not take numeric settings"),
+    (("--id", "C-SIX", "--p", "2", "--quad-nodes", "18"),
+     "check C-SIX does not take numeric settings"),
+    (("--id", "T13", "--seed", "7"), "check T13 does not take numeric settings"),
 ])
 def test_check_unused_argument_is_usage_error(argv, message, capsys):
     code, out, err = run(capsys, "check", "--lambda", "1/2", "--n-max", "2", *argv)

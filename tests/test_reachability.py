@@ -32,6 +32,8 @@ ALLOWED = {
 
 # one value for each family parameter, as table and eval take it
 FAMILY_FLAGS = {"lam": "--lambda=1/2", "p": "--p=2", "r": "--r=1"}
+# the families whose entries are polynomials, which eval can read at --x
+POLY_VALUED = {"S2degPoly", "BernoulliDeg", "BellDeg", "TruncBellDeg", "TruncModBellDeg"}
 
 
 def _defs(node, prefix=""):
@@ -80,10 +82,11 @@ def workload() -> None:
         for fmt in ("csv", "json"):
             run_cli("table", f"--family={family.value}", *params, "--n-max=5",
                     f"--format={fmt}")
-        point = (["--k=2"] if spec.triangular else []) + (["--x=1/3"] if spec.poly_valued else [])
+        point = ((["--k=2"] if spec.triangular else [])
+                 + (["--x=1/3"] if family.value in POLY_VALUED else []))
         run_cli("eval", f"--family={family.value}", *params, "--n=5", *point)
     for spec in CHECKS:
-        p = [] if spec.p_min is None else ["--p=2"]
+        p = ["--p=2"] if "p" in spec.arg_names else []
         for check_id in spec.ids:
             run_cli("check", f"--id={check_id}", "--lambda=1/2", *p, "--n-max=6",
                     "--order=10")

@@ -5,6 +5,7 @@ the package as it is."""
 from fractions import Fraction
 from pathlib import Path
 
+from test_verify import TAKES_CFG
 from truncbell import verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,9 +27,9 @@ def _catalog_rows() -> list[dict]:
 def _modes_emitted(check_id: str, spec) -> set:
     """The verdict modes check_id emits at one small point inside every
     check's domain."""
-    p = None if spec.p_min is None else max(spec.p_min, 2)
-    verdicts = verify.run_check(check_id, Fraction(1, 2), p=p, n_max=4, order=8,
-                                cfg=verify.NumericConfig(moment_nodes=1000))
+    p = max(spec.p_min, 2) if "p" in spec.arg_names else None
+    cfg = verify.NumericConfig(moment_nodes=1000) if check_id in TAKES_CFG else None
+    verdicts = verify.run_check(check_id, Fraction(1, 2), p=p, n_max=4, order=8, cfg=cfg)
     return {v.mode for v in verdicts if v.check_id == check_id}
 
 
@@ -39,7 +40,7 @@ def test_readme_catalog_matches_registry():
     for row in rows:
         check_id = row["id"].strip("`")
         spec = spec_of[check_id]
-        assert row["p"] == ("none" if spec.p_min is None else f"≥ {spec.p_min}"), row
+        assert row["p"] == (f"≥ {spec.p_min}" if "p" in spec.arg_names else "none"), row
         assert row["λ domain"] == ("-1 < λ < 1" if spec.contour else "all"), row
         named = {mode for mode in ("exact", "numeric") if mode in row["second route"]}
         assert named == _modes_emitted(check_id, spec), row

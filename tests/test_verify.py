@@ -40,14 +40,15 @@ NEAR_ONE = Fraction(10**12 - 1, 10**12)
 # the optional run_check arguments each check reads, written out here
 # rather than read from the registry
 TAKES_NO_P = {"T2", "L9", "C10", "T13"}
+TAKES_CFG = {"T4", "L9", "C10", "T11", "T15", "S3"}
 TAKES_K = {"L9"}
 TAKES_X_POINTS = {"T15"}
 
 
 def taken(check_id, **values):
     """The given run_check arguments that check_id reads."""
-    takes = {"p": check_id not in TAKES_NO_P, "k": check_id in TAKES_K,
-             "x_points": check_id in TAKES_X_POINTS}
+    takes = {"p": check_id not in TAKES_NO_P, "cfg": check_id in TAKES_CFG,
+             "k": check_id in TAKES_K, "x_points": check_id in TAKES_X_POINTS}
     return {name: value for name, value in values.items() if takes[name]}
 
 
@@ -197,12 +198,54 @@ def test_run_check_rejects_negative_sizes(check_id):
 
 @pytest.mark.parametrize("check_id", verify.KNOWN_CHECK_IDS)
 def test_run_check_rejects_arguments_the_check_does_not_take(check_id):
-    values = {"p": 2, "k": 1, "x_points": (HALF,)}
+    values = {"p": 2, "k": 1, "x_points": (HALF,), "cfg": FAST_CFG}
     needed = taken(check_id, p=2)
     for name in sorted(values.keys() - taken(check_id, **values).keys()):
-        with pytest.raises(ValueError, match=f"check {check_id} does not take {name}"):
-            run_check(check_id, HALF, n_max=2, order=4, cfg=FAST_CFG,
-                      **{**needed, name: values[name]})
+        what = "numeric settings" if name == "cfg" else name
+        with pytest.raises(ValueError, match=f"check {check_id} does not take {what}"):
+            run_check(check_id, HALF, n_max=2, order=4, **{**needed, name: values[name]})
+
+
+@pytest.mark.parametrize("spec", [s for s in verify.CHECKS if s.ids[0] not in TAKES_NO_P],
+                         ids=lambda spec: spec.ids[0])
+def test_p_min_is_the_least_p_each_check_accepts(spec):
+    # p_min is the one fact a CHECKS entry states by hand: it must be the
+    # bound the check's own guard enforces
+    check_id = spec.ids[0]
+    args = {"n_max": 2, "order": 4}
+    assert run_check(check_id, HALF, p=spec.p_min, **args)
+    with pytest.raises(ValueError, match=rf"p (must be )?>= {spec.p_min}"):
+        run_check(check_id, HALF, p=spec.p_min - 1, **args)
+
+
+def test_rebound_family_function_reaches_build_table(monkeypatch):
+    # build_table calls the module-level name, and reads the family's
+    # parameters from the function FAMILIES holds, not from the wrapper
+    family = sequences.Family.TruncBellDeg
+    plain = sequences.build_table(family, 4, lam=HALF, p=2).values
+    monkeypatch.setattr(sequences, "trunc_bell_deg", _bump_at(sequences.trunc_bell_deg))
+    bumped = sequences.build_table(family, 4, lam=HALF, p=2).values
+    assert [n for n in range(5) if bumped[n] != plain[n]] == [3]
+    assert bumped[3] == plain[3] + 1
+    with pytest.raises(ValueError, match="does not take an order r"):
+        sequences.build_table(family, 4, lam=HALF, p=2, r=1)
+
+
+def test_rebound_check_reaches_run_check_and_the_suite(monkeypatch):
+    # both call the module-level name, with arguments named by the
+    # registered function's parameters, not by the (lam, *args) wrapper's
+    calls = []
+    original = verify.check_T13
+
+    def counting(lam, *args):
+        calls.append((lam, *args))
+        return original(lam, *args)
+
+    monkeypatch.setattr(verify, "check_T13", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the suite's serial loop
+    run_check("T13", HALF, n_max=2)
+    run_suite(SuiteGrid(lambdas=(THIRD,), ps=(1,), n_max=3, order=4), FAST_CFG)
+    assert calls == [(HALF, 2), (THIRD, 3)]
 
 
 def test_suite_rejects_negative_sizes():
@@ -751,8 +794,8 @@ def point_report():
 @pytest.mark.parametrize("check_id", verify.KNOWN_CHECK_IDS)
 def test_run_check_agrees_with_suite(check_id, point_report):
     report, grid = point_report
-    single = run_check(check_id, HALF, n_max=grid.n_max, order=grid.order, cfg=FAST_CFG,
-                       **taken(check_id, p=2, x_points=grid.x_points))
+    single = run_check(check_id, HALF, n_max=grid.n_max, order=grid.order,
+                       **taken(check_id, p=2, cfg=FAST_CFG, x_points=grid.x_points))
     # asking for T6 runs the adjudication, so it also reports the T6k variant
     ids = {"T6": {"T6", "T6k"}}.get(check_id, {check_id})
     from_suite = [v for v in report.verdicts if v.check_id in ids]
