@@ -9,7 +9,10 @@ set, prefixes relative output paths; everything else is flags.
 
 table and eval run on the exact layers alone: for them the check engine
 (verify) and numpy are never imported. check and suite import both, to
-build their subcommands' choices and defaults and to run.
+build their subcommands' choices and defaults and to run. eval computes
+only the entry it prints, through sequences.family_entry, and table builds
+its table through sequences.build_table; both validate the family's
+parameters the same way.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import fields
 
 from .exactnum import parse_rational
 from .fps import Poly
-from .sequences import Family, SequenceTable, build_table
+from .sequences import Family, build_table, family_entry
 
 OUTPUT_DIR_ENV = "TRUNCBELL_OUTPUT_DIR"
 
@@ -44,6 +47,14 @@ def _int_list(text: str):
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_family_flags(sub):
+    sub.add_argument("--family", required=True, choices=[f.value for f in Family])
+    sub.add_argument("--lambda", dest="lam", type=_rational, default=None,
+                     metavar="NUM/DEN", help="deformation parameter")
+    sub.add_argument("--p", type=int, default=None, help="truncation index")
+    sub.add_argument("--r", type=int, default=None, help="order parameter")
 
 
 def _add_output_flag(sub):
@@ -93,27 +104,16 @@ def _write_output(text: str, path: str | None) -> int:
 
 
 def cmd_table(args) -> int:
-    table = build_table(Family(args.family), args.n_max, lam=args.lam, p=args.p, r=args.r)
+    table = build_table(args.family, args.n_max, lam=args.lam, p=args.p, r=args.r)
     text = table.to_csv_text() if args.format == "csv" else table.to_json_text()
     return _write_output(text, args.output)
 
 
 def cmd_eval(args) -> int:
-    family = Family(args.family)
-    if args.n < 0:
-        raise ValueError(f"n must be >= 0, got {args.n}")
-    table = build_table(family, args.n, lam=args.lam, p=args.p, r=args.r)
-    if table.triangular:
-        if args.k is None:
-            raise ValueError(f"family {family.value} is triangular; pass --k")
-        value = table.value(args.n, args.k)
-    else:
-        if args.k is not None:
-            raise ValueError(f"family {family.value} does not take --k")
-        value = table.value(args.n)
+    value = family_entry(args.family, args.n, args.k, lam=args.lam, p=args.p, r=args.r)
     if args.x is not None:
         if not isinstance(value, Poly):
-            raise ValueError(f"family {family.value} values take no x argument")
+            raise ValueError(f"family {args.family} values take no x argument")
         value = value(args.x)
     text = value.to_string() if isinstance(value, Poly) else f"{value}"
     return _write_output(text + "\n", args.output)
@@ -162,25 +162,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    families = [f.value for f in Family]
-
     p_table = sub.add_parser("table", help="emit a family table as CSV or JSON")
-    p_table.add_argument("--family", required=True, choices=families)
-    p_table.add_argument("--lambda", dest="lam", type=_rational, default=None,
-                         metavar="NUM/DEN", help="deformation parameter")
-    p_table.add_argument("--p", type=int, default=None, help="truncation index")
-    p_table.add_argument("--r", type=int, default=None, help="order parameter")
+    _add_family_flags(p_table)
     p_table.add_argument("--n-max", type=int, required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_output_flag(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_eval = sub.add_parser("eval", help="print one exact value or polynomial")
-    p_eval.add_argument("--family", required=True, choices=families)
-    p_eval.add_argument("--lambda", dest="lam", type=_rational, default=None,
-                        metavar="NUM/DEN")
-    p_eval.add_argument("--p", type=int, default=None)
-    p_eval.add_argument("--r", type=int, default=None)
+    _add_family_flags(p_eval)
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--k", type=int, default=None,
                         help="column index for triangular families")

@@ -43,10 +43,12 @@ consequence of anything else in this module, and the test suite validates
 it against brute-force set-partition enumeration before anything builds
 on it.
 
-Each table family is one FAMILIES entry (plus its Family member): the
-entry gives the function that fills the table and its shape, and the
-function's parameters after the entry's indices are the family's
-parameters, so adding a family means adding one entry.
+Each table family is one FAMILIES entry, and the Family enum is made from
+the entries' names: the entry gives the function that computes one entry
+and its shape, and the function's parameters after the entry's indices are
+the family's parameters, so adding a family means adding one entry. One
+validation serves both readers: build_table calls the function for every
+entry up to n_max, family_entry calls it once for the entry it returns.
 
 All functions memoize whole rows keyed by (family parameters, n), and
 every memo holds one immutable value, built of tuples, ints, Fractions,
@@ -102,6 +104,11 @@ from .fps import Fps, Poly, _combine, _poly, deg_exp, lincomb, times_deg_exp_x
 # the entry bound of every memo in the package (verify reads it too)
 MEMO_MAXSIZE = 4096
 
+# A one-step memo chain read cold at n first reads n - WARM_STEP, so it
+# holds about n / WARM_STEP + WARM_STEP frames on the stack instead of n,
+# which would pass Python's default limit of 1000 frames.
+WARM_STEP = 256
+
 
 def _key(lam) -> tuple[int, int]:
     """The memo key of lam: its numerator and denominator in lowest terms."""
@@ -118,6 +125,8 @@ def _deg_ff_poly(a: int, b: int, n: int) -> Poly:
     (x)_n at a = b = 1; each factor is (b x - (n-1) a) / b."""
     if n == 0:
         return Poly.one()
+    if n > WARM_STEP:
+        _deg_ff_poly(a, b, n - WARM_STEP)
     return _deg_ff_poly(a, b, n - 1) * _poly((-(n - 1) * a, b), b)
 
 
@@ -134,6 +143,8 @@ def deg_falling_factorial_poly(n: int, lam) -> Poly:
 def _s2_row(n: int) -> tuple[int, ...]:
     if n == 0:
         return (1,)
+    if n > WARM_STEP:
+        _s2_row(n - WARM_STEP)
     prev = _s2_row(n - 1) + (0,)
     return tuple(k * prev[k] + (prev[k - 1] if k else 0) for k in range(n + 1))
 
@@ -417,27 +428,14 @@ CONSTRUCTION = {
 # tables
 
 
-class Family(str, Enum):
-    S1 = "S1"
-    S2 = "S2"
-    S1deg = "S1deg"
-    S2deg = "S2deg"
-    S2degPoly = "S2degPoly"
-    BernoulliDeg = "BernoulliDeg"
-    BellDeg = "BellDeg"
-    TruncBellDeg = "TruncBellDeg"
-    TruncModBellDeg = "TruncModBellDeg"
-    BellClassical = "BellClassical"
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """How a family's table is filled: `source` is the public function that
-    computes one entry, source(n, [k,] *params), and its name is the
+    """How a family's entries are computed: `source` is the public function
+    that computes one entry, source(n, [k,] *params), and its name is the
     entry's CONSTRUCTION key. A triangular family's second parameter is the
-    column index. build_table calls `source` through its module-level name,
-    so rebinding the function reaches the tables too; params are read from
-    the function given here."""
+    column index. build_table and family_entry call `source` through its
+    module-level name, so rebinding the function reaches them too; params
+    are read from the function given here."""
 
     source: Callable
     triangular: bool = False
@@ -449,20 +447,23 @@ class FamilySpec:
         return tuple(inspect.signature(self.source).parameters)[2 if self.triangular else 1:]
 
 
-FAMILIES: dict[Family, FamilySpec] = {
-    Family.S1: FamilySpec(stirling1, triangular=True),
-    Family.S2: FamilySpec(stirling2, triangular=True),
-    Family.S1deg: FamilySpec(stirling1_deg, triangular=True),
-    Family.S2deg: FamilySpec(stirling2_deg, triangular=True),
-    Family.S2degPoly: FamilySpec(stirling2_deg_poly, triangular=True),
-    Family.BernoulliDeg: FamilySpec(deg_bernoulli),
-    Family.BellDeg: FamilySpec(bell_deg),
-    Family.TruncBellDeg: FamilySpec(trunc_bell_deg),
-    Family.TruncModBellDeg: FamilySpec(trunc_mod_bell_deg),
-    Family.BellClassical: FamilySpec(bell_classical),
+FAMILIES = {
+    "S1": FamilySpec(stirling1, triangular=True),
+    "S2": FamilySpec(stirling2, triangular=True),
+    "S1deg": FamilySpec(stirling1_deg, triangular=True),
+    "S2deg": FamilySpec(stirling2_deg, triangular=True),
+    "S2degPoly": FamilySpec(stirling2_deg_poly, triangular=True),
+    "BernoulliDeg": FamilySpec(deg_bernoulli),
+    "BellDeg": FamilySpec(bell_deg),
+    "TruncBellDeg": FamilySpec(trunc_bell_deg),
+    "TruncModBellDeg": FamilySpec(trunc_mod_bell_deg),
+    "BellClassical": FamilySpec(bell_classical),
 }
+# the family names, one member per FAMILIES key; the table is then keyed by them
+Family = Enum("Family", {name: name for name in FAMILIES}, type=str, module=__name__)
+FAMILIES: dict[Family, FamilySpec] = {Family(name): spec for name, spec in FAMILIES.items()}
 
-# what build_table says a family takes or lacks, per parameter
+# what the readers say a family takes or lacks, per parameter
 _PARAM_NAMES = {"lam": "a lambda parameter", "p": "a truncation index p", "r": "an order r"}
 
 
@@ -483,19 +484,6 @@ class SequenceTable:
     @property
     def triangular(self) -> bool:
         return FAMILIES[self.family].triangular
-
-    def value(self, n: int, k: int | None = None):
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n must satisfy 0 <= n <= n_max = {self.n_max}, got {n}")
-        if self.triangular:
-            if k is None:
-                raise ValueError(f"family {self.family.value} is triangular; pass k")
-            if not 0 <= k <= n:
-                raise ValueError(f"k must satisfy 0 <= k <= n, got {k}")
-            return self.values[n][k]
-        if k is not None:
-            raise ValueError(f"family {self.family.value} is not triangular")
-        return self.values[n]
 
     def to_json_dict(self) -> dict:
         if self.triangular:
@@ -535,18 +523,13 @@ def _entry_str(v) -> str:
     return v.to_string() if isinstance(v, Poly) else format_rational(v)
 
 
-def build_table(
-    family: Family,
-    n_max: int,
-    lam=None,
-    p: int | None = None,
-    r: int | None = None,
-) -> SequenceTable:
-    """Compute a family table for n = 0..n_max with validated parameters."""
+def _entry_call(family: Family, lam, p: int | None, r: int | None) -> tuple:
+    """The family, the function computing its entries and the arguments it
+    takes after the entry's indices, in order, once the parameters are
+    validated: each of lam, p and r is given exactly when the function takes
+    it, p and r are >= 0, and lam reads as a rational."""
     family = Family(family)
     spec = FAMILIES[family]
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
     given = {"lam": lam, "p": p, "r": r}
     params = spec.params
     for name, what in _PARAM_NAMES.items():
@@ -558,22 +541,52 @@ def build_table(
         raise ValueError(f"truncation index p must be >= 0, got {p}")
     if r is not None and r < 0:
         raise ValueError(f"order r must be >= 0, got {r}")
-    lam = None if lam is None else as_fraction(lam)
-    # looked up by name on each build, so the table follows the module's
+    if lam is not None:
+        given["lam"] = as_fraction(lam)
+    # looked up by name on each call, so the readers follow the module's
     # current binding of the function
-    source = spec.source.__name__
-    fn = globals()[source]
-    args = [{"lam": lam, "p": p, "r": r}[name] for name in params]
+    return family, globals()[spec.source.__name__], [given[name] for name in params]
+
+
+def family_entry(family: Family, n: int, k: int | None = None, lam=None,
+                 p: int | None = None, r: int | None = None):
+    """Entry n (column k of a triangular family) of a family with validated
+    parameters, from one call of the function that computes it."""
+    _check_n(n)
+    family, fn, args = _entry_call(family, lam, p, r)
+    if not FAMILIES[family].triangular:
+        if k is not None:
+            raise ValueError(f"family {family.value} does not take --k")
+        return fn(n, *args)
+    if k is None:
+        raise ValueError(f"family {family.value} is triangular; pass --k")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must satisfy 0 <= k <= n, got {k}")
+    return fn(n, k, *args)
+
+
+def build_table(
+    family: Family,
+    n_max: int,
+    lam=None,
+    p: int | None = None,
+    r: int | None = None,
+) -> SequenceTable:
+    """Compute a family table for n = 0..n_max with validated parameters."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    family, fn, args = _entry_call(family, lam, p, r)
+    spec = FAMILIES[family]
     if spec.triangular:
         rows = [tuple(fn(n, k, *args) for k in range(n + 1)) for n in range(n_max + 1)]
     else:
         rows = [fn(n, *args) for n in range(n_max + 1)]
     return SequenceTable(
         family=family,
-        lam=lam,
+        lam=None if lam is None else as_fraction(lam),
         p=p,
         r=r,
         n_max=n_max,
         values=tuple(rows),
-        construction=CONSTRUCTION[source],
+        construction=CONSTRUCTION[spec.source.__name__],
     )

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from truncbell import sequences
 from truncbell.cli import main
-from truncbell.sequences import trunc_bell_deg
+from truncbell.fps import Poly
+from truncbell.sequences import FAMILIES, build_table, trunc_bell_deg
 
 SMALL_SUITE = [
     "suite", "--lambdas", "0,1/2", "--ps", "0,1", "--n-max", "4",
@@ -120,6 +122,78 @@ def test_eval_argument_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--family", "BellClassical", "--n", "2", "--x", "1")
     assert code == 2 and "no x argument" in err
+
+
+# one value for each family parameter: its flag, and the value build_table takes
+FAMILY_ARGS = {"lam": ("--lambda=1/3", Fraction(1, 3)), "p": ("--p=2", 2), "r": ("--r=2", 2)}
+X = Fraction(1, 3)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_eval_prints_the_table_entry(family, capsys):
+    spec = FAMILIES[family]
+    flags = [FAMILY_ARGS[name][0] for name in spec.params]
+    values = {name: FAMILY_ARGS[name][1] for name in spec.params}
+    for n in (0, 5, 12):
+        row = build_table(family, n, **values).values[n]
+        for k, value in enumerate(row) if spec.triangular else [(None, row)]:
+            argv = ["eval", f"--family={family.value}", *flags, f"--n={n}"]
+            argv += [] if k is None else [f"--k={k}"]
+            if isinstance(value, Poly):
+                assert run(capsys, *argv) == (0, value.to_string() + "\n", "")
+                assert run(capsys, *argv, f"--x={X}") == (0, f"{value(X)}\n", "")
+            else:
+                assert run(capsys, *argv) == (0, f"{value}\n", "")
+
+
+def test_eval_calls_the_entry_function_once(monkeypatch, capsys):
+    calls = []
+    original = sequences.trunc_mod_bell_deg
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sequences, "trunc_mod_bell_deg", counting)
+    code, out, _ = run(capsys, "eval", "--family=TruncModBellDeg", "--lambda=1/2", "--p=2",
+                       "--n=6")
+    assert (code, out) == (0, original(6, 2, Fraction(1, 2)).to_string() + "\n")
+    assert calls == [(6, 2, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("eval", "--family=S2deg", "--lambda=1/2", "--n=2"), "is triangular; pass --k"),
+    (("eval", "--family=S2deg", "--lambda=1/2", "--n=2", "--k=5"), "0 <= k <= n, got 5"),
+    (("eval", "--family=S2", "--n=2", "--k=-1"), "0 <= k <= n, got -1"),
+    (("eval", "--family=BellClassical", "--n=2", "--k=1"), "does not take --k"),
+    (("eval", "--family=BellClassical", "--n=2", "--x=1"), "values take no x argument"),
+    (("eval", "--family=S2", "--n=-1", "--k=0"), "n must be >= 0, got -1"),
+    (("table", "--family=S2", "--n-max=-1"), "n_max must be >= 0, got -1"),
+    (("table", "--family=S2deg", "--lambda=1/2", "--p=1", "--n-max=3"),
+     "family S2deg does not take a truncation index p"),
+    (("eval", "--family=S2deg", "--lambda=1/2", "--p=1", "--n=3", "--k=1"),
+     "family S2deg does not take a truncation index p"),
+    (("table", "--family=TruncBellDeg", "--lambda=1/2", "--p=-1", "--n-max=3"),
+     "p must be >= 0, got -1"),
+    (("eval", "--family=TruncModBellDeg", "--lambda=1/2", "--p=-1", "--n=3"),
+     "p must be >= 0, got -1"),
+    (("table", "--family=BernoulliDeg", "--lambda=1/2", "--r=-1", "--n-max=3"),
+     "r must be >= 0, got -1"),
+    (("eval", "--family=BernoulliDeg", "--lambda=1/2", "--r=-1", "--n=3"),
+     "r must be >= 0, got -1"),
+    (("table", "--family=BellDeg", "--lambda=1/2", "--r=1", "--n-max=3"),
+     "family BellDeg does not take an order r"),
+    (("eval", "--family=BellDeg", "--lambda=1/2", "--r=1", "--n=3"),
+     "family BellDeg does not take an order r"),
+    (("table", "--family=S2deg", "--n-max=3"), "family S2deg requires a lambda parameter"),
+    (("eval", "--family=TruncBellDeg", "--p=1", "--n=3"),
+     "family TruncBellDeg requires a lambda parameter"),
+])
+def test_malformed_family_arguments_are_usage_errors(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err and "Traceback" not in err
 
 
 def test_eval_rejects_float_notation(capsys):

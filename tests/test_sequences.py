@@ -26,6 +26,7 @@ from truncbell.sequences import (
     deg_bernoulli,
     deg_bernoulli_num,
     deg_falling_factorial_poly,
+    family_entry,
     stirling1,
     stirling1_deg,
     stirling2,
@@ -62,6 +63,34 @@ def test_bell_classical_matches_partition_enumeration():
     for n in range(9):
         assert bell_classical(n) == bell_oracle(n)
     assert [bell_classical(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+
+
+def _clear_memos():
+    for module in _package_modules():
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def test_cold_reads_far_past_the_recursion_limit():
+    # each one-step memo chain is read cold at n = 1100, deeper than
+    # Python's default limit of 1000 frames, against the classical
+    # recurrences run as loops
+    n = 1100
+    s2 = [1, 0, 0, 0]  # S2(m, k) and s(m, k) for k = 0..3, from m = 0
+    s1 = [1, 0, 0, 0]
+    bell_row = [1]  # row m of the Bell triangle starts with B(m)
+    for m in range(1, n + 1):
+        s2 = [0] + [k * s2[k] + s2[k - 1] for k in range(1, 4)]
+        s1 = [0] + [s1[k - 1] - (m - 1) * s1[k] for k in range(1, 4)]
+        row = [bell_row[-1]]
+        for v in bell_row:
+            row.append(row[-1] + v)
+        bell_row = row
+    for read, expected in ((lambda: stirling2(n, 3), s2[3]), (lambda: stirling1(n, 3), s1[3]),
+                           (lambda: bell_classical(n), bell_row[0])):
+        _clear_memos()
+        assert read() == expected
 
 
 def test_bell_poly_classical_row_sums():
@@ -289,7 +318,7 @@ def test_equal_keys_build_equal_tables():
     a = build_table(Family.S2deg, 6, lam=Fraction(1, 2))
     b = build_table("S2deg", 6, lam=Fraction(1, 2))
     assert a == b
-    assert a.value(2, 1) == Fraction(1, 2)
+    assert a.values[2][1] == Fraction(1, 2)
 
 
 def test_build_table_keeps_no_table_alive():
@@ -386,28 +415,23 @@ def test_table_output_is_byte_stable():
     assert a.to_csv_text() == b.to_csv_text()
 
 
-def test_table_value_accessor_shape_checks():
-    tri = build_table(Family.S2deg, 4, lam=Fraction(1, 2))
-    lin = build_table(Family.BellClassical, 4)
-    with pytest.raises(ValueError):
-        tri.value(2)
-    with pytest.raises(ValueError):
-        lin.value(2, 1)
+def test_family_entry_shape_checks():
+    with pytest.raises(ValueError, match="is triangular"):
+        family_entry(Family.S2deg, 2, lam=Fraction(1, 2))
+    with pytest.raises(ValueError, match="does not take"):
+        family_entry(Family.BellClassical, 2, 1)
 
 
-def test_table_value_rejects_indices_outside_the_table():
-    lin = build_table(Family.BellClassical, 4)
-    tri = build_table(Family.S2, 4)
-    assert lin.value(4) == 15
-    assert tri.value(2, 2) == 1
-    for n in (-1, 5):
-        with pytest.raises(ValueError, match="0 <= n <= n_max = 4"):
-            lin.value(n)
-        with pytest.raises(ValueError, match="0 <= n <= n_max = 4"):
-            tri.value(n, 0)
+def test_family_entry_rejects_indices_outside_the_triangle():
+    assert family_entry(Family.BellClassical, 4) == 15
+    assert family_entry(Family.S2, 2, 2) == 1
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        family_entry(Family.BellClassical, -1)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        family_entry(Family.S2, -1, 0)
     for k in (-1, 3):
         with pytest.raises(ValueError, match="0 <= k <= n"):
-            tri.value(2, k)
+            family_entry(Family.S2, 2, k)
 
 
 def _package_modules():

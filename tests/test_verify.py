@@ -231,6 +231,16 @@ def test_rebound_family_function_reaches_build_table(monkeypatch):
         sequences.build_table(family, 4, lam=HALF, p=2, r=1)
 
 
+def test_rebound_family_function_reaches_eval(monkeypatch, capsys):
+    # eval reads its one entry through the same module-level name
+    argv = ["eval", "--family=TruncBellDeg", "--lambda=1/2", "--p=2"]
+    plain = [sequences.trunc_bell_deg(n, 2, HALF) for n in (2, 3)]
+    monkeypatch.setattr(sequences, "trunc_bell_deg", _bump_at(sequences.trunc_bell_deg))
+    for n, value in zip((2, 3), (plain[0], plain[1] + 1)):
+        assert cli.main([*argv, f"--n={n}"]) == 0
+        assert capsys.readouterr().out == value.to_string() + "\n"
+
+
 def test_rebound_check_reaches_run_check_and_the_suite(monkeypatch):
     # both call the module-level name, with arguments named by the
     # registered function's parameters, not by the (lam, *args) wrapper's
