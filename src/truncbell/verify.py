@@ -61,10 +61,15 @@ a value a perturbation should have changed, and T7's other side still
 reaches the public truncated family through _truncated.
 
 run_suite splits the grid into units, one registry entry at one lambda,
-and hands out their indices through one queue. On Linux it forks
-min(#units, usable CPUs) children that take units from the queue while it
-waits, with a report byte-identical to the serial loop's; the memos fill,
-each within its own bound, inside the children (see run_suite).
+and hands out their indices through one queue with two ends, a record of
+the next index from the front and one past the next index from the back.
+On Linux it forks min(#units, usable CPUs) children while it waits:
+even-numbered children take units from the front of the lambda-major unit
+list, odd-numbered ones from the back, so each lambda's memos fill in one
+child, except at the lambda where the two ends meet. The report is
+byte-identical to the serial loop's, which takes every unit from the front;
+the memos fill, each within its own bound, inside the children (see
+run_suite).
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ import json
 import os
 import pickle
 import select
+import struct
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -289,15 +295,16 @@ def _stirling_sums(rows: list, weights: list) -> list[Fraction]:
 # exact checks
 
 
-def check_T1(lam, p: int, n_max: int, order: int) -> Verdict:
+def check_T1(lam, p: int, n_max: int) -> Verdict:
     """Basis construction of the truncated family against its generating
-    series, as polynomial equality for every n up to n_max."""
+    series, as polynomial equality for every n up to n_max. The series is
+    built through t^n_max, the deepest coefficient compared: coefficient n
+    of an exact truncated series does not depend on its order."""
     lam = as_fraction(lam)
-    _require(order >= n_max, f"order {order} must be at least n_max {n_max}")
     col = _Collector()
     for n in range(n_max + 1):
-        col.poly(n, seq.trunc_bell_deg(n, p, lam), seq.trunc_bell_deg_egf(n, p, lam, order))
-    return col.verdict("T1", _params(lam, p=p, n_max=n_max, order=order))
+        col.poly(n, seq.trunc_bell_deg(n, p, lam), seq.trunc_bell_deg_egf(n, p, lam, n_max))
+    return col.verdict("T1", _params(lam, p=p, n_max=n_max))
 
 
 def check_T2(lam, n_max: int) -> Verdict:
@@ -593,13 +600,16 @@ def check_T12(lam, p: int, n_max: int) -> Verdict:
     val_raised = _truncated(lam, p + 1, n_max)
     shift = lam - 1
     ff = [deg_falling_factorial(shift, j, lam) for j in range(n_max + 2)]
+    weight = Fraction(-p, p + 1)
 
     for n in range(n_max + 1):
         lhs = val[n + 1]
-        base = (Fraction(n + 1) - Fraction(n) * lam) * val[n]
-        tail = dot((comb(n, m), val[m + 1], ff[n - m]) for m in range(n - 1))
-        printed = base - Fraction(p, p + 1) * val[n] - tail
-        raised = base - Fraction(p, p + 1) * val_raised[n] - tail
+        # each form is one dot over its terms: (n+1 - n lam) val[n], minus
+        # p/(p+1) times its middle value, minus sum_m C(n, m) val[m+1] ff[n-m]
+        base = [(n + 1, val[n]), (-n, lam, val[n])]
+        tail = [(-comb(n, m), val[m + 1], ff[n - m]) for m in range(n - 1)]
+        printed = dot([*base, (weight, val[n]), *tail])
+        raised = dot([*base, (weight, val_raised[n]), *tail])
         if n < 2:
             col.info(
                 n, -1, lhs, raised,
@@ -631,20 +641,20 @@ def check_T13(lam, n_max: int) -> Verdict:
     return col.verdict("T13", _params(lam, n_max=n_max))
 
 
-def check_T14(lam, p: int, n_max: int, order: int) -> Verdict:
+def check_T14(lam, p: int, n_max: int) -> Verdict:
     """The modified truncated family: basis construction against its
-    generating series, and against its convolution expansion over the
-    plain truncated numbers with the raised series index; the printed
-    constant index is probed and reported informationally."""
+    generating series, built through t^n_max as T1's is, and against its
+    convolution expansion over the plain truncated numbers with the raised
+    series index; the printed constant index is probed and reported
+    informationally."""
     lam = as_fraction(lam)
     _require(p >= 0, f"p must be >= 0, got {p}")
-    _require(order >= n_max, f"order {order} must be at least n_max {n_max}")
     const = _truncated(lam, p, n_max)
     col = _Collector()
     literal_bad = 0
     for n in range(n_max + 1):
         target = seq.trunc_mod_bell_deg(n, p, lam)
-        col.poly(n, target, seq.trunc_mod_bell_deg_egf(n, p, lam, order))
+        col.poly(n, target, seq.trunc_mod_bell_deg_egf(n, p, lam, n_max))
         ffs = [(comb(n, m), seq.deg_falling_factorial_poly(n - m, lam)) for m in range(n + 1)]
         corrected = lincomb((w, const[m], ff) for m, (w, ff) in enumerate(ffs))
         literal = lincomb(ffs) * const[n]
@@ -657,7 +667,7 @@ def check_T14(lam, p: int, n_max: int, order: int) -> Verdict:
         f"printed-index convolution variant mismatches on {literal_bad} of "
         f"{n_max + 1} rows (informational)"
     )
-    return col.verdict("T14", _params(lam, p=p, n_max=n_max, order=order))
+    return col.verdict("T14", _params(lam, p=p, n_max=n_max))
 
 
 def check_T15(lam, p: int, n_max: int, cfg: NumericConfig, x_points=None) -> Verdict:
@@ -927,21 +937,35 @@ def _run_unit(check: CheckSpec, lam: Fraction, ps, given: dict) -> tuple[list, l
     return [v for p in check_ps for v in _run_entry(check, lam, {**given, "p": p})], []
 
 
-def _run_units(units: list, queue: tuple[int, int], ps, given: dict) -> tuple[list, tuple | None]:
-    """Run the units the queue hands this process: (index, verdicts, skips)
-    for each, and (index, exception) for the first unit that raised, after
-    which this process takes no more; None if none raised. The queue is a
-    pipe holding one 8-byte record, the next unit index: a taker reads it,
-    blocking while another process holds it, and writes its successor back
-    before it runs the unit, so each index goes to exactly one process. Once
-    the record reaches len(units) it stays there, and every taker stops."""
+# the queue record: the next unit from the front, and one past the next
+# unit from the back
+_RECORD = struct.Struct("<QQ")
+
+
+def _run_units(units: list, queue: tuple[int, int], ps, given: dict,
+               from_back: bool = False) -> tuple[list, tuple | None]:
+    """Run the units the queue hands this process, taken from the back of
+    the unit list if from_back, else from the front: (index, verdicts,
+    skips) for each, and (index, exception) for the first unit that raised,
+    after which this process takes no more; None if none raised. The queue
+    is a pipe holding one record, two indices (_RECORD): a taker reads it,
+    blocking while another process holds it, and writes it back with its own
+    end moved one unit inward before it runs the unit, so each index goes to
+    exactly one process. Once the two indices meet they stay so, and every
+    taker stops."""
     read_end, write_end = queue
     done = []
     while True:
-        index = int.from_bytes(os.read(read_end, 8), "little")
-        os.write(write_end, min(index + 1, len(units)).to_bytes(8, "little"))
-        if index == len(units):
+        record = os.read(read_end, _RECORD.size)
+        front, back = _RECORD.unpack(record)
+        if front == back:
+            os.write(write_end, record)
             return done, None
+        if from_back:
+            back = index = back - 1
+        else:
+            index, front = front, front + 1
+        os.write(write_end, _RECORD.pack(front, back))
         try:
             done.append((index, *_run_unit(*units[index], ps, given)))
         except Exception as exc:
@@ -979,12 +1003,17 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     errors; ordering of the verdict list is deterministic.
 
     The work is split into units, one registry entry at one lambda, in
-    lambda-major registry order, handed out by one queue (_run_units). On
-    Linux this process forks one child per usable CPU, up to the number of
-    units, and only waits: each child takes units until the queue is empty,
-    writes its results, or the exception of its first failing unit, pickled
-    to an unnamed file and exits. With one usable CPU or on another platform
-    this process takes every unit itself. It waits on one pidfd per child
+    lambda-major registry order, handed out by one queue with two ends
+    (_run_units). On Linux this process forks one child per usable CPU, up
+    to the number of units, and only waits: each child takes units until
+    the two ends of the queue meet, even-numbered children from the front
+    and odd-numbered ones from the back, then writes its results, or the
+    exception of its first failing unit, pickled to an unnamed file and
+    exits. So the units of one lambda, which share its memos, run in one
+    child, except at the lambda where the ends meet; with one end, the units
+    of each lambda went to the children in turn and each child filled its
+    memos again. With one usable CPU or on another platform this process
+    takes every unit itself, from the front. It waits on one pidfd per child
     and reaps whichever child ends first, so a child that dies raises
     RuntimeError at once, even one killed while it holds the queue record,
     which leaves the other children blocked on the empty queue; it never
@@ -1018,7 +1047,11 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
       (median wall_s 0.224 s, against 0.210 s with this queue);
     - every unit index written in advance to a memfd, read through the
       shared file offset: units were handed out twice, since memfd reads
-      do not serialize the offset."""
+      do not serialize the offset;
+    - one unit per lambda, every registry entry at that lambda in one unit,
+      against this queue: suite_deep wall_s slower in 6 of 6 pairs (median
+      +15%), suite_default within noise (faster in 3 of 6), and a grid of
+      one lambda would run in one child."""
     grid = grid or SuiteGrid()
     cfg = cfg or NumericConfig()
     for p in grid.ps:
@@ -1029,20 +1062,20 @@ def run_suite(grid: SuiteGrid | None = None, cfg: NumericConfig | None = None) -
     units = [(check, lam) for lam in map(as_fraction, grid.lambdas) for check in CHECKS]
     children = min(len(units), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
     queue = os.pipe()
-    os.write(queue[1], (0).to_bytes(8, "little"))
+    os.write(queue[1], _RECORD.pack(0, len(units)))
     outs, pids, pidfds, results = [], [], {}, []
     try:
         if children < 2:
             results.append(_run_units(units, queue, grid.ps, given))
         else:
-            for _ in range(children):
+            for child in range(children):
                 out = open(os.memfd_create("truncbell-suite"), "w+b")
                 outs.append(out)
                 pid = os.fork()
                 if pid == 0:  # the child: run units, write them, never return
                     status = 1
                     try:
-                        done, failure = _run_units(units, queue, grid.ps, given)
+                        done, failure = _run_units(units, queue, grid.ps, given, child % 2 == 1)
                         if failure:  # a traceback does not pickle, so its text goes along
                             import traceback
 

@@ -30,8 +30,11 @@ GRID5 = GRID4 + (F(2),)
 # only the order key from the params of their 80 verdicts, T6k's
 # included (before: 285d34ea...5fc6), and again when C-SIX became an exact
 # verdict over routes 1, 3 and 4, which added its 16 verdicts, each an
-# exact pass with one meta row, to the 228 before (before: 60eb4721...4414)
-EXACT_VERDICTS_SHA256 = "da8d7e1096de80f96e695fac4d7b7f8c98c3c500baa96e63381d5bee741159f5"
+# exact pass with one meta row, to the 228 before (before: 60eb4721...4414),
+# and again when T1 and T14 stopped taking the series order and built their
+# series through n_max, which dropped only the order key from the params of
+# their 40 verdicts (before: da8d7e10...59f5)
+EXACT_VERDICTS_SHA256 = "af386f56be8f518e3ef480f040d834c58b9892aa94b5dbd23a9f78519d749d8f"
 # sha256 of the same report's summary plus the shape of every non-exact
 # verdict (see _shape_digest), recorded before the check registry replaced
 # the hand-written suite loop, skip list and six-route composite, and
@@ -55,8 +58,10 @@ SHAPE_SHA256 = "6a09060bfaa43effd14bb8efbb9955168a20413c1ef0a4ea50c3632aed3a778a
 # series order, which dropped only that key from their params (before:
 # 1ec5bf66...da73), and again when C-SIX became an exact verdict over
 # routes 1, 3 and 4, which added its 16 exact passes (before:
-# 76d7bc00...2fce).
-DEEP_EXACT_VERDICTS_SHA256 = "5191d117a228a2bbb904df6dee411f42d572d575c65e325fd30ab66a3a2f46f4"
+# 76d7bc00...2fce), and again when T1 and T14 stopped taking the series
+# order, which dropped only that key from their params (before:
+# 5191d117...46f4).
+DEEP_EXACT_VERDICTS_SHA256 = "95d64614a819be6e0f93a3dc73f100cd6f3de77a2c4788ce92e0534418858c83"
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -110,7 +115,7 @@ def _all_pass(verdicts):
 
 def test_criterion_01_exact_dual_route_tables(capsys):
     def body():
-        _all_pass([verify.check_T1(lam, p, 12, 12)
+        _all_pass([verify.check_T1(lam, p, 12)
                    for lam in GRID5 for p in range(5)])
     criterion(capsys, 1, "exact dual-route table equality (T1)", body, budget=10.0)
 
@@ -201,7 +206,7 @@ def test_criterion_09_modified_family_routes(capsys):
     def body():
         for lam in GRID4:
             for p in range(5):
-                _all_pass([verify.check_T14(lam, p, 10, 12),
+                _all_pass([verify.check_T14(lam, p, 10),
                            verify.check_T15(lam, p, 10, cfg)])
     criterion(capsys, 9, "twisted family dual routes (T14, T15)", body)
 

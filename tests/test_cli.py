@@ -196,6 +196,26 @@ def test_malformed_family_arguments_are_usage_errors(argv, message, capsys):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("check", "--id=T1", "--lambda=1/2"), "check T1 requires p"),
+    (("check", "--id=L9", "--lambda=1/2", "--k=-1"), "column index must be >= 0, got -1"),
+    (("check", "--id=T1", "--lambda=1/2", "--p=-1"), "p must be >= 0, got -1"),
+    (("check", "--id=T1", "--lambda=1/2", "--p=1", "--n-max=-1"), "n_max must be >= 0, got -1"),
+    (("check", "--id=L9", "--lambda=1/2", "--quad-nodes", "7"),
+     "quad_nodes must be a positive even node count"),
+    (("check", "--id=S3", "--lambda=1/2", "--p=1", "--moment-nodes", "0"),
+     "moment_nodes must be >= 1"),
+    (("check", "--id=T11", "--lambda", "5", "--p=1"), "contour checks need |lambda| < 1, got 5"),
+    (("suite", "--n-max=-1"), "n_max must be >= 0, got -1"),
+    (("suite", "--ps=1,-1"), "p must be >= 0, got -1"),
+])
+def test_malformed_check_arguments_are_usage_errors(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err and "Traceback" not in err
+
+
 def test_eval_rejects_float_notation(capsys):
     code, _, err = run(capsys, "eval", "--family", "TruncBellDeg", "--lambda", "0.5",
                        "--p", "1", "--n", "2")

@@ -179,6 +179,21 @@ def test_shifted_stirling_poly_egf_route_agrees(lam):
             assert stirling2_deg_poly_egf(n, l, lam, order=6) == stirling2_deg_poly(n, l, lam)
 
 
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3),
+                                 Fraction(7, 3)])
+def test_series_depth_does_not_change_an_entry(lam):
+    # coefficient n of an exact truncated series is the same at every order
+    # >= n, so T1, T13 and T14 may build their series only through n_max
+    for n in range(9):
+        for p in range(5):
+            assert trunc_bell_deg_egf(n, p, lam, n) == trunc_bell_deg_egf(n, p, lam, n + 14)
+            assert (trunc_mod_bell_deg_egf(n, p, lam, n)
+                    == trunc_mod_bell_deg_egf(n, p, lam, n + 14))
+        for l in range(n + 1):
+            assert (stirling2_deg_poly_egf(n, l, lam, n)
+                    == stirling2_deg_poly_egf(n, l, lam, n + 14))
+
+
 @pytest.mark.parametrize("l", [-1, 5])
 def test_shifted_stirling_poly_is_zero_off_the_triangle(l):
     assert stirling2_deg_poly(4, l, Fraction(1, 2)) == Poly()

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -66,7 +67,7 @@ def _bump_at(fn, bad_n=3):
 
 
 def test_exact_checks_pass_on_valid_parameters():
-    assert verify.check_T1(HALF, 2, 6, 8).status == "pass"
+    assert verify.check_T1(HALF, 2, 6).status == "pass"
     assert verify.check_T2(Fraction(-1, 3), 6).status == "pass"
     assert verify.check_P3(HALF, 0, 6).status == "pass"
     assert verify.check_P3(HALF, 3, 6).status == "pass"
@@ -87,7 +88,7 @@ def test_numeric_checks_pass_on_valid_parameters():
 
 
 def test_combined_modified_family_checks_pass():
-    v14, v15, v16 = (verify.check_T14(HALF, 2, 6, 8), verify.check_T15(HALF, 2, 6, CFG),
+    v14, v15, v16 = (verify.check_T14(HALF, 2, 6), verify.check_T15(HALF, 2, 6, CFG),
                      verify.check_T16(HALF, 2, 6))
     assert (v14.check_id, v15.check_id, v16.check_id) == ("T14", "T15", "T16")
     assert (v14.mode, v16.mode) == ("exact", "exact")
@@ -133,8 +134,8 @@ def test_six_route_composite_skips_contour_outside_domain():
 
 
 def test_checks_reject_bad_parameters():
-    with pytest.raises(ValueError):
-        verify.check_T1(HALF, 1, 8, 6)  # order below n_max
+    with pytest.raises(ValueError, match="order 2 too small for p = 3"):
+        verify.check_T7(HALF, 3, 2)  # order below p
     with pytest.raises(ValueError):
         verify.check_P5a(HALF, 0, 4)
     with pytest.raises(ValueError):
@@ -149,10 +150,14 @@ def test_checks_reject_bad_parameters():
 
 def test_checks_that_read_no_series_accept_any_order():
     # T2 and T6 read no series order (deg_bernoulli_num picks its own
-    # depth), so an order below n_max is no error
+    # depth), and T1 and T14 build their series through n_max whatever the
+    # order, so an order below n_max is no error
     assert [v.status for v in run_check("T2", HALF, n_max=10, order=10)] == ["pass"]
     verdicts = run_check("T6", HALF, p=2, n_max=6, order=0)
     assert [(v.check_id, v.status) for v in verdicts] == [("T6", "fail"), ("T6k", "pass")]
+    for check_id in ("T1", "T14"):
+        [v] = run_check(check_id, HALF, p=2, n_max=10, order=3)
+        assert (v.status, v.params) == ("pass", {"lambda": "1/2", "p": 2, "n_max": 10})
 
 
 # the calls that only validate or record an argument, which is no use of it
@@ -284,7 +289,7 @@ def test_numeric_config_validation():
 # ---------------------------------------------------------------- negative controls
 
 EXACT_CONTROLS = [
-    ("T1", "trunc_bell_deg", lambda: verify.check_T1(HALF, 2, 6, 8)),
+    ("T1", "trunc_bell_deg", lambda: verify.check_T1(HALF, 2, 6)),
     ("T2", "deg_bernoulli_num", lambda: verify.check_T2(HALF, 6)),
     ("P3", "stirling2_deg", lambda: verify.check_P3(HALF, 2, 6)),
     ("P3-p0", "stirling2_deg", lambda: verify.check_P3(HALF, 0, 6)),
@@ -296,9 +301,9 @@ EXACT_CONTROLS = [
     ("T12", "trunc_bell_deg", lambda: verify.check_T12(HALF, 1, 6)),
     ("T12-p0", "trunc_bell_deg", lambda: verify.check_T12(HALF, 0, 6)),
     ("T13", "stirling2_deg_poly", lambda: verify.check_T13(HALF, 5)),
-    ("T14", "trunc_mod_bell_deg", lambda: verify.check_T14(HALF, 2, 6, 8)),
+    ("T14", "trunc_mod_bell_deg", lambda: verify.check_T14(HALF, 2, 6)),
     # the plain truncated numbers are the input of T14's convolution route
-    ("T14-conv", "trunc_bell_deg", lambda: verify.check_T14(HALF, 2, 6, 8)),
+    ("T14-conv", "trunc_bell_deg", lambda: verify.check_T14(HALF, 2, 6)),
     ("T16", "trunc_mod_bell_deg", lambda: verify.check_T16(HALF, 2, 6)),
     ("S3", "trunc_bell_deg", lambda: verify.check_S3(HALF, 2, 5, FAST_CFG)[0]),
     ("C-SIX", "stirling2_deg", lambda: verify.check_CSIX(THIRD, 2, 6)),
@@ -579,7 +584,7 @@ def test_variants_coincide_when_correction_sum_is_degenerate():
 
 def test_adjudication_never_drives_exit_code():
     failing_variant = verify.check_T6(HALF, 3, 6)[0]
-    passing = verify.check_T1(HALF, 2, 6, 8)
+    passing = verify.check_T1(HALF, 2, 6)
     assert failing_variant.status == "fail"
     assert exit_code_for([failing_variant, passing]) == 0
     broken = Verdict("T1", "exact", {}, "fail", 1.0, [])
@@ -620,7 +625,7 @@ def test_recurrence_fails_when_only_the_raised_index_form_breaks(monkeypatch):
 
 
 def test_modified_family_convolution_variants():
-    v14 = verify.check_T14(HALF, 2, 6, 8)
+    v14 = verify.check_T14(HALF, 2, 6)
     assert v14.status == "pass"
     literal = [r for r in v14.details if "printed constant index" in r.get("note", "")]
     assert literal, "the literal index variant should be probed and reported"
@@ -911,6 +916,23 @@ def test_suite_ordering_is_deterministic(small_report):
     assert keys == sorted(keys)
 
 
+def test_benchmark_verdict_counts_follow_the_registry():
+    # the benchmark's correctness gate expects expected_verdicts() on its
+    # grids, so a change that moves the counts fails here first
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.DEFAULT_LAMBDAS == SuiteGrid.lambdas
+    assert workloads.DEFAULT_PS == SuiteGrid.ps
+    assert set(workloads.ADJUDICATION_IDS) == ADJUDICATION_IDS
+    report = run_suite(SuiteGrid(n_max=2, order=4), FAST_CFG)
+    counted = [v for v in report.verdicts if v.check_id not in ADJUDICATION_IDS]
+    assert workloads.expected_verdicts() == (report.summary["total"], len(counted))
+
+
 def test_suite_reruns_are_byte_identical():
     grid = SuiteGrid(lambdas=(Fraction(0),), ps=(0, 1), n_max=4, order=6)
     a = report_to_json_text(run_suite(grid, FAST_CFG))
@@ -1120,6 +1142,94 @@ def test_the_lowest_failing_unit_is_raised(cpus, monkeypatch):
     monkeypatch.setattr(verify, "check_T2", broken)
     with pytest.raises(ValueError, match="^at lambda = 0$"):
         run_suite(FORK_GRID, FAST_CFG)
+    _assert_no_child_left()
+
+
+_UNIT_RUN = struct.Struct("<II")  # unit index, pid
+
+
+@pytest.fixture
+def unit_runs(monkeypatch):
+    """Patch _run_unit, over FORK_GRID's units, to write (unit index, pid)
+    to a pipe for each unit it runs, and sleep 0.1 s in unit 0, so that the
+    first child cannot take every unit alone. Yields a function that returns
+    the records written since its last call."""
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    real_unit = verify._run_unit
+
+    def unit(check, lam, *args):
+        index = FORK_GRID.lambdas.index(lam) * len(verify.CHECKS) + verify.CHECKS.index(check)
+        os.write(write_end, _UNIT_RUN.pack(index, os.getpid()))
+        if index == 0:
+            time.sleep(0.1)
+        return real_unit(check, lam, *args)
+
+    def taken():
+        data = b""
+        while True:
+            try:
+                chunk = os.read(read_end, 4096)
+            except BlockingIOError:
+                break
+            data += chunk
+        return list(_UNIT_RUN.iter_unpack(data))
+
+    monkeypatch.setattr(verify, "_run_unit", unit)
+    yield taken
+    os.close(read_end)
+    os.close(write_end)
+
+
+def test_two_children_take_the_units_from_both_ends(monkeypatch, unit_runs):
+    # the first child takes units from the front and the second from the
+    # back, each in turn, so they meet inside at most one lambda, and every
+    # other lambda's units, which share its memos, run in one child
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    forked = report_to_json_text(run_suite(FORK_GRID, FAST_CFG))
+    assert len(forks) == 2
+    _assert_no_child_left()
+    runs = unit_runs()
+    units = len(FORK_GRID.lambdas) * len(verify.CHECKS)
+    assert sorted(index for index, _ in runs) == list(range(units))
+    pid_of = dict(runs)
+    assert len(set(pid_of.values())) == 2 and os.getpid() not in pid_of.values()
+    front = [index for index, pid in runs if pid == pid_of[0]]
+    back = [index for index, pid in runs if pid == pid_of[units - 1]]
+    assert front == list(range(len(front)))
+    assert back == list(range(units - 1, len(front) - 1, -1))
+    # the serial loop takes every unit from the front, in unit order
+    assert forked == _looped(FORK_GRID, monkeypatch)
+    assert unit_runs() == [(index, os.getpid()) for index in range(units)]
+
+
+def test_the_lower_of_two_failing_ends_is_raised(monkeypatch):
+    # the only failing units are the first (T1 at lambda = 0) and the last
+    # (C-SIX at lambda = 1/2), the first unit each child takes; the first
+    # fails later, so the higher unit's exception reaches the caller first
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    real_t1, real_csix = verify.check_T1, verify.check_CSIX
+
+    def broken_first(lam, *args):
+        if lam == 0:
+            time.sleep(0.2)
+            raise ValueError("first unit")
+        return real_t1(lam, *args)
+
+    def broken_last(lam, *args):
+        if lam == HALF:
+            raise ValueError("last unit")
+        return real_csix(lam, *args)
+
+    assert (FORK_GRID.lambdas[0], FORK_GRID.lambdas[-1]) == (0, HALF)
+    assert (verify.CHECKS[0].function, verify.CHECKS[-1].function) == (real_t1, real_csix)
+    monkeypatch.setattr(verify, "check_T1", broken_first)
+    monkeypatch.setattr(verify, "check_CSIX", broken_last)
+    with pytest.raises(ValueError, match="^first unit$"):
+        run_suite(FORK_GRID, FAST_CFG)
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
